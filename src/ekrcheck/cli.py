@@ -15,13 +15,11 @@ Reports from runs that exit 1 can be revalidated independently with the
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from random import Random
 from typing import Callable, Sequence
 
@@ -52,24 +50,6 @@ def _graph_argument(text: str) -> graphs.SimpleGraph:
     )
 
 
-def _map_maybe_parallel(fn: Callable, items: Sequence, threads: int) -> list:
-    """Order-preserving map, optionally fanned out over worker processes.
-
-    Results are collected in submission order, so the reduction is
-    identical at any parallelism level.
-    """
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        chunk = max(1, (len(items) + threads * 4 - 1) // (threads * 4))
-        with ProcessPoolExecutor(max_workers=threads) as executor:
-            return list(executor.map(fn, items, chunksize=chunk))
-    return [fn(item) for item in items]
-
-
-def _lemma1_order_check(order: cycles.CyclicOrder, r: int) -> int:
-    return cycles.max_intersecting_intervals(order, r)
-
-
 def _windows_order_check(order: cycles.CyclicOrder, r: int) -> dict | None:
     for i in range(1, order.n + 1):
         for j in range(1, order.m + 1):
@@ -85,19 +65,6 @@ def _windows_order_check(order: cycles.CyclicOrder, r: int) -> dict | None:
                     "witness": [_placement_json(p) for p in (report.witness or ())],
                 }
     return None
-
-
-def _occurrence_check(placement: rook.Placement, n: int, m: int) -> int:
-    total = 0
-    for order in _cached_orders(n, m):
-        if cycles.interval_start(order, placement) is not None:
-            total += 1
-    return total
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_orders(n: int, m: int) -> tuple[cycles.CyclicOrder, ...]:
-    return tuple(cycles.enumerate_cyclic_orders(n, m))
 
 
 def _placement_json(placement: rook.Placement) -> list[list[int]]:
@@ -165,37 +132,33 @@ def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
     half = min(args.n, args.m) // 2
     r_values = [args.r] if args.r is not None else list(range(1, half + 1))
     parameters = {"n": args.n, "m": args.m, "r": args.r}
-    orders = cycles.enumerate_cyclic_orders(args.n, args.m, args.budget_sets)
+    order_total = cycles.order_count(args.n, args.m, args.budget_sets)
+    # The maximum is the same in every order (cycles module docstring), so the
+    # first order stands for all of them, counterexample included.
+    order = cycles.reference_order(args.n, args.m)
     checks = []
     counterexample = None
     for r in r_values:
-        maxima = _map_maybe_parallel(
-            functools.partial(_lemma1_order_check, r=r), orders, args.threads
-        )
+        witness = cycles.max_intersecting_intervals_witness(order, r)
+        value = len(witness)
         checks.append(
             {
                 "r": r,
-                "orders": len(orders),
-                "min_over_orders": min(maxima),
-                "max_over_orders": max(maxima),
-                "all_equal_r": all(value == r for value in maxima),
+                "orders": order_total,
+                "min_over_orders": value,
+                "max_over_orders": value,
+                "all_equal_r": value == r,
             }
         )
-        if counterexample is None:
-            for order, value in zip(orders, maxima):
-                if value != r:
-                    witness = cycles.max_intersecting_intervals_witness(order, r)
-                    counterexample = {
-                        "kind": "interval_family_exceeds_r"
-                        if value > r
-                        else "interval_tightness_gap",
-                        "sigma1": list(order.rows),
-                        "sigma2": list(order.cols),
-                        "r": r,
-                        "found_max": value,
-                        "family": [_placement_json(p) for p in witness],
-                    }
-                    break
+        if counterexample is None and value != r:
+            counterexample = {
+                "kind": "interval_family_exceeds_r" if value > r else "interval_tightness_gap",
+                "sigma1": list(order.rows),
+                "sigma2": list(order.cols),
+                "r": r,
+                "found_max": value,
+                "family": [_placement_json(p) for p in witness],
+            }
     result = {"checks": checks, "all_pass": counterexample is None}
     return parameters, result, counterexample, 0 if counterexample is None else 1
 
@@ -204,11 +167,10 @@ def _run_occurrence(args) -> tuple[dict, dict, dict | None, int]:
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     expected = counts.interval_occurrence_count(args.n, args.m, args.r)
     placements = rook.enumerate_placements(args.n, args.m, args.r, args.budget_sets)
-    found = _map_maybe_parallel(
-        functools.partial(_occurrence_check, n=args.n, m=args.m), placements, args.threads
-    )
+    tally = cycles.interval_tally(args.n, args.m, args.r)
     counterexample = None
-    for placement, value in zip(placements, found):
+    for placement in placements:
+        value = tally[placement]
         if value != expected:
             counterexample = {
                 "kind": "occurrence_mismatch",
@@ -292,13 +254,12 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
 
 def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
     parameters = {"n": args.n, "m": args.m, "r": args.r}
-    orders = cycles.enumerate_cyclic_orders(args.n, args.m, args.budget_sets)
-    failures = _map_maybe_parallel(
-        functools.partial(_windows_order_check, r=args.r), orders, args.threads
-    )
-    counterexample = next((f for f in failures if f is not None), None)
+    order_total = cycles.order_count(args.n, args.m, args.budget_sets)
+    # Each start passes or fails alike in every order (cycles module
+    # docstring), so the first order's first failure is the sweep's.
+    counterexample = _windows_order_check(cycles.reference_order(args.n, args.m), args.r)
     result = {
-        "orders": len(orders),
+        "orders": order_total,
         "starts_per_order": args.n * args.m,
         "all_pass": counterexample is None,
     }
@@ -398,18 +359,27 @@ def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
 # independent counterexample validation
 
 
+def _field(obj: dict, name: str, where: str = "counterexample"):
+    """``obj[name]``, or an input error that names the missing field."""
+    if name not in obj:
+        raise InputError(f'{where} is missing the "{name}" field')
+    return obj[name]
+
+
 def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
-    context = payload.get("context", {})
-    family_raw = payload.get("family", [])
+    context = _field(payload, "context")
+    if not isinstance(context, dict):
+        raise InputError(f'"context" must be a JSON object, got {type(context).__name__}')
+    family_raw = _field(payload, "family")
     if context.get("type") == "rook":
-        n, m, r = context["n"], context["m"], context["r"]
+        n, m, r = (_field(context, key, "counterexample context") for key in ("n", "m", "r"))
         members = [rook.canonical_placement(member, n, m) for member in family_raw]
         if any(len(member) != r for member in members):
             return False, "family member has the wrong size"
         star = len(rook.star_family(n, m, r, (1, 1)))
     elif context.get("type") == "graph":
-        g = graphs.graph_from_json_dict(context["graph"])
-        r = context["r"]
+        g = graphs.graph_from_json_dict(_field(context, "graph", "counterexample context"))
+        r = _field(context, "r", "counterexample context")
         members = [tuple(sorted(member)) for member in family_raw]
         for member in members:
             if len(set(member)) != r:
@@ -436,15 +406,17 @@ def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
 
 
 def _validate_interval_family(payload: dict) -> tuple[bool, str]:
-    order = cycles.canonical_order(payload["sigma1"], payload["sigma2"])
-    r = payload["r"]
+    order = cycles.canonical_order(_field(payload, "sigma1"), _field(payload, "sigma2"))
+    r = _field(payload, "r")
     kind = payload["kind"]
     if kind == "interval_tightness_gap":
         recomputed = cycles.max_intersecting_intervals(order, r)
-        if recomputed == payload["found_max"] and recomputed < r:
+        if recomputed == _field(payload, "found_max") and recomputed < r:
             return True, f"recomputed interval maximum {recomputed} is below r={r}"
         return False, f"recomputed interval maximum is {recomputed}"
-    members = [rook.canonical_placement(member, order.n, order.m) for member in payload["family"]]
+    members = [
+        rook.canonical_placement(member, order.n, order.m) for member in _field(payload, "family")
+    ]
     if len(set(members)) != len(members):
         return False, "family contains duplicate members"
     for member in members:
@@ -460,7 +432,7 @@ def _validate_interval_family(payload: dict) -> tuple[bool, str]:
 
 
 def _validate_double_count(payload: dict) -> tuple[bool, str]:
-    family = rook.family_from_json_dict(payload["family"])
+    family = rook.family_from_json_dict(_field(payload, "family"))
     lhs, rhs = cycles.interval_double_count(family)
     bound = family.r * counts.cyclic_order_count(family.n, family.m)
     if lhs != rhs:
@@ -471,20 +443,20 @@ def _validate_double_count(payload: dict) -> tuple[bool, str]:
 
 
 def _validate_window(payload: dict) -> tuple[bool, str]:
-    order = cycles.canonical_order(payload["sigma1"], payload["sigma2"])
-    i, j = payload["start"]
-    report = cycles.check_interval_windows(order, i, j, payload["r"])
+    order = cycles.canonical_order(_field(payload, "sigma1"), _field(payload, "sigma2"))
+    i, j = _field(payload, "start")
+    report = cycles.check_interval_windows(order, i, j, _field(payload, "r"))
     if not report.passed:
         return True, f"recomputed window check fails: {report.failure}"
     return False, "recomputed window check passes"
 
 
 def _validate_occurrence(payload: dict) -> tuple[bool, str]:
-    n, m = payload["n"], payload["m"]
-    placement = rook.canonical_placement(payload["placement"], n, m)
+    n, m, expected = (_field(payload, key) for key in ("n", "m", "expected"))
+    placement = rook.canonical_placement(_field(payload, "placement"), n, m)
     found = cycles.count_orders_containing(n, m, placement)
-    if found != payload["expected"] and found == payload["found"]:
-        return True, f"recomputed occurrence count {found} differs from expected {payload['expected']}"
+    if found != expected and found == _field(payload, "found"):
+        return True, f"recomputed occurrence count {found} differs from expected {expected}"
     return False, f"recomputed occurrence count is {found}"
 
 
@@ -504,9 +476,13 @@ def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.report}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    if not isinstance(report, dict):
+        raise InputError(f"{args.report}: a report must be a JSON object, got {type(report).__name__}")
     payload = report.get("counterexample")
     if payload is None:
         raise InputError("the report carries no counterexample to check")
+    if not isinstance(payload, dict):
+        raise InputError(f'"counterexample" must be a JSON object, got {type(payload).__name__}')
     kind = payload.get("kind")
     validator = _VALIDATORS.get(kind)
     if validator is None:
@@ -525,19 +501,33 @@ def _budget(args) -> search.SearchBudget:
     return search.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 
+def _nonnegative(cast: Callable[[str], int | float]) -> Callable[[str], int | float]:
+    """Argument type for budgets: ``cast`` the text and refuse values below 0."""
+
+    def parse(text: str) -> int | float:
+        value = cast(text)
+        if not value >= 0:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit one JSON report on stdout")
     parser.add_argument("--out", help="write the produced artifact to this file")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks (default 0)")
-    parser.add_argument("--budget-nodes", type=int, default=10**8,
+    parser.add_argument("--budget-nodes", type=_nonnegative(int), default=10**8,
                         help="search node budget (default 1e8)")
-    parser.add_argument("--budget-seconds", type=float, default=None,
+    parser.add_argument("--budget-seconds", type=_nonnegative(float), default=None,
                         help="wall-clock budget for searches")
-    parser.add_argument("--budget-sets", type=int, default=10**6,
+    parser.add_argument("--budget-sets", type=_nonnegative(int), default=10**6,
                         help="output-size budget for enumerations (default 1e6)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for per-order sweeps")
-    parser.add_argument("--vertex-budget", type=int, default=graphs.DEFAULT_SEARCH_VERTEX_BUDGET,
+                        help="accepted for compatibility; has no effect (sweeps run in one process)")
+    parser.add_argument("--vertex-budget", type=_nonnegative(int),
+                        default=graphs.DEFAULT_SEARCH_VERTEX_BUDGET,
                         help="vertex budget for exhaustive graph searches (default 24)")
 
 
@@ -677,6 +667,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parameters, result, counterexample, exit_code = args.handler(args)
     except InputError as exc:
         print(f"ekrcheck: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"ekrcheck: error: {detail}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         report = {

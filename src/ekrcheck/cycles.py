@@ -7,10 +7,38 @@ are exactly (n-1)! * (m-1)! orders.  Walking both permutations in lockstep
 from a start position, wrapping around, realizes an r-cell "diagonal
 interval": rows and columns are consecutive in their cyclic orders, so the
 cells form a valid placement whenever r <= min(n, m).
+
+Order invariance.  An order (s1, s2) relabels each position cell (p, q) as
+the grid cell phi(p, q) = (s1[p], s2[q]).  The interval of the order at
+start (i, j) is phi(P(i, j)), where P(i, j) = {(i+k, j+k) : 0 <= k < r}
+(positions taken cyclically) is the interval of the identity order, whose
+labels equal its positions.  phi is a bijection of cells that sends each
+position row onto one grid row and each position column onto one grid
+column.  Hence, for any starts s and t and any set W of row positions:
+
+- phi(P(s)) and phi(P(t)) share exactly the images of the cells P(s) and
+  P(t) share, so two intervals meet in one order exactly when they meet
+  in every order, and realize the same placement in one order exactly
+  when they do in every order;
+- the row projection of phi(P(s)) is s1(rows of P(s)), and s1 is a
+  bijection, so it equals s1(W) exactly when the rows of P(s) are W.
+
+Every check in this module is built from these relations alone, with
+intervals listed by start in the same (i, j) sequence for every order:
+the interval compatibility graph, and so the maximum intersecting family
+found by _micro_max_clique (size and start mask); and check_interval_windows,
+whose windows are s1 images of position windows, so its outcome and failure
+message at each start.  For 2r <= min(n, m), which both require, these
+depend on (n, m, r) alone, and a sweep over all orders equals one
+evaluation on the identity order, reference_order(n, m), which is also the
+first order that enumerate_cyclic_orders lists.  Likewise each order's
+distinct intervals are the phi images of the identity order's distinct
+intervals, which interval_tally uses to count occurrences in one pass.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
@@ -74,23 +102,35 @@ def canonical_order(rows: Iterable[int], cols: Iterable[int]) -> CyclicOrder:
     return CyclicOrder(row_seq[i:] + row_seq[:i], col_seq[j:] + col_seq[:j])
 
 
+def order_count(n: int, m: int, max_orders: int = DEFAULT_ORDER_BUDGET) -> int:
+    """Number of canonical cyclic orders, checked as enumerate_cyclic_orders
+    checks it, without building the orders."""
+    if n < 1 or m < 1:
+        raise InputError(f"grid dimensions must be at least 1, got ({n}, {m})")
+    total = cyclic_order_count(n, m)
+    if total > max_orders:
+        raise ResourceLimitError(f"{total} cyclic orders exceed the budget of {max_orders}")
+    return total
+
+
 def enumerate_cyclic_orders(
     n: int,
     m: int,
     max_orders: int = DEFAULT_ORDER_BUDGET,
 ) -> list[CyclicOrder]:
     """All canonical cyclic orders in lexicographic (rows, cols) order."""
-    if n < 1 or m < 1:
-        raise InputError(f"grid dimensions must be at least 1, got ({n}, {m})")
-    total = cyclic_order_count(n, m)
-    if total > max_orders:
-        raise ResourceLimitError(f"{total} cyclic orders exceed the budget of {max_orders}")
+    order_count(n, m, max_orders)
     out = []
     for row_rest in permutations(range(2, n + 1)):
         rows = (1,) + row_rest
         for col_rest in permutations(range(2, m + 1)):
             out.append(CyclicOrder(rows, (1,) + col_rest))
     return out
+
+
+def reference_order(n: int, m: int) -> CyclicOrder:
+    """The identity order: first in enumeration, with labels equal to positions."""
+    return CyclicOrder(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
 
 
 def diagonal_interval(order: CyclicOrder, i: int, j: int, r: int) -> Placement:
@@ -213,9 +253,7 @@ def max_intersecting_intervals(order: CyclicOrder, r: int) -> int:
     The r intervals through any fixed cell pairwise intersect, so the
     value is at least r; the cycle-method bound says it is at most r.
     """
-    _require_half_range(order, r)
-    size, _ = _micro_max_clique(_interval_compatibility_masks(all_intervals(order, r)))
-    return size
+    return len(max_intersecting_intervals_witness(order, r))
 
 
 def max_intersecting_intervals_witness(order: CyclicOrder, r: int) -> tuple[Placement, ...]:
@@ -241,6 +279,25 @@ def count_orders_containing(
         for order in enumerate_cyclic_orders(n, m, max_orders)
         if interval_start(order, canon) is not None
     )
+
+
+def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
+    """For every placement, the number of canonical cyclic orders realizing
+    it as an interval; placements no order realizes are absent.
+
+    Each order is walked once: its distinct intervals are the relabelled
+    distinct intervals of the identity order (see the module docstring),
+    and each adds one to its own count.
+    """
+    orders = enumerate_cyclic_orders(n, m)
+    positions = all_intervals(reference_order(n, m), r)
+    tally: Counter[Placement] = Counter()
+    for order in orders:
+        rows, cols = order.rows, order.cols
+        tally.update(
+            tuple(sorted((rows[p - 1], cols[q - 1]) for p, q in cells)) for cells in positions
+        )
+    return tally
 
 
 class DoubleCount(NamedTuple):

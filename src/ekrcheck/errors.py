@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and input checks."""
 
 from __future__ import annotations
 
@@ -24,3 +24,8 @@ class ResourceLimitError(RuntimeError):
         super().__init__(message)
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
+
+
+def is_integer(value: object) -> bool:
+    """True for an int that is not a bool, so JSON true/false never pass as 1/0."""
+    return isinstance(value, int) and not isinstance(value, bool)

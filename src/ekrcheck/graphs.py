@@ -12,7 +12,7 @@ import json
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, is_integer
 
 VertexSet = tuple[int, ...]
 
@@ -37,7 +37,7 @@ class SimpleGraph:
                 u, v = edge
             except (TypeError, ValueError):
                 raise InputError(f"edges[{index}]: expected a vertex pair, got {edge!r}") from None
-            if not isinstance(u, int) or not isinstance(v, int):
+            if not is_integer(u) or not is_integer(v):
                 raise InputError(f"edges[{index}]: vertex labels must be integers, got {edge!r}")
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise InputError(f"edges[{index}]: endpoint out of range 1..{vertex_count}: {edge!r}")
@@ -95,7 +95,7 @@ class SimpleGraph:
         return True
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 1 <= v <= self._n:
+        if not is_integer(v) or not 1 <= v <= self._n:
             raise InputError(f"vertex label out of range 1..{self._n}: {v!r}")
 
     def __eq__(self, other: object) -> bool:
@@ -311,7 +311,7 @@ def graph_from_json_dict(obj: object) -> SimpleGraph:
     if "vertices" not in obj:
         raise InputError('graph document is missing the "vertices" field')
     vertices = obj["vertices"]
-    if not isinstance(vertices, int):
+    if not is_integer(vertices):
         raise InputError(f'"vertices" must be an integer, got {vertices!r}')
     edges = obj.get("edges", [])
     if not isinstance(edges, list):

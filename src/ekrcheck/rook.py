@@ -15,7 +15,7 @@ from random import Random
 from typing import Iterable, Iterator
 
 from .counts import rook_placement_count, rook_star_count
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, is_integer
 
 Cell = tuple[int, int]
 Placement = tuple[Cell, ...]
@@ -35,7 +35,7 @@ def canonical_placement(cells: Iterable[Iterable[int]], n: int, m: int) -> Place
             row, col = cell
         except (TypeError, ValueError):
             raise InputError(f"expected a (row, col) pair, got {cell!r}") from None
-        if not isinstance(row, int) or not isinstance(col, int):
+        if not is_integer(row) or not is_integer(col):
             raise InputError(f"cell coordinates must be integers, got {cell!r}")
         if not (1 <= row <= n and 1 <= col <= m):
             raise InputError(f"cell ({row}, {col}) outside the {n}x{m} grid")
@@ -218,7 +218,7 @@ def family_from_json_dict(obj: object) -> Family:
     for field in ("n", "m", "r"):
         if field not in obj:
             raise InputError(f'family document is missing the "{field}" field')
-        if not isinstance(obj[field], int):
+        if not is_integer(obj[field]):
             raise InputError(f'"{field}" must be an integer, got {obj[field]!r}')
     sets = obj.get("sets", [])
     if not isinstance(sets, list):

@@ -249,3 +249,76 @@ class TestOutputContract:
         _, out1, _ = run_cli(*base, "--threads", "1")
         _, out2, _ = run_cli(*base, "--threads", "4")
         assert canonical_json_without_elapsed(out1) == canonical_json_without_elapsed(out2)
+
+
+class TestFailsClosed:
+    """Bad files and malformed reports exit 2 with a message naming the culprit."""
+
+    def test_missing_report_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        code, _, err = run_cli("check-witness", "--report", str(path))
+        assert code == 2
+        assert str(path) in err
+
+    def test_missing_family_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        code, _, err = run_cli("double-count", "--family", str(path))
+        assert code == 2
+        assert str(path) in err
+
+    def test_unwritable_out(self, tmp_path):
+        path = tmp_path / "no-such-directory" / "family.json"
+        code, _, err = run_cli("enumerate", "--n", "3", "--m", "3", "--r", "1", "--out", str(path))
+        assert code == 2
+        assert str(path) in err
+
+    def test_non_object_report(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli("check-witness", "--report", str(path))
+        assert code == 2
+        assert "JSON object" in err
+
+    def test_non_object_counterexample(self, tmp_path):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps({"counterexample": 5}))
+        code, _, err = run_cli("check-witness", "--report", str(path))
+        assert code == 2
+        assert '"counterexample"' in err
+
+    def test_payload_missing_a_field(self, tmp_path):
+        _, out, _ = run_cli("lex", "--graph", "E4", "--k", "1", "--r", "3", "--json")
+        report = json.loads(out)
+        del report["counterexample"]["family"]
+        path = tmp_path / "no-family.json"
+        path.write_text(json.dumps(report))
+        code, _, err = run_cli("check-witness", "--report", str(path))
+        assert code == 2
+        assert '"family"' in err
+
+    def test_boolean_cell_coordinate(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "r": 1, "sets": [[[True, 1]]]}))
+        code, _, err = run_cli("double-count", "--family", str(path))
+        assert code == 2
+        assert "integers" in err
+
+    def test_boolean_vertex_count(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": True, "edges": []}))
+        code, _, err = run_cli("graph-stats", "--graph", str(path))
+        assert code == 2
+        assert '"vertices"' in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--budget-nodes", "--budget-sets", "--vertex-budget", "--budget-seconds"]
+    )
+    def test_negative_budget_is_a_usage_error(self, flag, capsys):
+        assert main(["verify", "--n", "4", "--m", "4", "--r", "2", flag, "-1"]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_budgets_are_accepted(self, capsys):
+        zeros = ["--budget-nodes", "0", "--budget-sets", "0",
+                 "--vertex-budget", "0", "--budget-seconds", "0"]
+        assert main(["count", "--n", "3", "--m", "3", "--r", "1", "--json", *zeros]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["placements"] == 9

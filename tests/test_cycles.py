@@ -18,9 +18,11 @@ from ekrcheck import (
     interval_double_count,
     interval_occurrence_count,
     interval_start,
+    interval_tally,
     max_intersecting_intervals,
     max_intersecting_intervals_witness,
     random_intersecting_family,
+    reference_order,
     restrict_to_order,
     star_family,
     Family,
@@ -260,3 +262,33 @@ class TestWindows:
     def test_half_range_enforced(self):
         with pytest.raises(InputError):
             check_interval_windows(IDENTITY_44, 1, 1, 3)
+
+
+class TestOrderInvariance:
+    """The labelled per-order path is the independent check of the sweeps
+    that evaluate the reference order only, or walk the orders once."""
+
+    @pytest.mark.parametrize("n, m", [(4, 4), (4, 5), (5, 5)])
+    def test_every_order_agrees_with_the_reference_order(self, n, m):
+        starts = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+
+        def outcomes(order, r):
+            return [
+                (report.passed, report.failure)
+                for report in (check_interval_windows(order, i, j, r) for i, j in starts)
+            ]
+
+        reference = reference_order(n, m)
+        assert reference == enumerate_cyclic_orders(n, m)[0]
+        for r in range(1, min(n, m) // 2 + 1):
+            expected_max = max_intersecting_intervals(reference, r)
+            expected_windows = outcomes(reference, r)
+            for order in enumerate_cyclic_orders(n, m):
+                assert max_intersecting_intervals(order, r) == expected_max
+                assert outcomes(order, r) == expected_windows
+
+    @pytest.mark.parametrize("n, m, r", [(4, 4, 1), (4, 4, 2), (4, 5, 2)])
+    def test_tally_matches_per_placement_counts(self, n, m, r):
+        tally = interval_tally(n, m, r)
+        for placement in enumerate_placements(n, m, r):
+            assert tally[placement] == count_orders_containing(n, m, placement)
