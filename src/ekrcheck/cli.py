@@ -37,14 +37,23 @@ _GRAPH_BUILDERS: dict[str, Callable[[int], graphs.SimpleGraph]] = {
 }
 
 
-def _graph_argument(text: str) -> graphs.SimpleGraph:
+def _graph_argument(text: str, vertex_budget: int) -> graphs.SimpleGraph:
     """Resolve a graph argument: a JSON file path, or a shorthand such as
-    K4 (complete), E3 (edgeless), P5 (path), C6 (cycle)."""
+    K4 (complete), E3 (edgeless), P5 (path), C6 (cycle).
+
+    A shorthand over the vertex budget is refused before it is built; every
+    command that takes a graph would refuse it under that budget anyway.
+    """
     if os.path.exists(text):
         return graphs.load_graph(text)
     match = _GRAPH_SHORTHAND.fullmatch(text)
     if match:
-        return _GRAPH_BUILDERS[match.group(1)](int(match.group(2)))
+        vertices = int(match.group(2))
+        if vertices > vertex_budget:
+            raise ResourceLimitError(
+                f"graph {text} on {vertices} vertices exceeds the budget of {vertex_budget}"
+            )
+        return _GRAPH_BUILDERS[match.group(1)](vertices)
     raise InputError(
         f"graph argument {text!r} is neither an existing file nor a K/E/P/C shorthand"
     )
@@ -282,7 +291,7 @@ def _run_orders(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_graph_stats(args) -> tuple[dict, dict, dict | None, int]:
-    g = _graph_argument(args.graph)
+    g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph}
     sets = graphs.maximal_independent_sets(g, args.vertex_budget)
     sizes = [len(s) for s in sets]
@@ -300,8 +309,8 @@ def _run_graph_stats(args) -> tuple[dict, dict, dict | None, int]:
 def _run_product(args) -> tuple[dict, dict, dict | None, int]:
     if len(args.graph or []) != 2:
         raise InputError("product needs exactly two --graph arguments")
-    left = _graph_argument(args.graph[0])
-    right = _graph_argument(args.graph[1])
+    left = _graph_argument(args.graph[0], args.vertex_budget)
+    right = _graph_argument(args.graph[1], args.vertex_budget)
     build = graphs.cartesian_product if args.kind == "cartesian" else graphs.lexicographic_product
     product = build(left, right, args.vertex_budget)
     parameters = {"kind": args.kind, "graph": list(args.graph)}
@@ -315,7 +324,7 @@ def _run_product(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
-    g = _graph_argument(args.graph)
+    g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph}
     reports = search.holroyd_talbot_sweep(
         g, budget=_budget(args), max_sets=args.budget_sets, vertex_budget=args.vertex_budget
@@ -334,7 +343,7 @@ def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
-    g = _graph_argument(args.graph)
+    g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph, "k": args.k, "r": args.r}
     outcome = search.lex_product_check(
         g, args.k, args.r,

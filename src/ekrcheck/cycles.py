@@ -281,7 +281,12 @@ def count_orders_containing(
     )
 
 
-def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
+def interval_tally(
+    n: int,
+    m: int,
+    r: int,
+    max_orders: int = DEFAULT_ORDER_BUDGET,
+) -> Counter[Placement]:
     """For every placement, the number of canonical cyclic orders realizing
     it as an interval; placements no order realizes are absent.
 
@@ -289,7 +294,7 @@ def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
     distinct intervals of the identity order (see the module docstring),
     and each adds one to its own count.
     """
-    orders = enumerate_cyclic_orders(n, m)
+    orders = enumerate_cyclic_orders(n, m, max_orders)
     positions = all_intervals(reference_order(n, m), r)
     tally: Counter[Placement] = Counter()
     for order in orders:
@@ -314,15 +319,18 @@ def interval_double_count(family: Family, max_orders: int = DEFAULT_ORDER_BUDGET
     the family size by the per-placement occurrence count.  The two agree
     for every family; for an intersecting family lhs is additionally at
     most r times the number of orders.
+
+    lhs counts the same (member, order) incidences member by member: a
+    member lies in the restriction to exactly tally[member] orders, so
+    summing the interval tally over the members equals summing the
+    restriction sizes over the orders.
     """
     if not 1 <= family.r <= min(family.n, family.m):
         raise InputError(
             f"family r must be in 1..min(n,m)={min(family.n, family.m)}, got {family.r}"
         )
-    lhs = sum(
-        len(restrict_to_order(family, order))
-        for order in enumerate_cyclic_orders(family.n, family.m, max_orders)
-    )
+    tally = interval_tally(family.n, family.m, family.r, max_orders)
+    lhs = sum(tally[member] for member in family)
     rhs = len(family) * interval_occurrence_count(family.n, family.m, family.r)
     return DoubleCount(lhs, rhs)
 

@@ -3,9 +3,10 @@
 The maximum intersecting family problem reduces to maximum clique on the
 compatibility graph whose vertices are the input sets and whose edges join
 intersecting pairs.  The engine is a branch-and-bound search with a greedy
-coloring upper bound, branching in descending-degree order; a second pass
-extracts the lexicographically smallest maximum family, so results are
-deterministic regardless of how work is scheduled.
+coloring upper bound, branching in the caller's lexicographic vertex order;
+a second, single depth-first pass in the same order stops at the first
+maximum clique it reaches, which is the lexicographically smallest maximum
+family, so results are deterministic regardless of how work is scheduled.
 """
 
 from __future__ import annotations
@@ -45,39 +46,19 @@ class _CliqueEngine:
     """Branch-and-bound maximum clique on a compatibility graph.
 
     Vertices are identified with indices 0..V-1 in the caller's
-    (lexicographic) order; internally the search branches in descending
-    degree order for stronger coloring bounds.
+    (lexicographic) order, and every search branches in that order.
     """
 
     def __init__(self, adjacency: Sequence[int], budget: SearchBudget) -> None:
-        count = len(adjacency)
-        by_degree = sorted(range(count), key=lambda v: (-adjacency[v].bit_count(), v))
-        self._to_lex = by_degree
-        to_internal = [0] * count
-        for internal, lex in enumerate(by_degree):
-            to_internal[lex] = internal
-        self._to_internal = to_internal
-        self._adj = [0] * count
-        for lex in range(count):
-            mask = adjacency[lex]
-            remapped = 0
-            while mask:
-                w = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                remapped |= 1 << to_internal[w]
-            self._adj[to_internal[lex]] = remapped
-        above = [0] * (count + 1)
-        for lex in range(count - 1, -1, -1):
-            above[lex] = above[lex + 1] | (1 << to_internal[lex])
-        self._above_lex = above
-        self._count = count
+        self._adj = adjacency
+        self._count = len(adjacency)
         self._budget = budget
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
         )
         self._nodes = 0
         self.best = 0
-        self.root_bound = count
+        self.root_bound = self._count
 
     def full_mask(self) -> int:
         return (1 << self._count) - 1
@@ -122,6 +103,8 @@ class _CliqueEngine:
             self.root_bound = self._color(full)[-1][1]
             if self.root_bound > self.best:
                 self._expand(full, 0)
+        # The search is complete, so a later budget exit reports exact bounds.
+        self.root_bound = self.best
         return self.best
 
     def _expand(self, candidates: int, size: int) -> None:
@@ -139,52 +122,41 @@ class _CliqueEngine:
             if sub:
                 self._expand(sub, size + 1)
 
-    def exists_clique(self, candidates: int, need: int) -> bool:
-        """True iff the candidate set contains a clique of the given size."""
-        if need <= 0:
-            return True
-        if candidates.bit_count() < need:
-            return False
-        self._tick()
-        colored = self._color(candidates)
-        if colored[-1][1] < need:
-            return False
-        for index in range(len(colored) - 1, -1, -1):
-            v, color = colored[index]
-            if color < need:
-                return False
-            bit = 1 << v
-            candidates &= ~bit
-            if need == 1:
-                return True
-            if self.exists_clique(candidates & self._adj[v], need - 1):
-                return True
-        return False
-
     def lex_smallest_clique(self, target: int) -> tuple[int, ...]:
         """Lexicographically smallest clique of the given size, as sorted
-        caller-order indices.  Assumes such a clique exists."""
+        caller-order indices.  Assumes such a clique exists.
+
+        One depth-first search extends the chosen prefix with its candidates
+        (the later vertices adjacent to the whole prefix) in increasing index
+        order, and returns the first clique of the target size it reaches.
+        Unpruned, it reaches those cliques in lexicographic order: two that
+        first differ at position i share the prefix before i, and the
+        subtree of the smaller i-th vertex is finished before the larger one
+        is entered.  A node is pruned only when its candidates are fewer than
+        the vertices still needed, or take fewer greedy colors (a coloring
+        needs at least as many colors as the largest clique it colors), so a
+        pruned subtree holds no clique of the target size.  Hence the first
+        clique reached is the smallest.
+        """
         chosen: list[int] = []
-        candidates = self.full_mask()
-        need = target
-        floor_lex = 0
-        while need > 0:
-            placed = False
-            for lex in range(floor_lex, self._count):
-                bit = 1 << self._to_internal[lex]
-                if not candidates & bit:
-                    continue
-                sub = candidates & self._adj[self._to_internal[lex]]
-                sub &= self._above_lex[lex + 1]
-                if self.exists_clique(sub, need - 1):
-                    chosen.append(lex)
-                    candidates = sub
-                    floor_lex = lex + 1
-                    need -= 1
-                    placed = True
-                    break
-            if not placed:
-                raise RuntimeError("internal error: failed to rebuild a maximum clique")
+
+        def extend(candidates: int, need: int) -> bool:
+            if need == 0:
+                return True
+            self._tick()
+            if candidates.bit_count() < need or self._color(candidates)[-1][1] < need:
+                return False
+            while candidates:
+                v = (candidates & -candidates).bit_length() - 1
+                candidates &= candidates - 1
+                chosen.append(v)
+                if extend(candidates & self._adj[v], need - 1):
+                    return True
+                chosen.pop()
+            return False
+
+        if not extend(self.full_mask(), target):
+            raise RuntimeError("internal error: failed to rebuild a maximum clique")
         return tuple(chosen)
 
 

@@ -47,6 +47,23 @@ class TestVerify:
         assert report["result"]["lower_bound"] <= report["result"]["upper_bound"]
         assert report["parameters"]["n"] == 4
 
+    def test_witness_phase_budget_exit_reports_the_exact_maximum(self):
+        # The max search at 5x5 r=2 takes 32 nodes; the witness pass needs more.
+        code, out, _ = run_cli(
+            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "40"
+        )
+        assert code == 3
+        result = json.loads(out)["result"]
+        assert result["lower_bound"] == result["upper_bound"] == 16
+
+    def test_max_phase_budget_exit_keeps_the_open_bounds(self):
+        code, out, _ = run_cli(
+            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "30"
+        )
+        assert code == 3
+        result = json.loads(out)["result"]
+        assert (result["lower_bound"], result["upper_bound"]) == (16, 23)
+
     def test_enumeration_budgets_exit_3(self):
         code, out, _ = run_cli("lemma1", "--n", "8", "--m", "8", "--json")
         assert code == 3
@@ -131,6 +148,13 @@ class TestGraphCommands:
         assert result["independence_number"] == 2
         assert result["well_covered"]
 
+    def test_oversized_shorthand_is_refused_before_it_is_built(self):
+        code, out, _ = run_cli("graph-stats", "--graph", "K5000", "--json")
+        assert code == 3
+        result = json.loads(out)["result"]
+        assert result["status"] == "inconclusive"
+        assert "5000 vertices" in result["reason"]
+
     def test_graph_stats_rejects_nonsense(self):
         code, _, err = run_cli("graph-stats", "--graph", "Q7")
         assert code == 2
@@ -172,6 +196,13 @@ class TestDoubleCount:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["lhs"] == result["rhs"] == 72 * 8
+
+    def test_order_budget_exits_3(self):
+        code, out, _ = run_cli(
+            "double-count", "--n", "4", "--m", "4", "--r", "2", "--budget-sets", "5", "--json"
+        )
+        assert code == 3
+        assert json.loads(out)["result"]["reason"] == "36 cyclic orders exceed the budget of 5"
 
     def test_needs_family_or_grid(self):
         code, _, err = run_cli("double-count")

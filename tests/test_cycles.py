@@ -292,3 +292,12 @@ class TestOrderInvariance:
         tally = interval_tally(n, m, r)
         for placement in enumerate_placements(n, m, r):
             assert tally[placement] == count_orders_containing(n, m, placement)
+
+    @pytest.mark.parametrize("n, m, r", [(4, 4, 1), (4, 4, 2), (4, 5, 2)])
+    def test_double_count_matches_per_order_restriction(self, n, m, r):
+        orders = enumerate_cyclic_orders(n, m)
+        families = [star_family(n, m, r, (1, 1)), star_family(n, m, r, (2, 3))]
+        families += [random_intersecting_family(n, m, r, Random(seed)) for seed in range(3)]
+        for family in families:
+            lhs, _ = interval_double_count(family)
+            assert lhs == sum(len(restrict_to_order(family, order)) for order in orders)

@@ -2,6 +2,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekrcheck import (
     SearchBudget,
@@ -76,6 +78,23 @@ class TestMaxIntersectingFamily:
             sample = rng.sample(pool, rng.randint(1, 9))
             _, witness = max_intersecting_family(sample)
             assert witness == brute_lex_min_max_family(sample)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(st.integers(1, 7), min_size=1, max_size=4).map(
+                lambda members: tuple(sorted(members))
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_witness_on_mixed_sizes(self, sets):
+        # Mixed member sizes make the compatibility graph non-regular, so the
+        # witness search has to backtrack.
+        size, witness = max_intersecting_family(sets)
+        assert witness == brute_lex_min_max_family(sets)
+        assert size == brute_force_max_intersecting(sets)
 
     def test_never_below_the_best_star(self):
         pool = enumerate_placements(5, 5, 2)
