@@ -326,8 +326,10 @@ def _run_product(args) -> tuple[dict, dict, dict | None, int]:
 def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
     g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph}
+    mu = graphs.min_maximal_independent_size(g, args.vertex_budget)
     reports = search.holroyd_talbot_sweep(
-        g, budget=_budget(args), max_sets=args.budget_sets, vertex_budget=args.vertex_budget
+        g, budget=_budget(args), max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
+        known_min_maximal=mu,
     )
     counterexample = None
     for report in reports:
@@ -335,7 +337,7 @@ def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
             counterexample = _family_exceeds_star_payload(report, g)
             break
     result = {
-        "min_maximal_independent_size": graphs.min_maximal_independent_size(g, args.vertex_budget),
+        "min_maximal_independent_size": mu,
         "reports": [report.to_json_dict() for report in reports],
         "all_hold": counterexample is None,
     }
@@ -405,10 +407,8 @@ def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
         return False, f"unknown counterexample context {context.get('type')!r}"
     if len(set(members)) != len(members):
         return False, "family contains duplicate members"
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not set(members[i]) & set(members[j]):
-                return False, "family is not pairwise intersecting"
+    if not rook.pairwise_intersecting(members):
+        return False, "family is not pairwise intersecting"
     if len(members) <= star:
         return False, f"family size {len(members)} does not exceed the star size {star}"
     return True, f"intersecting family of {len(members)} exceeds the star size {star}"
@@ -431,10 +431,8 @@ def _validate_interval_family(payload: dict) -> tuple[bool, str]:
     for member in members:
         if cycles.interval_start(order, member) is None:
             return False, f"{list(member)} is not an interval of the order"
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not set(members[i]) & set(members[j]):
-                return False, "family is not pairwise intersecting"
+    if not rook.pairwise_intersecting(members):
+        return False, "family is not pairwise intersecting"
     if len(members) <= r:
         return False, f"family size {len(members)} does not exceed r={r}"
     return True, f"intersecting interval family of {len(members)} exceeds r={r}"

@@ -301,6 +301,30 @@ def is_well_covered(
     return len(sizes) == 1
 
 
+def twin_classes(g: SimpleGraph) -> list[VertexSet]:
+    """The classes of two or more twins, each sorted.
+
+    Open twins have equal neighbourhoods (so they are not adjacent); closed
+    twins have equal neighbourhoods once each counts itself (so they are
+    adjacent).  No vertex has twins of both kinds: if u, v are open twins
+    and u, w closed twins, then w is adjacent to v, so v lies in the closed
+    neighbourhood of w, which is u's, although v is not adjacent to u.
+    Exchanging two twins is an automorphism of g.
+    """
+    open_classes: dict[int, list[int]] = {}
+    closed_classes: dict[int, list[int]] = {}
+    for v in range(1, g.vertex_count + 1):
+        mask = g.adjacency_mask(v)
+        open_classes.setdefault(mask, []).append(v)
+        closed_classes.setdefault(mask | (1 << v), []).append(v)
+    return [
+        tuple(members)
+        for classes in (open_classes, closed_classes)
+        for members in classes.values()
+        if len(members) > 1
+    ]
+
+
 def graph_to_json_dict(g: SimpleGraph) -> dict:
     return {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
 

@@ -164,14 +164,17 @@ def star_family(n: int, m: int, r: int, center: Iterable[int]) -> Family:
     return family
 
 
+def pairwise_intersecting(members: Iterable[Iterable]) -> bool:
+    """True iff every two of the given sets share an element: the one
+    definition of an intersecting family, for placements and vertex sets
+    alike."""
+    as_sets = [set(member) for member in members]
+    return all(not a.isdisjoint(b) for a, b in combinations(as_sets, 2))
+
+
 def is_intersecting(family: Family) -> bool:
     """True iff every pair of members shares at least one cell."""
-    cell_sets = [set(p) for p in family.sets]
-    for i in range(len(cell_sets)):
-        for j in range(i + 1, len(cell_sets)):
-            if cell_sets[i].isdisjoint(cell_sets[j]):
-                return False
-    return True
+    return pairwise_intersecting(family.sets)
 
 
 def random_placement(n: int, m: int, r: int, rng: Random) -> Placement:

@@ -7,13 +7,46 @@ coloring upper bound, branching in the caller's lexicographic vertex order;
 a second, single depth-first pass in the same order stops at the first
 maximum clique it reaches, which is the lexicographically smallest maximum
 family, so results are deterministic regardless of how work is scheduled.
+Both searches keep their own stack, so a clique of any size fits.
+
+Symmetry reduction.  A caller may pass element permutations it expects to
+be symmetries of the family; ``max_intersecting_family`` checks them before
+it uses them.  Let ``unique`` be the sorted distinct sets and ``v0 =
+unique[0]``.  The check requires each permutation to be a bijection on the
+elements that occur in the family, and one breadth-first pass from ``v0``
+to map every set it reaches to a set of the family and to reach every set
+(and no two sets may hold the same elements).  As the pass reaches every
+set, it checks the image of every set, so each permutation maps the family
+onto itself; a bijection on the elements keeps two sets disjoint or not,
+so each one is an automorphism of the compatibility graph, and the group
+they generate is transitive on its vertices.  Then:
+
+- some maximum family contains ``v0``: an automorphism that carries one
+  member of a maximum family to ``v0`` carries the whole family to a
+  maximum family through ``v0``;
+- the lexicographically smallest maximum family starts with ``v0``:
+  ``v0`` has the smallest index, so a maximum family through it precedes
+  every maximum family that misses it;
+- the rest of that family is the lexicographically smallest maximum family
+  among the sets that meet ``v0``, kept in their sorted order: every
+  family of sets meeting ``v0`` extends by ``v0`` to an intersecting
+  family, and adding the same first member keeps the order of two
+  families.
+
+So the search runs on the sets that meet ``v0`` alone, and the answer is
+one more than their maximum, with ``v0`` prepended to their witness.  On
+rook grids, row and column permutations act transitively on the
+placements; on a graph, permutations of a class of twins (vertices with
+equal open or equal closed neighbourhoods) are automorphisms; on the
+edgeless graph E_n all vertices are twins and the check passes, while on a
+graph without twins there is nothing to check and the full search runs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .counts import rook_star_count
 from .errors import InputError, ResourceLimitError
@@ -23,10 +56,11 @@ from .graphs import (
     lexicographic_product,
     min_maximal_independent_size,
     complete_graph,
+    twin_classes,
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_SEARCH_VERTEX_BUDGET,
 )
-from .rook import enumerate_placements, DEFAULT_FAMILY_BUDGET
+from .rook import enumerate_placements, pairwise_intersecting, DEFAULT_FAMILY_BUDGET
 
 VERDICT_HOLDS = "EKR_HOLDS"
 VERDICT_FAILS = "EKR_FAILS"
@@ -47,12 +81,16 @@ class _CliqueEngine:
 
     Vertices are identified with indices 0..V-1 in the caller's
     (lexicographic) order, and every search branches in that order.
+    ``offset`` counts members that lie outside this graph but belong to
+    every clique the caller builds from it; budget exits add it to the
+    bounds they report.
     """
 
-    def __init__(self, adjacency: Sequence[int], budget: SearchBudget) -> None:
+    def __init__(self, adjacency: Sequence[int], budget: SearchBudget, offset: int = 0) -> None:
         self._adj = adjacency
         self._count = len(adjacency)
         self._budget = budget
+        self._offset = offset
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
         )
@@ -68,15 +106,15 @@ class _CliqueEngine:
         if self._nodes > self._budget.max_nodes:
             raise ResourceLimitError(
                 f"clique search exceeded {self._budget.max_nodes} nodes",
-                lower_bound=self.best,
-                upper_bound=self.root_bound,
+                lower_bound=self._offset + self.best,
+                upper_bound=self._offset + self.root_bound,
             )
         if self._deadline is not None and self._nodes % 256 == 0:
             if time.monotonic() > self._deadline:
                 raise ResourceLimitError(
                     f"clique search exceeded {self._budget.max_seconds} seconds",
-                    lower_bound=self.best,
-                    upper_bound=self.root_bound,
+                    lower_bound=self._offset + self.best,
+                    upper_bound=self._offset + self.root_bound,
                 )
 
     def _color(self, candidates: int) -> list[tuple[int, int]]:
@@ -100,27 +138,48 @@ class _CliqueEngine:
         self.best = initial_best
         full = self.full_mask()
         if full:
-            self.root_bound = self._color(full)[-1][1]
+            colored = self._color(full)
+            self.root_bound = colored[-1][1]
             if self.root_bound > self.best:
-                self._expand(full, 0)
+                self._tick()
+                self._expand(full, colored)
         # The search is complete, so a later budget exit reports exact bounds.
         self.root_bound = self.best
         return self.best
 
-    def _expand(self, candidates: int, size: int) -> None:
-        self._tick()
-        colored = self._color(candidates)
-        for index in range(len(colored) - 1, -1, -1):
-            v, color = colored[index]
-            if size + color <= self.best:
-                return
-            bit = 1 << v
-            candidates &= ~bit
+    def _expand(self, candidates: int, colored: list[tuple[int, int]]) -> None:
+        """Branch and bound from the root, whose node is already counted.
+
+        One frame ``[candidates, clique size, coloring, next index]`` per
+        clique level.  A frame branches on its vertices from the highest
+        color down, and ends once the remaining colors cannot lift the
+        clique above the best size found.
+        """
+        stack = [[candidates, 0, colored, len(colored) - 1]]
+        while stack:
+            frame = stack[-1]
+            candidates, size, colored, index = frame
+            if index < 0 or size + colored[index][1] <= self.best:
+                stack.pop()
+                continue
+            v = colored[index][0]
+            candidates &= ~(1 << v)
+            frame[0], frame[3] = candidates, index - 1
             if size + 1 > self.best:
                 self.best = size + 1
             sub = candidates & self._adj[v]
             if sub:
-                self._expand(sub, size + 1)
+                self._tick()
+                sub_colored = self._color(sub)
+                stack.append([sub, size + 1, sub_colored, len(sub_colored) - 1])
+
+    def _may_hold(self, candidates: int, need: int) -> bool:
+        """Count a node; False when the candidates cannot hold a clique of
+        ``need`` vertices because they are fewer, or take fewer greedy
+        colors (a coloring needs at least as many colors as the largest
+        clique it colors)."""
+        self._tick()
+        return candidates.bit_count() >= need and self._color(candidates)[-1][1] >= need
 
     def lex_smallest_clique(self, target: int) -> tuple[int, ...]:
         """Lexicographically smallest clique of the given size, as sorted
@@ -132,75 +191,153 @@ class _CliqueEngine:
         Unpruned, it reaches those cliques in lexicographic order: two that
         first differ at position i share the prefix before i, and the
         subtree of the smaller i-th vertex is finished before the larger one
-        is entered.  A node is pruned only when its candidates are fewer than
-        the vertices still needed, or take fewer greedy colors (a coloring
-        needs at least as many colors as the largest clique it colors), so a
-        pruned subtree holds no clique of the target size.  Hence the first
-        clique reached is the smallest.
+        is entered.  A node is pruned only when ``_may_hold`` shows that its
+        subtree holds no clique of the target size.  Hence the first clique
+        reached is the smallest.
+
+        ``stack[k]`` holds the candidates not yet tried after a prefix of k
+        vertices, so ``chosen`` is always one shorter than the stack.
         """
+        if target == 0:
+            return ()
         chosen: list[int] = []
-
-        def extend(candidates: int, need: int) -> bool:
+        full = self.full_mask()
+        stack = [full] if self._may_hold(full, target) else []
+        while stack:
+            candidates = stack[-1]
+            if not candidates:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            v = (candidates & -candidates).bit_length() - 1
+            stack[-1] = candidates = candidates & (candidates - 1)
+            chosen.append(v)
+            need = target - len(chosen)
             if need == 0:
-                return True
-            self._tick()
-            if candidates.bit_count() < need or self._color(candidates)[-1][1] < need:
-                return False
-            while candidates:
-                v = (candidates & -candidates).bit_length() - 1
-                candidates &= candidates - 1
-                chosen.append(v)
-                if extend(candidates & self._adj[v], need - 1):
-                    return True
+                return tuple(chosen)
+            sub = candidates & self._adj[v]
+            if self._may_hold(sub, need):
+                stack.append(sub)
+            else:
                 chosen.pop()
-            return False
-
-        if not extend(self.full_mask(), target):
-            raise RuntimeError("internal error: failed to rebuild a maximum clique")
-        return tuple(chosen)
+        raise RuntimeError("internal error: failed to rebuild a maximum clique")
 
 
-def max_intersecting_family(
-    sets: Sequence[tuple],
-    budget: SearchBudget | None = None,
-) -> tuple[int, tuple[tuple, ...]]:
-    """Exact maximum size of a pairwise-intersecting subfamily, with witness.
-
-    The witness is the lexicographically smallest maximum family (members
-    sorted, families compared member-wise).  Certified before returning:
-    the witness is pairwise intersecting and has the reported size.
-    """
-    budget = budget or SearchBudget()
-    unique = sorted(set(sets))
-    if not unique:
-        return 0, ()
+def _lex_smallest_maximum(
+    members: Sequence[tuple], budget: SearchBudget, offset: int = 0
+) -> tuple[tuple, ...]:
+    """The lexicographically smallest maximum intersecting subfamily of the
+    sorted distinct ``members``; ``offset`` as in ``_CliqueEngine``."""
     element_masks: dict[object, int] = {}
-    for index, member in enumerate(unique):
+    for index, member in enumerate(members):
         for element in member:
             element_masks[element] = element_masks.get(element, 0) | (1 << index)
-    adjacency = [0] * len(unique)
-    for index, member in enumerate(unique):
+    adjacency = [0] * len(members)
+    for index, member in enumerate(members):
         mask = 0
         for element in member:
             mask |= element_masks[element]
         adjacency[index] = mask & ~(1 << index)
 
-    # Every element's stars are cliques, so the largest one seeds the bound.
-    seed = max((mask.bit_count() for mask in element_masks.values()), default=0)
-    seed = max(seed, 1)
+    # Every element's star is a clique, and so is a single member (which
+    # may be the empty set, with no elements at all).
+    seed = max(
+        (mask.bit_count() for mask in element_masks.values()), default=min(len(members), 1)
+    )
 
-    engine = _CliqueEngine(adjacency, budget)
+    engine = _CliqueEngine(adjacency, budget, offset)
     size = engine.max_clique_size(initial_best=seed)
-    witness = tuple(unique[i] for i in engine.lex_smallest_clique(size))
-
-    member_sets = [set(p) for p in witness]
-    for i in range(len(member_sets)):
-        for j in range(i + 1, len(member_sets)):
-            if member_sets[i].isdisjoint(member_sets[j]):
-                raise RuntimeError("internal error: witness is not pairwise intersecting")
-    if len(witness) != size:
+    clique = engine.lex_smallest_clique(size)
+    if len(clique) != size:
         raise RuntimeError("internal error: witness size does not match the reported maximum")
-    return size, witness
+    return tuple(members[i] for i in clique)
+
+
+def _transitive_symmetries(unique: Sequence[tuple], symmetries: Sequence[Mapping]) -> bool:
+    """True iff the permutations pass the check in the module docstring.
+
+    An element a permutation does not list is fixed by it.
+    """
+    index = {frozenset(member): i for i, member in enumerate(unique)}
+    if len(index) != len(unique):
+        return False
+    elements = set().union(*unique)
+    for perm in symmetries:
+        if {perm.get(element, element) for element in elements} != elements:
+            return False
+    reached = {0}
+    queue = [unique[0]]
+    for member in queue:  # the queue grows while it is read
+        for perm in symmetries:
+            image = index.get(frozenset(perm.get(element, element) for element in member))
+            if image is None:
+                return False
+            if image not in reached:
+                reached.add(image)
+                queue.append(unique[image])
+    return len(reached) == len(unique)
+
+
+def max_intersecting_family(
+    sets: Sequence[tuple],
+    budget: SearchBudget | None = None,
+    symmetries: Sequence[Mapping] | None = None,
+) -> tuple[int, tuple[tuple, ...]]:
+    """Exact maximum size of a pairwise-intersecting subfamily, with witness.
+
+    The witness is the lexicographically smallest maximum family (members
+    sorted, families compared member-wise).  ``symmetries`` are element
+    permutations (mappings; unlisted elements are fixed) that the caller
+    expects to be symmetries of the family.  When they pass the check in
+    the module docstring, only the sets that meet the first set are
+    searched; otherwise, or without them, the whole family is.  Certified
+    before returning: the witness is pairwise intersecting and has the
+    reported size.
+    """
+    budget = budget or SearchBudget()
+    unique = sorted(set(sets))
+    if not unique:
+        return 0, ()
+    if symmetries and _transitive_symmetries(unique, symmetries):
+        first = set(unique[0])
+        neighbours = [member for member in unique[1:] if not first.isdisjoint(member)]
+        witness = (unique[0],) + _lex_smallest_maximum(neighbours, budget, offset=1)
+    else:
+        witness = _lex_smallest_maximum(unique, budget)
+
+    if not pairwise_intersecting(witness):
+        raise RuntimeError("internal error: witness is not pairwise intersecting")
+    return len(witness), witness
+
+
+def _transposition_and_cycle(labels: Sequence) -> list[dict]:
+    """A transposition and a cycle through all of ``labels``, which together
+    generate every permutation of them; none for fewer than two labels."""
+    labels = list(labels)
+    if len(labels) < 2:
+        return []
+    transposition = {labels[0]: labels[1], labels[1]: labels[0]}
+    return [transposition, dict(zip(labels, labels[1:] + labels[:1]))]
+
+
+def rook_symmetries(n: int, m: int) -> list[dict]:
+    """Generators of the row and column permutations of the n-by-m grid,
+    acting on its cells."""
+    cells = [(row, col) for row in range(1, n + 1) for col in range(1, m + 1)]
+    return [
+        {(row, col): (sigma.get(row, row), col) for row, col in cells}
+        for sigma in _transposition_and_cycle(range(1, n + 1))
+    ] + [
+        {(row, col): (row, tau.get(col, col)) for row, col in cells}
+        for tau in _transposition_and_cycle(range(1, m + 1))
+    ]
+
+
+def twin_symmetries(g: SimpleGraph) -> list[dict]:
+    """Generators of the permutations within each class of twins of g, all
+    of them automorphisms of g."""
+    return [perm for twins in twin_classes(g) for perm in _transposition_and_cycle(twins)]
 
 
 @dataclass(frozen=True)
@@ -250,13 +387,15 @@ def rook_ekr_report(
     """Exact verdict for the n-by-m rook grid at size r.
 
     The comparator is the closed-form star size, the same at every cell by
-    vertex transitivity.  In-theorem-range means r <= min(n, m)/2.
+    vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  The
+    search is given the row and column permutations, so it only searches
+    the placements that meet the first one.
     """
     if not 1 <= r <= min(n, m):
         raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")
     started = time.monotonic()
     placements = enumerate_placements(n, m, r, max_sets)
-    size, witness = max_intersecting_family(placements, budget)
+    size, witness = max_intersecting_family(placements, budget, rook_symmetries(n, m))
     star = rook_star_count(n, m, r)
     return EkrReport(
         parameters={"kind": "rook", "n": n, "m": m, "r": r},
@@ -280,7 +419,9 @@ def graph_ekr_report(
 
     The comparator is the best star over all vertices (the EKR property
     only asks for one good vertex).  In-theorem-range means r is at most
-    half the smallest maximal independent set size.
+    half the smallest maximal independent set size.  The search is given
+    the permutations of each class of twins, which it uses when they act
+    transitively on the independent r-sets.
     """
     if r < 1:
         raise InputError(f"r must be at least 1, got {r}")
@@ -296,7 +437,7 @@ def graph_ekr_report(
         if known_min_maximal is not None
         else min_maximal_independent_size(g, vertex_budget)
     )
-    size, witness = max_intersecting_family(sets, budget)
+    size, witness = max_intersecting_family(sets, budget, twin_symmetries(g))
     return EkrReport(
         parameters={
             "kind": "graph",
@@ -318,9 +459,15 @@ def holroyd_talbot_sweep(
     budget: SearchBudget | None = None,
     max_sets: int = DEFAULT_ENUMERATION_BUDGET,
     vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
+    known_min_maximal: int | None = None,
 ) -> list[EkrReport]:
-    """One report per r in the conjectured range 1..mu/2 (empty if mu < 2)."""
-    mu = min_maximal_independent_size(g, vertex_budget)
+    """One report per r in the conjectured range 1..mu/2 (empty if mu < 2);
+    mu is computed unless ``known_min_maximal`` gives it."""
+    mu = (
+        known_min_maximal
+        if known_min_maximal is not None
+        else min_maximal_independent_size(g, vertex_budget)
+    )
     return [
         graph_ekr_report(g, r, budget, max_sets, vertex_budget, known_min_maximal=mu)
         for r in range(1, mu // 2 + 1)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ekrcheck import load_family, load_graph
+from ekrcheck import graphs, load_family, load_graph
 from ekrcheck.cli import main
 from helpers import canonical_json_without_elapsed, run_cli
 
@@ -32,6 +32,11 @@ class TestVerify:
         assert report["result"]["verdict"] == "EKR_HOLDS"
         assert report["counterexample"] is None
 
+    def test_first_placement_meets_no_other(self, capsys):
+        assert main(["verify", "--n", "3", "--m", "3", "--r", "1", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["max_intersecting"], result["witness"]) == (1, [[[1, 1]]])
+
     def test_missing_r_is_a_usage_error(self):
         code, _, err = run_cli("verify", "--n", "4", "--m", "4")
         assert code == 2
@@ -48,9 +53,10 @@ class TestVerify:
         assert report["parameters"]["n"] == 4
 
     def test_witness_phase_budget_exit_reports_the_exact_maximum(self):
-        # The max search at 5x5 r=2 takes 32 nodes; the witness pass needs more.
+        # At 5x5 r=2 the max search over the placements that meet the first
+        # one takes 2 nodes; the witness pass needs 15 more.
         code, out, _ = run_cli(
-            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "40"
+            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "5"
         )
         assert code == 3
         result = json.loads(out)["result"]
@@ -58,11 +64,12 @@ class TestVerify:
 
     def test_max_phase_budget_exit_keeps_the_open_bounds(self):
         code, out, _ = run_cli(
-            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "30"
+            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "1"
         )
         assert code == 3
         result = json.loads(out)["result"]
-        assert (result["lower_bound"], result["upper_bound"]) == (16, 23)
+        # The bounds count the first placement, which the search leaves out.
+        assert (result["lower_bound"], result["upper_bound"]) == (16, 17)
 
     def test_enumeration_budgets_exit_3(self):
         code, out, _ = run_cli("lemma1", "--n", "8", "--m", "8", "--json")
@@ -166,6 +173,28 @@ class TestGraphCommands:
         result = json.loads(out)["result"]
         assert result["all_hold"]
         assert len(result["reports"]) == 1
+
+    def test_ht_on_an_edgeless_graph(self, capsys):
+        assert main(["ht", "--graph", "E5", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["min_maximal_independent_size"] == 5
+        assert [(report["parameters"]["r"], report["max_intersecting"], report["witness"])
+                for report in result["reports"]] == [
+            (1, 1, [[1]]),
+            (2, 4, [[1, 2], [1, 3], [1, 4], [1, 5]]),
+        ]
+
+    def test_ht_computes_mu_once(self, monkeypatch, capsys):
+        calls = []
+        original = graphs.maximal_independent_sets
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(graphs, "maximal_independent_sets", counted)
+        assert main(["ht", "--graph", "C5", "--json"]) == 0
+        assert len(calls) == 1
 
     def test_lex_holds(self):
         code, out, _ = run_cli("lex", "--graph", "E4", "--k", "2", "--r", "2", "--json")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ekrcheck import (
     SearchBudget,
+    search,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -21,7 +22,10 @@ from ekrcheck import (
     path_graph,
     rook_ekr_report,
     rook_star_count,
+    rook_symmetries,
     star_family,
+    twin_classes,
+    twin_symmetries,
     Family,
     SimpleGraph,
 )
@@ -115,6 +119,12 @@ class TestMaxIntersectingFamily:
             )
         assert info.value.lower_bound >= 9
         assert info.value.upper_bound >= info.value.lower_bound
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        sets = [(0, i) for i in range(1, 1101)]
+        size, witness = max_intersecting_family(sets)
+        assert size == 1100
+        assert witness == tuple(sets)
 
     def test_time_budget(self):
         with pytest.raises(ResourceLimitError):
@@ -216,3 +226,114 @@ class TestLexProductCheck:
         outcome = lex_product_check(empty_graph(3), 2, 1)
         for report in (outcome.premise, outcome.conclusion):
             assert len(report.witness) == report.max_intersecting
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """(vertices, nodes after the max phase) of every clique engine run."""
+    runs = []
+    original = search._CliqueEngine.max_clique_size
+
+    def spy(self, initial_best=0):
+        size = original(self, initial_best)
+        runs.append((self._count, self._nodes))
+        return size
+
+    monkeypatch.setattr(search._CliqueEngine, "max_clique_size", spy)
+    return runs
+
+
+def reduced_vertices(sets, symmetries):
+    """Vertices of the engine that searches only the sets meeting the first;
+    with no permutations the whole family is searched."""
+    unique = sorted(set(sets))
+    if not symmetries:
+        return len(unique)
+    return sum(1 for member in unique[1:] if set(member) & set(unique[0]))
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_rook_grids_agree_with_the_full_search(self, n, m, engines):
+        for r in range(1, min(n, m) + 1):
+            placements = enumerate_placements(n, m, r)
+            symmetries = rook_symmetries(n, m)
+            engines.clear()
+            reduced = max_intersecting_family(placements, symmetries=symmetries)
+            assert engines[0][0] == reduced_vertices(placements, symmetries)
+            assert reduced == max_intersecting_family(placements)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_edgeless_graphs_agree_with_the_full_search(self, n, engines):
+        g = empty_graph(n)
+        for r in range(1, n + 1):
+            sets = enumerate_independent(g, r)
+            symmetries = twin_symmetries(g)
+            engines.clear()
+            reduced = max_intersecting_family(sets, symmetries=symmetries)
+            assert engines[0][0] == reduced_vertices(sets, symmetries)
+            assert reduced == max_intersecting_family(sets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.sets(st.tuples(st.integers(1, k), st.integers(1, k)).filter(
+                    lambda e: e[0] < e[1])),
+                st.integers(1, k),
+                st.integers(1, 3),
+                st.booleans(),
+                st.integers(1, 3),
+            )
+        )
+    )
+    def test_graphs_with_planted_twins_agree_with_the_full_search(self, case):
+        k, edges, original, copies, closed, r = case
+        edges = set(edges)
+        neighbours = {u for edge in edges if original in edge for u in edge} - {original}
+        for twin in range(k + 1, k + copies + 1):
+            edges |= {(u, twin) for u in neighbours}
+            if closed:
+                edges |= {(u, twin) for u in [original, *range(k + 1, twin)]}
+        g = SimpleGraph(k + copies, sorted(edges))
+        assert any(original in twins for twins in twin_classes(g))
+        sets = enumerate_independent(g, r)
+        assert max_intersecting_family(sets, symmetries=twin_symmetries(g)) == (
+            max_intersecting_family(sets)
+        )
+
+    def test_a_map_that_is_not_a_bijection_is_refused(self, engines):
+        # It sends every set into the family and reaches all three from the
+        # first, which meets no other set; trusted, it would report 1.
+        sets = [(1, 2), (3,), (3, 4)]
+        squeeze = {1: 3, 2: 4, 3: 3, 4: 3}
+        assert max_intersecting_family(sets, symmetries=[squeeze]) == (2, ((3,), (3, 4)))
+        assert engines[0][0] == 3
+
+    def test_a_map_out_of_the_family_is_refused(self, engines):
+        # Following only the images inside the family, the two bijections
+        # reach all three sets from (1, 2), which meets no other set.
+        sets = [(1, 2), (3, 4), (3, 5)]
+        swap, shift = {1: 3, 3: 1, 2: 4, 4: 2}, {4: 5, 5: 4}
+        assert max_intersecting_family(sets, symmetries=[swap, shift]) == (
+            2, ((3, 4), (3, 5))
+        )
+        assert engines[0][0] == 3
+
+    def test_first_set_meeting_no_other(self, engines):
+        report = rook_ekr_report(3, 3, 1)
+        assert (report.max_intersecting, report.witness) == (1, (((1, 1),),))
+        report = graph_ekr_report(empty_graph(5), 1)
+        assert (report.max_intersecting, report.witness) == (1, ((1,),))
+        assert [vertices for vertices, _ in engines] == [0, 0]
+
+    def test_seven_by_seven_searches_the_first_placements_neighbourhood(self, engines):
+        report = rook_ekr_report(7, 7, 3)
+        assert report.max_intersecting == report.best_star == 450
+        assert engines == [(1275, 7)]
+
+    def test_full_search_node_counts(self, engines):
+        assert max_intersecting_family(enumerate_placements(6, 6, 3))[0] == 200
+        assert engines == [(2400, 379)]
