@@ -167,9 +167,27 @@ def star_family(n: int, m: int, r: int, center: Iterable[int]) -> Family:
 def pairwise_intersecting(members: Iterable[Iterable]) -> bool:
     """True iff every two of the given sets share an element: the one
     definition of an intersecting family, for placements and vertex sets
-    alike."""
-    as_sets = [set(member) for member in members]
-    return all(not a.isdisjoint(b) for a, b in combinations(as_sets, 2))
+    alike.
+
+    Each element gets the mask of the members that hold it; a member meets
+    exactly the members in the union of its elements' masks, and the check
+    asks that this union, with the member's own bit added, hold every
+    member.  The own bit keeps a lone member intersecting even when it is
+    empty.
+    """
+    members = [tuple(member) for member in members]
+    holders: dict[object, int] = {}
+    for index, member in enumerate(members):
+        for element in member:
+            holders[element] = holders.get(element, 0) | (1 << index)
+    everyone = (1 << len(members)) - 1
+    for index, member in enumerate(members):
+        meets = 1 << index
+        for element in member:
+            meets |= holders[element]
+        if meets != everyone:
+            return False
+    return True
 
 
 def is_intersecting(family: Family) -> bool:

@@ -2,11 +2,13 @@
 
 The maximum intersecting family problem reduces to maximum clique on the
 compatibility graph whose vertices are the input sets and whose edges join
-intersecting pairs.  The engine is a branch-and-bound search with a greedy
-coloring upper bound, branching in the caller's lexicographic vertex order;
-a second, single depth-first pass in the same order stops at the first
-maximum clique it reaches, which is the lexicographically smallest maximum
-family, so results are deterministic regardless of how work is scheduled.
+intersecting pairs.  The engine is a branch-and-bound search with a
+coloring upper bound (greedy at the root, re-numbered as in Tomita et al.'s
+MCS below it), branching in the caller's lexicographic vertex order; a
+second, single depth-first pass in the same order (tried first along its
+leftmost path alone) stops at the first maximum clique it reaches, which is
+the lexicographically smallest maximum family, so results are deterministic
+regardless of how work is scheduled.
 Both searches keep their own stack, so a clique of any size fits.
 
 Symmetry reduction.  A caller may pass element permutations it expects to
@@ -117,28 +119,83 @@ class _CliqueEngine:
                     upper_bound=self._offset + self.root_bound,
                 )
 
-    def _color(self, candidates: int) -> list[tuple[int, int]]:
-        """Greedy coloring; returns (vertex, color) in nondecreasing color order."""
-        colored: list[tuple[int, int]] = []
-        color = 0
+    def _color(self, candidates: int, k_min: int = 0) -> list[int]:
+        """A proper coloring of the candidates, as the mask of each color
+        class in turn; with ``k_min`` = 0 it is plain greedy coloring in
+        index order.
+
+        Greedy coloring fills the classes up to ``k_min``.  Each vertex left
+        over then tries, in index order, to enter a class k1 <= ``k_min``:
+        directly if k1 holds no neighbour of it, or by moving k1's one
+        neighbour w up to a class k2 (k1 < k2 <= ``k_min``) that holds no
+        neighbour of w.  This is the Re-NUMBER step of Tomita et al.'s MCS
+        (*A simple and faster branch-and-bound algorithm for finding a
+        maximum clique*, WALCOM 2010).  Either move keeps every class an
+        independent set.  The vertices that find no place are colored
+        greedily from ``k_min + 1``.
+        """
+        adj = self._adj
+        classes: list[int] = []
         remaining = candidates
+        while remaining and len(classes) < k_min:
+            classes.append(self._greedy_class(remaining))
+            remaining ^= classes[-1]
+        high = 0
         while remaining:
-            color += 1
-            pool = remaining
-            while pool:
-                v = (pool & -pool).bit_length() - 1
-                bit = 1 << v
-                pool &= ~bit & ~self._adj[v]
-                remaining &= ~bit
-                colored.append((v, color))
-        return colored
+            bit = remaining & -remaining
+            remaining ^= bit
+            neighbours = adj[bit.bit_length() - 1]
+            for k1, members in enumerate(classes):
+                met = members & neighbours
+                if not met:
+                    classes[k1] = members | bit
+                    break
+                if not met & (met - 1):
+                    w_neighbours = adj[met.bit_length() - 1]
+                    k2 = next(
+                        (k for k in range(k1 + 1, len(classes)) if not classes[k] & w_neighbours),
+                        None,
+                    )
+                    if k2 is not None:
+                        classes[k1] = (members ^ met) | bit
+                        classes[k2] |= met
+                        break
+            else:
+                high |= bit
+        while high:
+            classes.append(self._greedy_class(high))
+            high ^= classes[-1]
+        return classes
+
+    def _greedy_class(self, pool: int) -> int:
+        """The class that greedy coloring takes from ``pool``: each vertex in
+        index order that has no neighbour taken before it."""
+        taken = 0
+        while pool:
+            bit = pool & -pool
+            taken |= bit
+            pool &= ~bit & ~self._adj[bit.bit_length() - 1]
+        return taken
+
+    def _branch_order(self, candidates: int, k_min: int) -> list[tuple[int, int]]:
+        """(vertex, color) for the vertices that ``_color(candidates,
+        k_min)`` puts above ``k_min``, in nondecreasing color order."""
+        classes = self._color(candidates, k_min)
+        order: list[tuple[int, int]] = []
+        for color in range(k_min + 1, len(classes) + 1):
+            members = classes[color - 1]
+            while members:
+                bit = members & -members
+                members ^= bit
+                order.append((bit.bit_length() - 1, color))
+        return order
 
     def max_clique_size(self, initial_best: int = 0) -> int:
         """Exact maximum clique size; ``initial_best`` must be attainable."""
         self.best = initial_best
         full = self.full_mask()
         if full:
-            colored = self._color(full)
+            colored = self._branch_order(full, 0)
             self.root_bound = colored[-1][1]
             if self.root_bound > self.best:
                 self._tick()
@@ -154,6 +211,20 @@ class _CliqueEngine:
         clique level.  A frame branches on its vertices from the highest
         color down, and ends once the remaining colors cannot lift the
         clique above the best size found.
+
+        The root keeps the plain greedy coloring.  A child frame of clique
+        size s lists only the vertices that ``_color`` puts above k_min =
+        best - s, with ``best`` as it is when the child is made.  The bound
+        stays exact, for two reasons:
+
+        - every class is still an independent set, so the coloring is
+          proper: when the frame reaches a listed vertex, the candidates
+          left are it, the listed vertices before it (no higher color) and
+          the unlisted ones (color at most k_min, below every listed color),
+          and a clique among them has at most one vertex per class;
+        - ``best`` only grows, so a vertex left out of the list (color at
+          most k_min) would fail the stop test whenever the frame reached
+          it.  It stays in ``candidates``, so deeper levels still see it.
         """
         stack = [[candidates, 0, colored, len(colored) - 1]]
         while stack:
@@ -170,7 +241,7 @@ class _CliqueEngine:
             sub = candidates & self._adj[v]
             if sub:
                 self._tick()
-                sub_colored = self._color(sub)
+                sub_colored = self._branch_order(sub, self.best - size - 1)
                 stack.append([sub, size + 1, sub_colored, len(sub_colored) - 1])
 
     def _may_hold(self, candidates: int, need: int) -> bool:
@@ -179,7 +250,7 @@ class _CliqueEngine:
         colors (a coloring needs at least as many colors as the largest
         clique it colors)."""
         self._tick()
-        return candidates.bit_count() >= need and self._color(candidates)[-1][1] >= need
+        return candidates.bit_count() >= need and len(self._color(candidates)) >= need
 
     def lex_smallest_clique(self, target: int) -> tuple[int, ...]:
         """Lexicographically smallest clique of the given size, as sorted
@@ -197,11 +268,27 @@ class _CliqueEngine:
 
         ``stack[k]`` holds the candidates not yet tried after a prefix of k
         vertices, so ``chosen`` is always one shorter than the stack.
+
+        Before that pass, a probe follows the leftmost path alone: it takes
+        the lowest-index candidate and keeps its later neighbours among the
+        candidates, once per level.  The unpruned search enters that path
+        first and goes down it without backtracking, so if the path reaches
+        ``target`` vertices, its first ``target`` vertices are the first
+        clique of that size the search reaches, and the probe returns them
+        without coloring anything.  Otherwise the pass runs as described.
         """
         if target == 0:
             return ()
         chosen: list[int] = []
-        full = self.full_mask()
+        full = candidates = self.full_mask()
+        while candidates and len(chosen) < target:
+            self._tick()
+            v = (candidates & -candidates).bit_length() - 1
+            chosen.append(v)
+            candidates &= self._adj[v]
+        if len(chosen) == target:
+            return tuple(chosen)
+        chosen.clear()
         stack = [full] if self._may_hold(full, target) else []
         while stack:
             candidates = stack[-1]

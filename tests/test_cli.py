@@ -184,6 +184,17 @@ class TestGraphCommands:
             (2, 4, [[1, 2], [1, 3], [1, 4], [1, 5]]),
         ]
 
+    def test_ht_on_the_edgeless_graph_at_n_equal_2r_plus_1(self):
+        # At r=4 the greedy coloring bound is loose (n = 2r + 1); the
+        # re-numbered bound keeps this run to a fraction of a second.
+        code, out, _ = run_cli("ht", "--graph", "E9", "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["all_hold"]
+        maxima = {report["parameters"]["r"]: report["max_intersecting"]
+                  for report in result["reports"]}
+        assert maxima[4] == 56
+
     def test_ht_computes_mu_once(self, monkeypatch, capsys):
         calls = []
         original = graphs.maximal_independent_sets

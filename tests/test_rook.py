@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from ekrcheck import (
     enumerate_placements,
     is_intersecting,
     load_family,
+    pairwise_intersecting,
     placements_intersect,
     random_intersecting_family,
     random_placement,
@@ -125,6 +127,20 @@ class TestIntersection:
 
     def test_singleton_family(self):
         assert is_intersecting(Family.build(3, 3, 2, [[[1, 1], [2, 2]]]))
+
+    def test_pairwise_intersecting_edge_cases(self):
+        assert pairwise_intersecting([])
+        # A lone member has no pair to miss, even when it is empty.
+        assert pairwise_intersecting([()])
+        assert not pairwise_intersecting([(), ()])
+        assert not pairwise_intersecting([((1, 1), (2, 2)), ((1, 2), (2, 1))])
+        assert pairwise_intersecting(iter([(1, 2), (2, 3), (3, 1)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(1, 6), max_size=3), max_size=8))
+    def test_pairwise_intersecting_matches_a_pair_scan(self, members):
+        expected = all(a & b for a, b in combinations(members, 2))
+        assert pairwise_intersecting(members) == expected
 
     def test_row_projection(self):
         assert row_projection(((1, 3), (2, 1))) == {1, 2}

@@ -336,4 +336,54 @@ class TestSymmetryReduction:
 
     def test_full_search_node_counts(self, engines):
         assert max_intersecting_family(enumerate_placements(6, 6, 3))[0] == 200
-        assert engines == [(2400, 379)]
+        assert engines == [(2400, 377)]
+
+    def test_nine_by_nine_r3(self, engines):
+        report = rook_ekr_report(9, 9, 3)
+        assert report.max_intersecting == report.best_star == 1568
+        assert report.witness == star_family(9, 9, 3, (1, 1)).sets
+        assert engines == [(4557, 9)]
+
+
+def bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+class TestRenumberedColoring:
+    @pytest.mark.parametrize("n, vertices, nodes", [(9, 120, 854), (10, 194, 306)])
+    def test_edgeless_graphs_at_n_equal_2r_plus_1(self, n, vertices, nodes, engines):
+        # The plain greedy bound took 278,557 (E9) and 4,143 (E10) nodes.
+        report = graph_ekr_report(empty_graph(n), 4)
+        assert report.max_intersecting == report.best_star
+        assert engines == [(vertices, nodes)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(
+                    lambda e: e[0] < e[1])),
+                st.integers(0, (1 << k) - 1),
+                st.integers(0, 6),
+            )
+        )
+    )
+    def test_every_candidate_gets_one_class_and_classes_are_independent(self, case):
+        k, edges, candidates, k_min = case
+        adjacency = [0] * k
+        for u, v in edges:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+        engine = search._CliqueEngine(adjacency, SearchBudget())
+        classes = engine._color(candidates, k_min)
+        listed = engine._branch_order(candidates, k_min)
+        colors = [color for _, color in listed]
+        assert colors == sorted(colors)
+        assert all(color > k_min for color in colors)
+        # Each candidate is listed above k_min or sits in a class <= k_min.
+        placed = [v for members in classes[:k_min] for v in bits(members)]
+        assert sorted(placed + [v for v, _ in listed]) == bits(candidates)
+        for members in classes:
+            assert members
+            assert all(not adjacency[v] & members for v in bits(members))
