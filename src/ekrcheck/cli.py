@@ -225,11 +225,11 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
         ]
     checked = []
     counterexample = None
-    for family in families:
+    double_counts = cycles.interval_double_counts(families, args.budget_sets)
+    for family, (lhs, rhs) in zip(families, double_counts):
         if order_total is None:
             order_total = counts.cyclic_order_count(family.n, family.m)
         bound = family.r * order_total
-        lhs, rhs = cycles.interval_double_count(family, args.budget_sets)
         intersecting = rook.is_intersecting(family)
         entry = {
             "size": len(family),

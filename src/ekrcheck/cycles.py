@@ -33,7 +33,36 @@ depend on (n, m, r) alone, and a sweep over all orders equals one
 evaluation on the identity order, reference_order(n, m), which is also the
 first order that enumerate_cyclic_orders lists.  Likewise each order's
 distinct intervals are the phi images of the identity order's distinct
-intervals, which interval_tally uses to count occurrences in one pass.
+intervals.
+
+Factored interval tally.  interval_tally counts, for every placement p,
+the canonical orders that realize p as an interval, without listing the
+orders.  Let S hold one start of each distinct interval of the identity
+order.  By the relations above, the distinct intervals of every order
+(s1, s2) are the images phi(P(s)) for s in S, and they are pairwise
+distinct, so an order realizes p exactly when phi(P(s)) = p for one
+s in S, and
+
+    tally[p] = sum over s in S of #{orders : phi(P(s)) = p}.
+
+The canonical orders are exactly the pairs (s1, s2) of a canonical row
+order (label 1 first) and a canonical column order, chosen independently.
+For s = (i, j), phi(P(i, j)) is the placement of the pairs (w[k], v[k]),
+where w = (s1[i], ..., s1[i+r-1]) is s1's r-window at i and v is s2's
+r-window at j (positions taken cyclically).  Let A_i[w] count the
+canonical row orders whose window at i is w, and B_j[v] the canonical
+column orders whose window at j is v.  Then
+
+    tally[p] = sum over (i, j) in S of
+               sum over (w, v) with placement(w, v) = p of A_i[w] * B_j[v].
+
+The inner sum is bilinear in (A_i, B_j).  So all rows i whose starts in
+S are {i} x J, for the same set J of columns, contribute a single join:
+of A = the sum of their A_i with B = the sum over j in J of B_j.  For
+2r <= min(n, m) every start is in S, so one join of the sum of all A_i
+with the sum of all B_j gives the whole tally.  The work is (n-1)! * n + (m-1)! * m window steps and at most
+n!/(n-r)! * m!/(m-r)! products, in place of (n-1)! * (m-1)! * n * m
+intervals built one order at a time.
 """
 
 from __future__ import annotations
@@ -153,6 +182,16 @@ def diagonal_interval(order: CyclicOrder, i: int, j: int, r: int) -> Placement:
     return tuple(sorted(cells))
 
 
+def _distinct_intervals(order: CyclicOrder, r: int) -> dict[Placement, tuple[int, int]]:
+    """Each distinct interval of the order, mapped to its first start in
+    (i, j) order and listed in that order."""
+    first_start: dict[Placement, tuple[int, int]] = {}
+    for i in range(1, order.n + 1):
+        for j in range(1, order.m + 1):
+            first_start.setdefault(diagonal_interval(order, i, j, r), (i, j))
+    return first_start
+
+
 def all_intervals(order: CyclicOrder, r: int) -> list[Placement]:
     """Realized interval sets over all n*m start positions, deduplicated.
 
@@ -160,14 +199,7 @@ def all_intervals(order: CyclicOrder, r: int) -> list[Placement]:
     asserted; duplicates can only occur for exploratory larger r.
     """
     n, m = order.n, order.m
-    seen: set[Placement] = set()
-    out: list[Placement] = []
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            cells = diagonal_interval(order, i, j, r)
-            if cells not in seen:
-                seen.add(cells)
-                out.append(cells)
+    out = list(_distinct_intervals(order, r))
     if 2 * r <= min(n, m) and len(out) != n * m:
         raise RuntimeError(
             f"internal error: expected {n * m} distinct intervals at r={r}, got {len(out)}"
@@ -281,6 +313,19 @@ def count_orders_containing(
     )
 
 
+def _window_tallies(size: int, r: int) -> list[Counter[tuple[int, ...]]]:
+    """For each start position (index 0 is position 1), how many canonical
+    cyclic orders of 1..size have each r-window there: the labels at that
+    position and the r-1 after it, wrapping around."""
+    tallies: list[Counter[tuple[int, ...]]] = [Counter() for _ in range(size)]
+    for rest in permutations(range(2, size + 1)):
+        ring = (1,) + rest
+        ring += ring[: r - 1]
+        for start, tally in enumerate(tallies):
+            tally[ring[start : start + r]] += 1
+    return tallies
+
+
 def interval_tally(
     n: int,
     m: int,
@@ -290,18 +335,27 @@ def interval_tally(
     """For every placement, the number of canonical cyclic orders realizing
     it as an interval; placements no order realizes are absent.
 
-    Each order is walked once: its distinct intervals are the relabelled
-    distinct intervals of the identity order (see the module docstring),
-    and each adds one to its own count.
+    Row orders and column orders are walked separately, and their window
+    counts are joined once for each set of columns the identity order's
+    distinct intervals start at (see the module docstring).  The order
+    budget is checked as enumerate_cyclic_orders checks it.
     """
-    orders = enumerate_cyclic_orders(n, m, max_orders)
-    positions = all_intervals(reference_order(n, m), r)
+    order_count(n, m, max_orders)
+    cols_by_row: dict[int, list[int]] = {}
+    for i, j in _distinct_intervals(reference_order(n, m), r).values():
+        cols_by_row.setdefault(i, []).append(j)
+    rows_by_cols: dict[tuple[int, ...], list[int]] = {}
+    for i, cols in cols_by_row.items():
+        rows_by_cols.setdefault(tuple(cols), []).append(i)
+
+    row_windows = _window_tallies(n, r)
+    col_windows = _window_tallies(m, r)
     tally: Counter[Placement] = Counter()
-    for order in orders:
-        rows, cols = order.rows, order.cols
-        tally.update(
-            tuple(sorted((rows[p - 1], cols[q - 1]) for p, q in cells)) for cells in positions
-        )
+    for cols, rows in rows_by_cols.items():
+        col_sum = sum((col_windows[j - 1] for j in cols), Counter())
+        for w, a in sum((row_windows[i - 1] for i in rows), Counter()).items():
+            for v, b in col_sum.items():
+                tally[tuple(sorted(zip(w, v)))] += a * b
     return tally
 
 
@@ -312,8 +366,10 @@ class DoubleCount(NamedTuple):
     rhs: int
 
 
-def interval_double_count(family: Family, max_orders: int = DEFAULT_ORDER_BUDGET) -> DoubleCount:
-    """Count member/order interval incidences two ways.
+def interval_double_counts(
+    families: Iterable[Family], max_orders: int = DEFAULT_ORDER_BUDGET
+) -> list[DoubleCount]:
+    """Count member/order interval incidences two ways, for each family.
 
     lhs sums the restriction size over every cyclic order; rhs multiplies
     the family size by the per-placement occurrence count.  The two agree
@@ -323,16 +379,26 @@ def interval_double_count(family: Family, max_orders: int = DEFAULT_ORDER_BUDGET
     lhs counts the same (member, order) incidences member by member: a
     member lies in the restriction to exactly tally[member] orders, so
     summing the interval tally over the members equals summing the
-    restriction sizes over the orders.
+    restriction sizes over the orders.  Families with the same (n, m, r)
+    share one tally.
     """
-    if not 1 <= family.r <= min(family.n, family.m):
-        raise InputError(
-            f"family r must be in 1..min(n,m)={min(family.n, family.m)}, got {family.r}"
-        )
-    tally = interval_tally(family.n, family.m, family.r, max_orders)
-    lhs = sum(tally[member] for member in family)
-    rhs = len(family) * interval_occurrence_count(family.n, family.m, family.r)
-    return DoubleCount(lhs, rhs)
+    tallies: dict[tuple[int, int, int], Counter[Placement]] = {}
+    out = []
+    for family in families:
+        n, m, r = family.n, family.m, family.r
+        if not 1 <= r <= min(n, m):
+            raise InputError(f"family r must be in 1..min(n,m)={min(n, m)}, got {r}")
+        if (n, m, r) not in tallies:
+            tallies[n, m, r] = interval_tally(n, m, r, max_orders)
+        tally = tallies[n, m, r]
+        lhs = sum(tally[member] for member in family)
+        out.append(DoubleCount(lhs, len(family) * interval_occurrence_count(n, m, r)))
+    return out
+
+
+def interval_double_count(family: Family, max_orders: int = DEFAULT_ORDER_BUDGET) -> DoubleCount:
+    """interval_double_counts for one family."""
+    return interval_double_counts([family], max_orders)[0]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ it uses them.  Let ``unique`` be the sorted distinct sets and ``v0 =
 unique[0]``.  The check requires each permutation to be a bijection on the
 elements that occur in the family, and one breadth-first pass from ``v0``
 to map every set it reaches to a set of the family and to reach every set
-(and no two sets may hold the same elements).  As the pass reaches every
+(and no two sets may sort to the same tuple).  As the pass reaches every
 set, it checks the image of every set, so each permutation maps the family
 onto itself; a bijection on the elements keeps two sets disjoint or not,
 so each one is an automorphism of the compatibility graph, and the group
@@ -111,7 +111,9 @@ class _CliqueEngine:
                 lower_bound=self._offset + self.best,
                 upper_bound=self._offset + self.root_bound,
             )
-        if self._deadline is not None and self._nodes % 256 == 0:
+        # The first node and every 256th after it check the clock, so even
+        # a search of a handful of nodes sees an expired deadline.
+        if self._deadline is not None and self._nodes % 256 == 1:
             if time.monotonic() > self._deadline:
                 raise ResourceLimitError(
                     f"clique search exceeded {self._budget.max_seconds} seconds",
@@ -344,20 +346,24 @@ def _lex_smallest_maximum(
 def _transitive_symmetries(unique: Sequence[tuple], symmetries: Sequence[Mapping]) -> bool:
     """True iff the permutations pass the check in the module docstring.
 
-    An element a permutation does not list is fixed by it.
+    An element a permutation does not list is fixed by it.  Sets are keyed
+    by their sorted elements.
     """
-    index = {frozenset(member): i for i, member in enumerate(unique)}
+    index = {tuple(sorted(member)): i for i, member in enumerate(unique)}
     if len(index) != len(unique):
         return False
     elements = set().union(*unique)
+    maps = []
     for perm in symmetries:
-        if {perm.get(element, element) for element in elements} != elements:
+        full = {element: perm.get(element, element) for element in elements}
+        if set(full.values()) != elements:
             return False
+        maps.append(full.__getitem__)
     reached = {0}
     queue = [unique[0]]
     for member in queue:  # the queue grows while it is read
-        for perm in symmetries:
-            image = index.get(frozenset(perm.get(element, element) for element in member))
+        for apply in maps:
+            image = index.get(tuple(sorted(map(apply, member))))
             if image is None:
                 return False
             if image not in reached:

@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
+
+from ekrcheck import all_intervals, enumerate_cyclic_orders, reference_order
 
 
 def placements_by_cell_filter(n: int, m: int, r: int) -> list[tuple[tuple[int, int], ...]]:
@@ -63,6 +66,20 @@ def brute_force_max_intersecting(sets) -> int:
             if size > best:
                 best = size
     return best
+
+
+def tally_by_order(n: int, m: int, r: int) -> Counter:
+    """For every placement, the number of cyclic orders realizing it as an
+    interval, found by relabelling the identity order's distinct intervals
+    in every enumerated order, one order at a time."""
+    positions = all_intervals(reference_order(n, m), r)
+    tally: Counter = Counter()
+    for order in enumerate_cyclic_orders(n, m):
+        rows, cols = order.rows, order.cols
+        tally.update(
+            tuple(sorted((rows[p - 1], cols[q - 1]) for p, q in cells)) for cells in positions
+        )
+    return tally
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ekrcheck import graphs, load_family, load_graph
+from ekrcheck import cycles, graphs, load_family, load_graph
 from ekrcheck.cli import main
 from helpers import canonical_json_without_elapsed, run_cli
 
@@ -71,6 +71,25 @@ class TestVerify:
         # The bounds count the first placement, which the search leaves out.
         assert (result["lower_bound"], result["upper_bound"]) == (16, 17)
 
+    @pytest.mark.parametrize(
+        "n, bounds",
+        [
+            # The max search stops at the root bound without a node, so the
+            # witness probe's first node sees the deadline, with exact bounds.
+            (4, (9, 9)),
+            # The max search's first node sees it, with the open bounds.
+            (5, (16, 17)),
+        ],
+    )
+    def test_zero_seconds_budget_exits_3_on_the_first_node(self, n, bounds):
+        code, out, _ = run_cli(
+            "verify", "--n", str(n), "--m", str(n), "--r", "2", "--json", "--budget-seconds", "0"
+        )
+        assert code == 3
+        result = json.loads(out)["result"]
+        assert result["status"] == "inconclusive"
+        assert (result["lower_bound"], result["upper_bound"]) == bounds
+
     def test_enumeration_budgets_exit_3(self):
         code, out, _ = run_cli("lemma1", "--n", "8", "--m", "8", "--json")
         assert code == 3
@@ -105,6 +124,13 @@ class TestSweeps:
         report = json.loads(out)
         assert report["result"]["all_match"]
         assert report["result"]["expected_occurrences"] == 8
+
+    def test_occurrence_at_seven_by_seven_r3(self):
+        code, out, _ = run_cli("occurrence", "--n", "7", "--m", "7", "--r", "3", "--json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["all_match"]
+        assert (result["placements"], result["expected_occurrences"]) == (7350, 3456)
 
     def test_windows(self):
         code, out, _ = run_cli("windows", "--n", "4", "--m", "4", "--r", "2", "--json")
@@ -236,6 +262,20 @@ class TestDoubleCount:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["lhs"] == result["rhs"] == 72 * 8
+
+    def test_sampled_families_share_one_tally(self, monkeypatch, capsys):
+        calls = []
+        original = cycles.interval_tally
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cycles, "interval_tally", counted)
+        argv = ["double-count", "--n", "4", "--m", "4", "--r", "2", "--samples", "6", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["families"] == 6
+        assert len(calls) == 1
 
     def test_order_budget_exits_3(self):
         code, out, _ = run_cli(

@@ -16,6 +16,7 @@ from ekrcheck import (
     enumerate_cyclic_orders,
     enumerate_placements,
     interval_double_count,
+    interval_double_counts,
     interval_occurrence_count,
     interval_start,
     interval_tally,
@@ -28,6 +29,7 @@ from ekrcheck import (
     Family,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
+from helpers import tally_by_order
 
 IDENTITY_33 = CyclicOrder((1, 2, 3), (1, 2, 3))
 IDENTITY_44 = CyclicOrder((1, 2, 3, 4), (1, 2, 3, 4))
@@ -301,3 +303,46 @@ class TestOrderInvariance:
         for family in families:
             lhs, _ = interval_double_count(family)
             assert lhs == sum(len(restrict_to_order(family, order)) for order in orders)
+
+
+class TestFactoredTally:
+    """interval_tally joins row and column window counts; the oracles walk
+    the orders one at a time."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(1, 6) for m in range(1, 6)] + [(6, 6)]
+    )
+    def test_equals_the_order_by_order_tally(self, n, m):
+        # Every r up to min(n, m), so also the starts that repeat beyond
+        # min(n, m)/2; at 6x6 the oracle takes about a second per r.
+        r_values = (2, 3) if (n, m) == (6, 6) else range(1, min(n, m) + 1)
+        for r in r_values:
+            assert interval_tally(n, m, r) == tally_by_order(n, m, r)
+
+    @pytest.mark.parametrize("n, m, r", [(5, 5, 2), (4, 6, 2), (5, 6, 3), (4, 5, 3), (5, 5, 4)])
+    def test_matches_count_orders_containing_on_sampled_placements(self, n, m, r):
+        tally = interval_tally(n, m, r)
+        placements = Random(n * 100 + m * 10 + r).sample(enumerate_placements(n, m, r), 4)
+        for placement in placements:
+            assert tally[placement] == count_orders_containing(n, m, placement)
+
+    def test_order_budget_is_checked(self):
+        with pytest.raises(ResourceLimitError, match="36 cyclic orders exceed the budget of 5"):
+            interval_tally(4, 4, 2, max_orders=5)
+
+    def test_families_of_one_context_share_one_tally(self, monkeypatch):
+        from ekrcheck import cycles
+
+        calls = []
+        original = cycles.interval_tally
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cycles, "interval_tally", counted)
+        families = [random_intersecting_family(4, 4, 2, Random(seed)) for seed in range(4)]
+        families.append(star_family(4, 5, 2, (1, 1)))
+        results = interval_double_counts(families)
+        assert calls == [(4, 4, 2, 10**6), (4, 5, 2, 10**6)]
+        assert results == [interval_double_count(family) for family in families]
