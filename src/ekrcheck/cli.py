@@ -24,7 +24,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from . import counts, cycles, graphs, rook, search
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, is_integer
 
 SCHEMA_VERSION = 1
 
@@ -66,8 +66,7 @@ def _windows_order_check(order: cycles.CyclicOrder, r: int) -> dict | None:
             if not report.passed:
                 return {
                     "kind": "window_violation",
-                    "sigma1": list(order.rows),
-                    "sigma2": list(order.cols),
+                    **order.to_json_dict(),
                     "start": list(report.start),
                     "r": r,
                     "failure": report.failure,
@@ -84,18 +83,16 @@ def _family_exceeds_star_payload(report: search.EkrReport, g: graphs.SimpleGraph
     params = report.parameters
     if params["kind"] == "rook":
         context = {"type": "rook", "n": params["n"], "m": params["m"], "r": params["r"]}
-        family = [_placement_json(member) for member in report.witness]
     else:
         context = {
             "type": "graph",
             "graph": graphs.graph_to_json_dict(g),
             "r": params["r"],
         }
-        family = [list(member) for member in report.witness]
     return {
         "kind": "intersecting_family_exceeds_star",
         "context": context,
-        "family": family,
+        "family": report.witness_to_json(),
         "best_star": report.best_star,
     }
 
@@ -141,7 +138,7 @@ def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
     half = min(args.n, args.m) // 2
     r_values = [args.r] if args.r is not None else list(range(1, half + 1))
     parameters = {"n": args.n, "m": args.m, "r": args.r}
-    order_total = cycles.order_count(args.n, args.m, args.budget_sets)
+    order_total = counts.cyclic_order_count(args.n, args.m)
     # The maximum is the same in every order (cycles module docstring), so the
     # first order stands for all of them, counterexample included.
     order = cycles.reference_order(args.n, args.m)
@@ -162,8 +159,7 @@ def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
         if counterexample is None and value != r:
             counterexample = {
                 "kind": "interval_family_exceeds_r" if value > r else "interval_tightness_gap",
-                "sigma1": list(order.rows),
-                "sigma2": list(order.cols),
+                **order.to_json_dict(),
                 "r": r,
                 "found_max": value,
                 "family": [_placement_json(p) for p in witness],
@@ -225,7 +221,7 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
         ]
     checked = []
     counterexample = None
-    double_counts = cycles.interval_double_counts(families, args.budget_sets)
+    double_counts = cycles.interval_double_counts(families)
     for family, (lhs, rhs) in zip(families, double_counts):
         if order_total is None:
             order_total = counts.cyclic_order_count(family.n, family.m)
@@ -263,7 +259,7 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
 
 def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
     parameters = {"n": args.n, "m": args.m, "r": args.r}
-    order_total = cycles.order_count(args.n, args.m, args.budget_sets)
+    order_total = counts.cyclic_order_count(args.n, args.m)
     # Each start passes or fails alike in every order (cycles module
     # docstring), so the first order's first failure is the sweep's.
     counterexample = _windows_order_check(cycles.reference_order(args.n, args.m), args.r)
@@ -324,11 +320,12 @@ def _run_product(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
+    budget = _budget(args)
     g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph}
     mu = graphs.min_maximal_independent_size(g, args.vertex_budget)
     reports = search.holroyd_talbot_sweep(
-        g, budget=_budget(args), max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
+        g, budget=budget, max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
         known_min_maximal=mu,
     )
     counterexample = None
@@ -377,32 +374,70 @@ def _field(obj: dict, name: str, where: str = "counterexample"):
     return obj[name]
 
 
+def _integer(obj: dict, name: str, where: str = "counterexample") -> int:
+    value = _field(obj, name, where)
+    if not is_integer(value):
+        raise InputError(f'{where} "{name}" must be an integer, got {value!r}')
+    return value
+
+
+def _list(obj: dict, name: str, where: str = "counterexample") -> list:
+    value = _field(obj, name, where)
+    if not isinstance(value, list):
+        raise InputError(f'{where} "{name}" must be a list, got {value!r}')
+    return value
+
+
+def _integers(obj: dict, name: str) -> list[int]:
+    value = _list(obj, name)
+    if not all(map(is_integer, value)):
+        raise InputError(f'counterexample "{name}" must be a list of integers, got {value!r}')
+    return value
+
+
+def _placement(value: object, n: int, m: int, name: str) -> rook.Placement:
+    try:
+        return rook.canonical_placement(value, n, m)
+    except InputError as exc:
+        raise InputError(f"counterexample {name}: {exc}") from None
+
+
+def _placements(payload: dict, n: int, m: int) -> list[rook.Placement]:
+    return [
+        _placement(member, n, m, f'"family"[{index}]')
+        for index, member in enumerate(_list(payload, "family"))
+    ]
+
+
+def _order(payload: dict) -> cycles.CyclicOrder:
+    return cycles.canonical_order(_integers(payload, "sigma1"), _integers(payload, "sigma2"))
+
+
 def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
     context = _field(payload, "context")
     if not isinstance(context, dict):
         raise InputError(f'"context" must be a JSON object, got {type(context).__name__}')
-    family_raw = _field(payload, "family")
     if context.get("type") == "rook":
-        n, m, r = (_field(context, key, "counterexample context") for key in ("n", "m", "r"))
-        members = [rook.canonical_placement(member, n, m) for member in family_raw]
+        n, m, r = (_integer(context, key, "counterexample context") for key in ("n", "m", "r"))
+        members = _placements(payload, n, m)
         if any(len(member) != r for member in members):
             return False, "family member has the wrong size"
-        star = len(rook.star_family(n, m, r, (1, 1)))
+        star = counts.rook_star_count(n, m, r)
     elif context.get("type") == "graph":
         g = graphs.graph_from_json_dict(_field(context, "graph", "counterexample context"))
-        r = _field(context, "r", "counterexample context")
-        members = [tuple(sorted(member)) for member in family_raw]
+        r = _integer(context, "r", "counterexample context")
+        members = []
+        for index, member in enumerate(_list(payload, "family")):
+            if not isinstance(member, list) or not all(map(is_integer, member)):
+                raise InputError(f'counterexample "family"[{index}] must be a list of vertices, '
+                                 f"got {member!r}")
+            members.append(tuple(sorted(member)))
         for member in members:
             if len(set(member)) != r:
                 return False, "family member has the wrong size"
             if not g.is_independent(member):
                 return False, f"family member {list(member)} is not independent"
-        all_sets = graphs.enumerate_independent(g, r)
-        per_vertex = [0] * (g.vertex_count + 1)
-        for member in all_sets:
-            for v in member:
-                per_vertex[v] += 1
-        star = max(per_vertex)
+        star = graphs.best_star_size(g, graphs.enumerate_independent(g, r))
     else:
         return False, f"unknown counterexample context {context.get('type')!r}"
     if len(set(members)) != len(members):
@@ -415,17 +450,15 @@ def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
 
 
 def _validate_interval_family(payload: dict) -> tuple[bool, str]:
-    order = cycles.canonical_order(_field(payload, "sigma1"), _field(payload, "sigma2"))
-    r = _field(payload, "r")
-    kind = payload["kind"]
-    if kind == "interval_tightness_gap":
+    order = _order(payload)
+    r = _integer(payload, "r")
+    if payload["kind"] == "interval_tightness_gap":
+        found = _integer(payload, "found_max")
         recomputed = cycles.max_intersecting_intervals(order, r)
-        if recomputed == _field(payload, "found_max") and recomputed < r:
+        if recomputed == found and recomputed < r:
             return True, f"recomputed interval maximum {recomputed} is below r={r}"
         return False, f"recomputed interval maximum is {recomputed}"
-    members = [
-        rook.canonical_placement(member, order.n, order.m) for member in _field(payload, "family")
-    ]
+    members = _placements(payload, order.n, order.m)
     if len(set(members)) != len(members):
         return False, "family contains duplicate members"
     for member in members:
@@ -450,21 +483,23 @@ def _validate_double_count(payload: dict) -> tuple[bool, str]:
 
 
 def _validate_window(payload: dict) -> tuple[bool, str]:
-    order = cycles.canonical_order(_field(payload, "sigma1"), _field(payload, "sigma2"))
-    i, j = _field(payload, "start")
-    report = cycles.check_interval_windows(order, i, j, _field(payload, "r"))
+    order = _order(payload)
+    start = _integers(payload, "start")
+    if len(start) != 2:
+        raise InputError(f'counterexample "start" must be a pair (i, j), got {start!r}')
+    report = cycles.check_interval_windows(order, *start, _integer(payload, "r"))
     if not report.passed:
         return True, f"recomputed window check fails: {report.failure}"
     return False, "recomputed window check passes"
 
 
 def _validate_occurrence(payload: dict) -> tuple[bool, str]:
-    n, m, expected = (_field(payload, key) for key in ("n", "m", "expected"))
-    placement = rook.canonical_placement(_field(payload, "placement"), n, m)
-    found = cycles.count_orders_containing(n, m, placement)
-    if found != expected and found == _field(payload, "found"):
-        return True, f"recomputed occurrence count {found} differs from expected {expected}"
-    return False, f"recomputed occurrence count is {found}"
+    n, m, expected, found = (_integer(payload, key) for key in ("n", "m", "expected", "found"))
+    placement = _placement(_field(payload, "placement"), n, m, '"placement"')
+    recomputed = cycles.count_orders_containing(n, m, placement)
+    if recomputed != expected and recomputed == found:
+        return True, f"recomputed occurrence count {recomputed} differs from expected {expected}"
+    return False, f"recomputed occurrence count is {recomputed}"
 
 
 _VALIDATORS = {
@@ -491,7 +526,7 @@ def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
     if not isinstance(payload, dict):
         raise InputError(f'"counterexample" must be a JSON object, got {type(payload).__name__}')
     kind = payload.get("kind")
-    validator = _VALIDATORS.get(kind)
+    validator = _VALIDATORS.get(kind) if isinstance(kind, str) else None
     if validator is None:
         raise InputError(f"unknown counterexample kind {kind!r}")
     confirmed, detail = validator(payload)
@@ -505,6 +540,7 @@ def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _budget(args) -> search.SearchBudget:
+    """The command's search budget; its --budget-seconds clock starts now."""
     return search.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 

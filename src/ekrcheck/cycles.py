@@ -60,9 +60,13 @@ The inner sum is bilinear in (A_i, B_j).  So all rows i whose starts in
 S are {i} x J, for the same set J of columns, contribute a single join:
 of A = the sum of their A_i with B = the sum over j in J of B_j.  For
 2r <= min(n, m) every start is in S, so one join of the sum of all A_i
-with the sum of all B_j gives the whole tally.  The work is (n-1)! * n + (m-1)! * m window steps and at most
-n!/(n-r)! * m!/(m-r)! products, in place of (n-1)! * (m-1)! * n * m
-intervals built one order at a time.
+with the sum of all B_j gives the whole tally.
+
+The tally's work count is (n-1)! * n + (m-1)! * m = n! + m! window steps
+plus, for each join, at most n!/(n-r)! * m!/(m-r)! products, in place of
+(n-1)! * (m-1)! * n * m intervals built one order at a time.  interval_tally
+refuses a count over TALLY_WORK_BUDGET before any walk, counting one join
+before it lists the n*m identity intervals that find the others.
 """
 
 from __future__ import annotations
@@ -70,13 +74,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, NamedTuple
+from math import factorial, perm
+from typing import Iterable, NamedTuple, Sequence
 
 from .counts import cyclic_order_count, interval_occurrence_count
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, is_integer
 from .rook import Family, Placement, canonical_placement, row_projection
 
 DEFAULT_ORDER_BUDGET = 10**6
+TALLY_WORK_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -116,39 +122,29 @@ def _check_permutation(values: tuple[int, ...], name: str) -> None:
         raise InputError(f"{name} must be a permutation of 1..{len(values)}, got {values!r}")
 
 
-def canonical_order(rows: Iterable[int], cols: Iterable[int]) -> CyclicOrder:
+def canonical_order(rows: Sequence[int], cols: Sequence[int]) -> CyclicOrder:
     """Rotate a permutation pair so value 1 leads in each coordinate.
 
     Rotations act on positions only, so the result represents the same
     equivalence class; the map is idempotent on canonical pairs.
     """
-    row_seq = tuple(rows)
-    col_seq = tuple(cols)
-    _check_permutation(row_seq, "rows")
-    _check_permutation(col_seq, "cols")
+    for values, name in ((rows, "rows"), (cols, "cols")):
+        if not isinstance(values, (list, tuple)) or not all(map(is_integer, values)):
+            raise InputError(f"{name} must be a sequence of integers, got {values!r}")
+        _check_permutation(tuple(values), name)
+    row_seq, col_seq = tuple(rows), tuple(cols)
     i = row_seq.index(1)
     j = col_seq.index(1)
     return CyclicOrder(row_seq[i:] + row_seq[:i], col_seq[j:] + col_seq[:j])
 
 
-def order_count(n: int, m: int, max_orders: int = DEFAULT_ORDER_BUDGET) -> int:
-    """Number of canonical cyclic orders, checked as enumerate_cyclic_orders
-    checks it, without building the orders."""
-    if n < 1 or m < 1:
-        raise InputError(f"grid dimensions must be at least 1, got ({n}, {m})")
+def enumerate_cyclic_orders(
+    n: int, m: int, max_orders: int = DEFAULT_ORDER_BUDGET
+) -> list[CyclicOrder]:
+    """All canonical cyclic orders in lexicographic (rows, cols) order."""
     total = cyclic_order_count(n, m)
     if total > max_orders:
         raise ResourceLimitError(f"{total} cyclic orders exceed the budget of {max_orders}")
-    return total
-
-
-def enumerate_cyclic_orders(
-    n: int,
-    m: int,
-    max_orders: int = DEFAULT_ORDER_BUDGET,
-) -> list[CyclicOrder]:
-    """All canonical cyclic orders in lexicographic (rows, cols) order."""
-    order_count(n, m, max_orders)
     out = []
     for row_rest in permutations(range(2, n + 1)):
         rows = (1,) + row_rest
@@ -297,20 +293,14 @@ def max_intersecting_intervals_witness(order: CyclicOrder, r: int) -> tuple[Plac
 
 
 def count_orders_containing(
-    n: int,
-    m: int,
-    placement: Iterable[Iterable[int]],
-    max_orders: int = DEFAULT_ORDER_BUDGET,
+    n: int, m: int, placement: Iterable[Iterable[int]], max_orders: int = DEFAULT_ORDER_BUDGET
 ) -> int:
     """Number of canonical cyclic orders realizing the placement as an interval."""
     canon = canonical_placement(placement, n, m)
     if not 1 <= len(canon) <= min(n, m):
         raise InputError(f"placement size must be in 1..min(n,m)={min(n, m)}, got {len(canon)}")
-    return sum(
-        1
-        for order in enumerate_cyclic_orders(n, m, max_orders)
-        if interval_start(order, canon) is not None
-    )
+    orders = enumerate_cyclic_orders(n, m, max_orders)
+    return sum(interval_start(order, canon) is not None for order in orders)
 
 
 def _window_tallies(size: int, r: int) -> list[Counter[tuple[int, ...]]]:
@@ -326,27 +316,35 @@ def _window_tallies(size: int, r: int) -> list[Counter[tuple[int, ...]]]:
     return tallies
 
 
-def interval_tally(
-    n: int,
-    m: int,
-    r: int,
-    max_orders: int = DEFAULT_ORDER_BUDGET,
-) -> Counter[Placement]:
+def _check_tally_work(n: int, m: int, r: int, joins: int) -> None:
+    """Refuse a tally whose work count (module docstring) exceeds the budget."""
+    work = factorial(n) + factorial(m) + joins * perm(n, r) * perm(m, r)
+    if work > TALLY_WORK_BUDGET:
+        raise ResourceLimitError(
+            f"interval tally needs at least {work} window steps and products, "
+            f"over the budget of {TALLY_WORK_BUDGET}"
+        )
+
+
+def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
     """For every placement, the number of canonical cyclic orders realizing
     it as an interval; placements no order realizes are absent.
 
     Row orders and column orders are walked separately, and their window
     counts are joined once for each set of columns the identity order's
-    distinct intervals start at (see the module docstring).  The order
-    budget is checked as enumerate_cyclic_orders checks it.
+    distinct intervals start at (see the module docstring, which also
+    defines the work count checked here before any walk).
     """
-    order_count(n, m, max_orders)
+    if not 1 <= r <= min(n, m):
+        raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")
+    _check_tally_work(n, m, r, 1)
     cols_by_row: dict[int, list[int]] = {}
     for i, j in _distinct_intervals(reference_order(n, m), r).values():
         cols_by_row.setdefault(i, []).append(j)
     rows_by_cols: dict[tuple[int, ...], list[int]] = {}
     for i, cols in cols_by_row.items():
         rows_by_cols.setdefault(tuple(cols), []).append(i)
+    _check_tally_work(n, m, r, len(rows_by_cols))
 
     row_windows = _window_tallies(n, r)
     col_windows = _window_tallies(m, r)
@@ -366,9 +364,7 @@ class DoubleCount(NamedTuple):
     rhs: int
 
 
-def interval_double_counts(
-    families: Iterable[Family], max_orders: int = DEFAULT_ORDER_BUDGET
-) -> list[DoubleCount]:
+def interval_double_counts(families: Iterable[Family]) -> list[DoubleCount]:
     """Count member/order interval incidences two ways, for each family.
 
     lhs sums the restriction size over every cyclic order; rhs multiplies
@@ -389,16 +385,16 @@ def interval_double_counts(
         if not 1 <= r <= min(n, m):
             raise InputError(f"family r must be in 1..min(n,m)={min(n, m)}, got {r}")
         if (n, m, r) not in tallies:
-            tallies[n, m, r] = interval_tally(n, m, r, max_orders)
+            tallies[n, m, r] = interval_tally(n, m, r)
         tally = tallies[n, m, r]
         lhs = sum(tally[member] for member in family)
         out.append(DoubleCount(lhs, len(family) * interval_occurrence_count(n, m, r)))
     return out
 
 
-def interval_double_count(family: Family, max_orders: int = DEFAULT_ORDER_BUDGET) -> DoubleCount:
+def interval_double_count(family: Family) -> DoubleCount:
     """interval_double_counts for one family."""
-    return interval_double_counts([family], max_orders)[0]
+    return interval_double_counts([family])[0]
 
 
 @dataclass(frozen=True)

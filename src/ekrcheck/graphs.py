@@ -217,6 +217,15 @@ def enumerate_independent(
     return out
 
 
+def best_star_size(g: SimpleGraph, sets: Iterable[VertexSet]) -> int:
+    """The most of the given vertex sets that contain one vertex of g."""
+    per_vertex = [0] * (g.vertex_count + 1)
+    for member in sets:
+        for v in member:
+            per_vertex[v] += 1
+    return max(per_vertex)
+
+
 def maximal_independent_sets(
     g: SimpleGraph,
     max_vertices: int = DEFAULT_SEARCH_VERTEX_BUDGET,

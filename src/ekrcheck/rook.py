@@ -30,6 +30,10 @@ def canonical_placement(cells: Iterable[Iterable[int]], n: int, m: int) -> Place
     columns; the message names the offending cell.
     """
     parsed: list[Cell] = []
+    try:
+        cells = list(cells)
+    except TypeError:
+        raise InputError(f"expected a collection of (row, col) cells, got {cells!r}") from None
     for cell in cells:
         try:
             row, col = cell

@@ -54,6 +54,7 @@ from .counts import rook_star_count
 from .errors import InputError, ResourceLimitError
 from .graphs import (
     SimpleGraph,
+    best_star_size,
     enumerate_independent,
     lexicographic_product,
     min_maximal_independent_size,
@@ -72,10 +73,21 @@ VERDICT_RANGE_FAILS = "OUT_OF_THEOREM_RANGE_FAILS"
 
 @dataclass
 class SearchBudget:
-    """Limits for the exact search; exceeding either fails loudly."""
+    """Limits for the exact search; exceeding either fails loudly.
+
+    The clock starts when the budget is made, so every search given the
+    same budget shares one deadline, and work done before a search (such
+    as enumerating its sets) counts against it.
+    """
 
     max_nodes: int = 10**8
     max_seconds: float | None = None
+    deadline: float | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.deadline = (
+            time.monotonic() + self.max_seconds if self.max_seconds is not None else None
+        )
 
 
 class _CliqueEngine:
@@ -93,9 +105,7 @@ class _CliqueEngine:
         self._count = len(adjacency)
         self._budget = budget
         self._offset = offset
-        self._deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
-        )
+        self._deadline = budget.deadline
         self._nodes = 0
         self.best = 0
         self.root_bound = self._count
@@ -458,10 +468,16 @@ class EkrReport:
             "max_intersecting": self.max_intersecting,
             "best_star": self.best_star,
             "verdict": self.verdict,
-            "witness": [[list(cell) if isinstance(cell, tuple) else cell for cell in member]
-                        for member in self.witness],
+            "witness": self.witness_to_json(),
             "elapsed_ms": int(self.elapsed * 1000),
         }
+
+    def witness_to_json(self) -> list[list]:
+        """The witness as JSON lists: a placement's cells become [row, col]."""
+        return [
+            [list(cell) if isinstance(cell, tuple) else cell for cell in member]
+            for member in self.witness
+        ]
 
 
 def _verdict(holds: bool, in_range: bool) -> str:
@@ -520,11 +536,7 @@ def graph_ekr_report(
         raise InputError(f"r must be at least 1, got {r}")
     started = time.monotonic()
     sets = enumerate_independent(g, r, max_sets)
-    star_sizes = [0] * (g.vertex_count + 1)
-    for member in sets:
-        for v in member:
-            star_sizes[v] += 1
-    best_star = max(star_sizes)
+    best_star = best_star_size(g, sets)
     mu = (
         known_min_maximal
         if known_min_maximal is not None

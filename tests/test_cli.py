@@ -1,6 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ekrcheck import cycles, graphs, load_family, load_graph
 from ekrcheck.cli import main
@@ -91,7 +99,7 @@ class TestVerify:
         assert (result["lower_bound"], result["upper_bound"]) == bounds
 
     def test_enumeration_budgets_exit_3(self):
-        code, out, _ = run_cli("lemma1", "--n", "8", "--m", "8", "--json")
+        code, out, _ = run_cli("orders", "--n", "8", "--m", "8", "--json")
         assert code == 3
         assert json.loads(out)["result"]["status"] == "inconclusive"
         code, _, _ = run_cli(
@@ -136,6 +144,29 @@ class TestSweeps:
         code, out, _ = run_cli("windows", "--n", "4", "--m", "4", "--r", "2", "--json")
         assert code == 0
         assert json.loads(out)["result"]["all_pass"]
+
+    def test_lemma1_past_a_million_orders(self, capsys):
+        # One order stands for all of them, so no order count refuses it.
+        assert main(["lemma1", "--n", "8", "--m", "8", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["all_pass"]
+        assert {check["orders"] for check in result["checks"]} == {25401600}
+
+    def test_occurrence_past_a_million_orders(self, capsys):
+        assert main(["occurrence", "--n", "8", "--m", "8", "--r", "2", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["all_match"]
+        assert (result["placements"], result["orders"]) == (1568, 25401600)
+
+    def test_occurrence_beyond_the_tally_budget_exits_3(self, capsys):
+        started = time.monotonic()
+        assert main(["occurrence", "--n", "12", "--m", "12", "--r", "1", "--json"]) == 3
+        assert time.monotonic() - started < 1
+        reason = json.loads(capsys.readouterr().out)["result"]["reason"]
+        assert reason == (
+            "interval tally needs at least 958003344 window steps and products, "
+            "over the budget of 1000000"
+        )
 
 
 class TestOrdersAndFiles:
@@ -278,11 +309,14 @@ class TestDoubleCount:
         assert len(calls) == 1
 
     def test_order_budget_exits_3(self):
+        # The tally's work guard, not the number of orders, makes it fail closed.
         code, out, _ = run_cli(
-            "double-count", "--n", "4", "--m", "4", "--r", "2", "--budget-sets", "5", "--json"
+            "double-count", "--n", "12", "--m", "12", "--r", "1", "--samples", "1", "--json"
         )
         assert code == 3
-        assert json.loads(out)["result"]["reason"] == "36 cyclic orders exceed the budget of 5"
+        assert json.loads(out)["result"]["reason"].startswith(
+            "interval tally needs at least 958003344 window steps"
+        )
 
     def test_needs_family_or_grid(self):
         code, _, err = run_cli("double-count")
@@ -433,3 +467,169 @@ class TestFailsClosed:
                  "--vertex-budget", "0", "--budget-seconds", "0"]
         assert main(["count", "--n", "3", "--m", "3", "--r", "1", "--json", *zeros]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["placements"] == 9
+
+
+
+# One well-formed counterexample of each kind, as its producer writes it;
+# "graph_star" is the one that `lex --graph E4 --k 1 --r 3` reports.
+PAYLOADS = {
+    "rook_star": {
+        "kind": "intersecting_family_exceeds_star",
+        "context": {"type": "rook", "n": 2, "m": 2, "r": 2},
+        "family": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]],
+        "best_star": 1,
+    },
+    "graph_star": {
+        "kind": "intersecting_family_exceeds_star",
+        "context": {"type": "graph", "graph": {"vertices": 4, "edges": []}, "r": 3},
+        "family": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]],
+        "best_star": 3,
+    },
+    "gap": {
+        "kind": "interval_tightness_gap", "sigma1": [1, 2, 3, 4], "sigma2": [1, 2, 3, 4],
+        "r": 2, "found_max": 1, "family": [[[1, 1], [2, 2]]],
+    },
+    "exceeds_r": {
+        "kind": "interval_family_exceeds_r", "sigma1": [1, 2, 3, 4], "sigma2": [1, 2, 3, 4],
+        "r": 2, "found_max": 3,
+        "family": [[[1, 1], [2, 2]], [[1, 1], [4, 4]], [[2, 2], [3, 3]]],
+    },
+    "window": {
+        "kind": "window_violation", "sigma1": [1, 2, 3, 4], "sigma2": [1, 2, 3, 4],
+        "start": [1, 1], "r": 2, "failure": "x", "witness": [],
+    },
+    "occurrence": {
+        "kind": "occurrence_mismatch", "n": 4, "m": 4, "placement": [[1, 1], [2, 2]],
+        "expected": 8, "found": 7,
+    },
+    "double_count": {
+        "kind": "double_count_violation",
+        "family": {"n": 4, "m": 4, "r": 2, "sets": [[[1, 1], [2, 2]]]},
+        "lhs": 1, "rhs": 2, "bound": 72,
+    },
+}
+
+
+def _check_witness_in_process(report: object) -> tuple[int, str, str]:
+    """Run check-witness on a report written to a temporary file; returns
+    (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-witness", "--report", path, "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _with(name: str, *path: object) -> dict:
+    """A copy of ``PAYLOADS[name]`` with the field at ``path[:-1]`` set to ``path[-1]``."""
+    payload = copy.deepcopy(PAYLOADS[name])
+    *keys, last, value = path
+    node = payload
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return payload
+
+
+class TestCheckWitnessFailsClosed:
+    """A malformed counterexample exits 2 with a message naming the field."""
+
+    @pytest.mark.parametrize("payload, field", [
+        (_with("window", "start", "ab"), '"start"'),
+        (_with("window", "start", [1]), '"start"'),
+        (_with("window", "sigma1", 5), '"sigma1"'),
+        (_with("window", "sigma2", [1, 2, "x", 4]), '"sigma2"'),
+        (_with("rook_star", "family", 5), '"family"'),
+        (_with("rook_star", "family", [5]), '"family"[0]'),
+        (_with("rook_star", "context", "n", "4"), '"n"'),
+        (_with("graph_star", "context", "r", "2"), '"r"'),
+        (_with("graph_star", "family", [[1, "2", 3]]), '"family"[0]'),
+        (_with("occurrence", "n", "4"), '"n"'),
+        (_with("occurrence", "placement", 5), '"placement"'),
+        (_with("occurrence", "found", None), '"found"'),
+        (_with("window", "kind", ["x"]), "kind"),
+        (_with("gap", "r", True), '"r"'),
+        (_with("gap", "found_max", "1"), '"found_max"'),
+        (_with("exceeds_r", "family", [[[1, 1], [2, 2]], 3]), '"family"[1]'),
+    ])
+    def test_malformed_field_exits_2(self, payload, field):
+        code, _, err = _check_witness_in_process({"counterexample": payload})
+        assert code == 2
+        assert field in err
+
+    def test_from_the_command_line_without_a_traceback(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"counterexample": _with("window", "start", "ab")}))
+        code, _, err = run_cli("check-witness", "--report", str(path))
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(PAYLOADS))
+    def test_well_formed_payloads_keep_their_verdict(self, name):
+        code, out, err = _check_witness_in_process({"counterexample": PAYLOADS[name]})
+        assert (code, err) == ((0, "") if name == "graph_star" else (1, ""))
+        assert json.loads(out)["result"]["kind"] == PAYLOADS[name]["kind"]
+
+    def test_graph_star_payload_is_what_lex_reports(self, capsys):
+        assert main(["lex", "--graph", "E4", "--k", "1", "--r", "3", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["counterexample"] == PAYLOADS["graph_star"]
+
+
+# Small values only, so that a grid or graph in a fuzzed payload stays tiny
+# and every check finishes in milliseconds.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+FIELDS = sorted(
+    {key for payload in PAYLOADS.values() for key in payload} | {"type", "graph", "n", "m"}
+)
+KINDS = sorted({payload["kind"] for payload in PAYLOADS.values()})
+
+
+@st.composite
+def mutated_reports(draw):
+    """A report around a well-formed payload, with one to three fields
+    replaced or deleted at any depth (the payload itself included)."""
+    report = {"schema": 1, "command": "lex",
+              "counterexample": copy.deepcopy(PAYLOADS[draw(st.sampled_from(sorted(PAYLOADS)))])}
+    for _ in range(draw(st.integers(1, 3))):
+        node = report
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+            else:
+                if isinstance(node, dict) and draw(st.booleans()):
+                    del node[key]
+                else:
+                    node[key] = draw(JSON_VALUES)
+                break
+    return report
+
+
+@st.composite
+def random_reports(draw):
+    """A payload of known field names with random values, under a known kind."""
+    fields = draw(st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, max_size=7))
+    return {"counterexample": {**fields, "kind": draw(st.sampled_from(KINDS))}}
+
+
+class TestCheckWitnessFuzz:
+    """Whatever the report holds, check-witness ends in exit 0-3 with no traceback."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_reports() | random_reports() | JSON_VALUES)
+    def test_every_report_gets_an_exit_code(self, report):
+        code, _, err = _check_witness_in_process(report)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

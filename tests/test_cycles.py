@@ -61,6 +61,11 @@ class TestCanonicalOrder:
         with pytest.raises(InputError):
             canonical_order((1, 1, 2), (1, 2, 3))
 
+    @pytest.mark.parametrize("rows", [5, "123", None, {1: 1}, [1, "2", 3], [1, True], [1.0, 2]])
+    def test_rejects_a_non_sequence_or_a_non_integer_entry(self, rows):
+        with pytest.raises(InputError, match="rows must be a sequence of integers"):
+            canonical_order(rows, (1, 2))
+
     def test_constructor_requires_canonical_form(self):
         with pytest.raises(InputError, match="canonical"):
             CyclicOrder((2, 1), (1, 2))
@@ -326,9 +331,14 @@ class TestFactoredTally:
         for placement in placements:
             assert tally[placement] == count_orders_containing(n, m, placement)
 
+    def test_r_out_of_range_is_an_input_error(self):
+        with pytest.raises(InputError, match="r must be in 1..min"):
+            interval_tally(4, 4, 0)
+
     def test_order_budget_is_checked(self):
-        with pytest.raises(ResourceLimitError, match="36 cyclic orders exceed the budget of 5"):
-            interval_tally(4, 4, 2, max_orders=5)
+        # 12! row and 12! column window steps: refused before any walk.
+        with pytest.raises(ResourceLimitError, match="at least 958003344 window steps"):
+            interval_tally(12, 12, 1)
 
     def test_families_of_one_context_share_one_tally(self, monkeypatch):
         from ekrcheck import cycles
@@ -344,5 +354,5 @@ class TestFactoredTally:
         families = [random_intersecting_family(4, 4, 2, Random(seed)) for seed in range(4)]
         families.append(star_family(4, 5, 2, (1, 1)))
         results = interval_double_counts(families)
-        assert calls == [(4, 4, 2, 10**6), (4, 5, 2, 10**6)]
+        assert calls == [(4, 4, 2), (4, 5, 2)]
         assert results == [interval_double_count(family) for family in families]

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from random import Random
 
@@ -131,6 +132,14 @@ class TestMaxIntersectingFamily:
             max_intersecting_family(
                 enumerate_placements(6, 6, 3), SearchBudget(max_seconds=0.0)
             )
+
+    def test_time_budget_runs_from_when_the_budget_is_made(self):
+        budget = SearchBudget(max_seconds=0.05)
+        time.sleep(0.1)
+        with pytest.raises(ResourceLimitError, match="0.05 seconds") as info:
+            max_intersecting_family(enumerate_placements(4, 4, 2), budget)
+        # Stopped at the first node: nothing beyond the seed star is known.
+        assert info.value.lower_bound == 9
 
 
 class TestRookVerdicts:
