@@ -59,6 +59,22 @@ def _graph_argument(text: str, vertex_budget: int) -> graphs.SimpleGraph:
     )
 
 
+# lemma1 and windows compare each of the identity order's n*m intervals with
+# every other at r cells a pair: (n*m)^2 * r steps for each r they evaluate.
+# Grids past this many steps exit 3 before any comparison; every grid of at
+# most 10^6 orders needs at most 14,406 (lemma1 on 7 x 7).
+INTERVAL_PAIR_BUDGET = 10**6
+
+
+def _check_interval_pairs(n: int, m: int, r_values: Sequence[int]) -> None:
+    work = (n * m) ** 2 * sum(r_values)
+    if work > INTERVAL_PAIR_BUDGET:
+        raise ResourceLimitError(
+            f"comparing {n * m} intervals in pairs needs {work} cell steps, "
+            f"over the budget of {INTERVAL_PAIR_BUDGET}"
+        )
+
+
 def _windows_order_check(order: cycles.CyclicOrder, r: int) -> dict | None:
     for i in range(1, order.n + 1):
         for j in range(1, order.m + 1):
@@ -139,6 +155,7 @@ def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
     r_values = [args.r] if args.r is not None else list(range(1, half + 1))
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     order_total = counts.cyclic_order_count(args.n, args.m)
+    _check_interval_pairs(args.n, args.m, r_values)
     # The maximum is the same in every order (cycles module docstring), so the
     # first order stands for all of them, counterexample included.
     order = cycles.reference_order(args.n, args.m)
@@ -260,6 +277,7 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
 def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     order_total = counts.cyclic_order_count(args.n, args.m)
+    _check_interval_pairs(args.n, args.m, [args.r])
     # Each start passes or fails alike in every order (cycles module
     # docstring), so the first order's first failure is the sweep's.
     counterexample = _windows_order_check(cycles.reference_order(args.n, args.m), args.r)
@@ -699,6 +717,10 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Counts such as the number of cyclic orders are reported exactly,
+        # past the 4,300 digits that Python otherwise converts to text.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,6 +5,7 @@ import json
 import os
 import tempfile
 import time
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -165,8 +166,31 @@ class TestSweeps:
         reason = json.loads(capsys.readouterr().out)["result"]["reason"]
         assert reason == (
             "interval tally needs at least 958003344 window steps and products, "
+            "over the budget of 50000000"
+        )
+
+    def test_occurrence_on_a_grid_the_order_budget_allowed(self, capsys):
+        # 9! orders, 10! row window steps: answered before the tally was
+        # factored, and still answered under its work guard.
+        assert main(["occurrence", "--n", "10", "--m", "1", "--r", "1", "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["placements"], result["orders"], result["all_match"]) == (10, 362880, True)
+
+    @pytest.mark.parametrize("command, n, m, r, work", [
+        ("lemma1", 2, 1600, 1, 10240000),
+        ("windows", 40, 40, 20, 51200000),
+    ])
+    def test_interval_pairs_past_the_budget_exit_3(self, command, n, m, r, work):
+        code, out, err = run_cli(command, "--n", str(n), "--m", str(m), "--r", str(r), "--json")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["result"]["reason"] == (
+            f"comparing {n * m} intervals in pairs needs {work} cell steps, "
             "over the budget of 1000000"
         )
+
+    def test_counts_past_4300_digits_are_reported_exactly(self, capsys):
+        assert main(["count", "--n", "2", "--m", "1600", "--r", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["cyclic_orders"] == factorial(1599)
 
 
 class TestOrdersAndFiles:
@@ -314,8 +338,9 @@ class TestDoubleCount:
             "double-count", "--n", "12", "--m", "12", "--r", "1", "--samples", "1", "--json"
         )
         assert code == 3
-        assert json.loads(out)["result"]["reason"].startswith(
-            "interval tally needs at least 958003344 window steps"
+        assert json.loads(out)["result"]["reason"] == (
+            "interval tally needs at least 958003344 window steps and products, "
+            "over the budget of 50000000"
         )
 
     def test_needs_family_or_grid(self):

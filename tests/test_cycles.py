@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 from random import Random
 
@@ -339,6 +340,23 @@ class TestFactoredTally:
         # 12! row and 12! column window steps: refused before any walk.
         with pytest.raises(ResourceLimitError, match="at least 958003344 window steps"):
             interval_tally(12, 12, 1)
+
+    def test_every_grid_of_at_most_a_million_orders_passes_the_guard(self, monkeypatch):
+        # The tally used to refuse more than 10^6 orders; its work guard
+        # admits every grid under that bound.  Empty window counts leave only
+        # the guard and the grouping of starts to run.
+        from ekrcheck import cycles
+
+        monkeypatch.setattr(cycles, "_window_tallies", lambda size, r: [Counter()] * size)
+        grids = [(n, m) for n in range(1, 14) for m in range(1, 14)]
+        for n, m in grids:
+            if cyclic_order_count(n, m) <= 10**6:
+                for r in range(1, min(n, m) + 1):
+                    assert interval_tally(n, m, r) == Counter()
+
+    def test_a_side_past_12_is_refused_with_a_short_count(self):
+        with pytest.raises(ResourceLimitError, match="at least 479001613 window steps"):
+            interval_tally(10**6, 1, 1)
 
     def test_families_of_one_context_share_one_tally(self, monkeypatch):
         from ekrcheck import cycles
