@@ -10,6 +10,10 @@ standard output, otherwise a small fixed table.  Exit codes:
 
 Reports from runs that exit 1 can be revalidated independently with the
 ``check-witness`` subcommand.
+
+This module imports only the standard library and ``errors`` when it
+loads; each handler imports the library modules it runs, so a command
+compiles no module it does not use.
 """
 
 from __future__ import annotations
@@ -20,30 +24,24 @@ import os
 import re
 import sys
 import time
-from random import Random
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
-from . import counts, cycles, graphs, rook, search
-from .errors import InputError, ResourceLimitError, is_integer
+from .errors import DEFAULT_SEARCH_VERTEX_BUDGET, InputError, ResourceLimitError
 
 SCHEMA_VERSION = 1
 
 _GRAPH_SHORTHAND = re.compile(r"([KEPC])(\d+)")
-_GRAPH_BUILDERS: dict[str, Callable[[int], graphs.SimpleGraph]] = {
-    "K": graphs.complete_graph,
-    "E": graphs.empty_graph,
-    "P": graphs.path_graph,
-    "C": graphs.cycle_graph,
-}
 
 
-def _graph_argument(text: str, vertex_budget: int) -> graphs.SimpleGraph:
+def _graph_argument(text: str, vertex_budget: int):
     """Resolve a graph argument: a JSON file path, or a shorthand such as
     K4 (complete), E3 (edgeless), P5 (path), C6 (cycle).
 
     A shorthand over the vertex budget is refused before it is built; every
     command that takes a graph would refuse it under that budget anyway.
     """
+    from . import graphs
+
     if os.path.exists(text):
         return graphs.load_graph(text)
     match = _GRAPH_SHORTHAND.fullmatch(text)
@@ -53,7 +51,13 @@ def _graph_argument(text: str, vertex_budget: int) -> graphs.SimpleGraph:
             raise ResourceLimitError(
                 f"graph {text} on {vertices} vertices exceeds the budget of {vertex_budget}"
             )
-        return _GRAPH_BUILDERS[match.group(1)](vertices)
+        build = {
+            "K": graphs.complete_graph,
+            "E": graphs.empty_graph,
+            "P": graphs.path_graph,
+            "C": graphs.cycle_graph,
+        }[match.group(1)]
+        return build(vertices)
     raise InputError(
         f"graph argument {text!r} is neither an existing file nor a K/E/P/C shorthand"
     )
@@ -75,27 +79,15 @@ def _check_interval_pairs(n: int, m: int, r_values: Sequence[int]) -> None:
         )
 
 
-def _windows_order_check(order: cycles.CyclicOrder, r: int) -> dict | None:
-    for i in range(1, order.n + 1):
-        for j in range(1, order.m + 1):
-            report = cycles.check_interval_windows(order, i, j, r)
-            if not report.passed:
-                return {
-                    "kind": "window_violation",
-                    **order.to_json_dict(),
-                    "start": list(report.start),
-                    "r": r,
-                    "failure": report.failure,
-                    "witness": [_placement_json(p) for p in (report.witness or ())],
-                }
-    return None
-
-
-def _placement_json(placement: rook.Placement) -> list[list[int]]:
+def _placement_json(placement: tuple) -> list[list[int]]:
     return [list(cell) for cell in placement]
 
 
-def _family_exceeds_star_payload(report: search.EkrReport, g: graphs.SimpleGraph | None) -> dict:
+def _family_exceeds_star_payload(report, g) -> dict:
+    """The counterexample of a search report that refutes EKR; ``g`` is the
+    searched graph, or None for a rook grid."""
+    from . import graphs
+
     params = report.parameters
     if params["kind"] == "rook":
         context = {"type": "rook", "n": params["n"], "m": params["m"], "r": params["r"]}
@@ -118,6 +110,8 @@ def _family_exceeds_star_payload(report: search.EkrReport, g: graphs.SimpleGraph
 
 
 def _run_count(args) -> tuple[dict, dict, dict | None, int]:
+    from . import counts
+
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     result = {
         "placements": counts.rook_placement_count(args.n, args.m, args.r),
@@ -129,6 +123,8 @@ def _run_count(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_enumerate(args) -> tuple[dict, dict, dict | None, int]:
+    from . import rook
+
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     placements = rook.enumerate_placements(args.n, args.m, args.r, args.budget_sets)
     family = rook.Family(args.n, args.m, args.r, tuple(placements))
@@ -142,6 +138,8 @@ def _run_enumerate(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_verify(args) -> tuple[dict, dict, dict | None, int]:
+    from . import search
+
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     report = search.rook_ekr_report(
         args.n, args.m, args.r, budget=_budget(args), max_sets=args.budget_sets
@@ -151,6 +149,8 @@ def _run_verify(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
+    from . import counts, cycles
+
     half = min(args.n, args.m) // 2
     r_values = [args.r] if args.r is not None else list(range(1, half + 1))
     parameters = {"n": args.n, "m": args.m, "r": args.r}
@@ -186,6 +186,8 @@ def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_occurrence(args) -> tuple[dict, dict, dict | None, int]:
+    from . import counts, cycles, rook
+
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     expected = counts.interval_occurrence_count(args.n, args.m, args.r)
     placements = rook.enumerate_placements(args.n, args.m, args.r, args.budget_sets)
@@ -213,6 +215,10 @@ def _run_occurrence(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
+    from random import Random
+
+    from . import counts, cycles, rook
+
     order_total = None
     if args.family:
         family = rook.load_family(args.family)
@@ -275,12 +281,23 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
+    from . import counts, cycles
+
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     order_total = counts.cyclic_order_count(args.n, args.m)
     _check_interval_pairs(args.n, args.m, [args.r])
     # Each start passes or fails alike in every order (cycles module
     # docstring), so the first order's first failure is the sweep's.
-    counterexample = _windows_order_check(cycles.reference_order(args.n, args.m), args.r)
+    order = cycles.reference_order(args.n, args.m)
+    report = cycles.first_window_failure(order, args.r)
+    counterexample = None if report is None else {
+        "kind": "window_violation",
+        **order.to_json_dict(),
+        "start": list(report.start),
+        "r": args.r,
+        "failure": report.failure,
+        "witness": [_placement_json(p) for p in (report.witness or ())],
+    }
     result = {
         "orders": order_total,
         "starts_per_order": args.n * args.m,
@@ -290,6 +307,8 @@ def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_orders(args) -> tuple[dict, dict, dict | None, int]:
+    from . import cycles
+
     parameters = {"n": args.n, "m": args.m}
     order_list = cycles.enumerate_cyclic_orders(args.n, args.m, args.budget_sets)
     payload = [order.to_json_dict() for order in order_list]
@@ -305,6 +324,8 @@ def _run_orders(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_graph_stats(args) -> tuple[dict, dict, dict | None, int]:
+    from . import graphs
+
     g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph}
     sets = graphs.maximal_independent_sets(g, args.vertex_budget)
@@ -321,6 +342,8 @@ def _run_graph_stats(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_product(args) -> tuple[dict, dict, dict | None, int]:
+    from . import graphs
+
     if len(args.graph or []) != 2:
         raise InputError("product needs exactly two --graph arguments")
     left = _graph_argument(args.graph[0], args.vertex_budget)
@@ -338,6 +361,8 @@ def _run_product(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
+    from . import graphs, search
+
     budget = _budget(args)
     g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph}
@@ -360,6 +385,8 @@ def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
 
 
 def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
+    from . import graphs, search
+
     g = _graph_argument(args.graph, args.vertex_budget)
     parameters = {"graph": args.graph, "k": args.k, "r": args.r}
     outcome = search.lex_product_check(
@@ -385,152 +412,9 @@ def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
 # independent counterexample validation
 
 
-def _field(obj: dict, name: str, where: str = "counterexample"):
-    """``obj[name]``, or an input error that names the missing field."""
-    if name not in obj:
-        raise InputError(f'{where} is missing the "{name}" field')
-    return obj[name]
-
-
-def _integer(obj: dict, name: str, where: str = "counterexample") -> int:
-    value = _field(obj, name, where)
-    if not is_integer(value):
-        raise InputError(f'{where} "{name}" must be an integer, got {value!r}')
-    return value
-
-
-def _list(obj: dict, name: str, where: str = "counterexample") -> list:
-    value = _field(obj, name, where)
-    if not isinstance(value, list):
-        raise InputError(f'{where} "{name}" must be a list, got {value!r}')
-    return value
-
-
-def _integers(obj: dict, name: str) -> list[int]:
-    value = _list(obj, name)
-    if not all(map(is_integer, value)):
-        raise InputError(f'counterexample "{name}" must be a list of integers, got {value!r}')
-    return value
-
-
-def _placement(value: object, n: int, m: int, name: str) -> rook.Placement:
-    try:
-        return rook.canonical_placement(value, n, m)
-    except InputError as exc:
-        raise InputError(f"counterexample {name}: {exc}") from None
-
-
-def _placements(payload: dict, n: int, m: int) -> list[rook.Placement]:
-    return [
-        _placement(member, n, m, f'"family"[{index}]')
-        for index, member in enumerate(_list(payload, "family"))
-    ]
-
-
-def _order(payload: dict) -> cycles.CyclicOrder:
-    return cycles.canonical_order(_integers(payload, "sigma1"), _integers(payload, "sigma2"))
-
-
-def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
-    context = _field(payload, "context")
-    if not isinstance(context, dict):
-        raise InputError(f'"context" must be a JSON object, got {type(context).__name__}')
-    if context.get("type") == "rook":
-        n, m, r = (_integer(context, key, "counterexample context") for key in ("n", "m", "r"))
-        members = _placements(payload, n, m)
-        if any(len(member) != r for member in members):
-            return False, "family member has the wrong size"
-        star = counts.rook_star_count(n, m, r)
-    elif context.get("type") == "graph":
-        g = graphs.graph_from_json_dict(_field(context, "graph", "counterexample context"))
-        r = _integer(context, "r", "counterexample context")
-        members = []
-        for index, member in enumerate(_list(payload, "family")):
-            if not isinstance(member, list) or not all(map(is_integer, member)):
-                raise InputError(f'counterexample "family"[{index}] must be a list of vertices, '
-                                 f"got {member!r}")
-            members.append(tuple(sorted(member)))
-        for member in members:
-            if len(set(member)) != r:
-                return False, "family member has the wrong size"
-            if not g.is_independent(member):
-                return False, f"family member {list(member)} is not independent"
-        star = graphs.best_star_size(g, graphs.enumerate_independent(g, r))
-    else:
-        return False, f"unknown counterexample context {context.get('type')!r}"
-    if len(set(members)) != len(members):
-        return False, "family contains duplicate members"
-    if not rook.pairwise_intersecting(members):
-        return False, "family is not pairwise intersecting"
-    if len(members) <= star:
-        return False, f"family size {len(members)} does not exceed the star size {star}"
-    return True, f"intersecting family of {len(members)} exceeds the star size {star}"
-
-
-def _validate_interval_family(payload: dict) -> tuple[bool, str]:
-    order = _order(payload)
-    r = _integer(payload, "r")
-    if payload["kind"] == "interval_tightness_gap":
-        found = _integer(payload, "found_max")
-        recomputed = cycles.max_intersecting_intervals(order, r)
-        if recomputed == found and recomputed < r:
-            return True, f"recomputed interval maximum {recomputed} is below r={r}"
-        return False, f"recomputed interval maximum is {recomputed}"
-    members = _placements(payload, order.n, order.m)
-    if len(set(members)) != len(members):
-        return False, "family contains duplicate members"
-    for member in members:
-        if cycles.interval_start(order, member) is None:
-            return False, f"{list(member)} is not an interval of the order"
-    if not rook.pairwise_intersecting(members):
-        return False, "family is not pairwise intersecting"
-    if len(members) <= r:
-        return False, f"family size {len(members)} does not exceed r={r}"
-    return True, f"intersecting interval family of {len(members)} exceeds r={r}"
-
-
-def _validate_double_count(payload: dict) -> tuple[bool, str]:
-    family = rook.family_from_json_dict(_field(payload, "family"))
-    lhs, rhs = cycles.interval_double_count(family)
-    bound = family.r * counts.cyclic_order_count(family.n, family.m)
-    if lhs != rhs:
-        return True, f"recomputed lhs={lhs} differs from rhs={rhs}"
-    if rook.is_intersecting(family) and lhs > bound:
-        return True, f"recomputed lhs={lhs} exceeds the bound {bound}"
-    return False, f"recomputation finds lhs=rhs={lhs} within the bound {bound}"
-
-
-def _validate_window(payload: dict) -> tuple[bool, str]:
-    order = _order(payload)
-    start = _integers(payload, "start")
-    if len(start) != 2:
-        raise InputError(f'counterexample "start" must be a pair (i, j), got {start!r}')
-    report = cycles.check_interval_windows(order, *start, _integer(payload, "r"))
-    if not report.passed:
-        return True, f"recomputed window check fails: {report.failure}"
-    return False, "recomputed window check passes"
-
-
-def _validate_occurrence(payload: dict) -> tuple[bool, str]:
-    n, m, expected, found = (_integer(payload, key) for key in ("n", "m", "expected", "found"))
-    placement = _placement(_field(payload, "placement"), n, m, '"placement"')
-    recomputed = cycles.count_orders_containing(n, m, placement)
-    if recomputed != expected and recomputed == found:
-        return True, f"recomputed occurrence count {recomputed} differs from expected {expected}"
-    return False, f"recomputed occurrence count is {recomputed}"
-
-
-_VALIDATORS = {
-    "intersecting_family_exceeds_star": _validate_family_exceeds_star,
-    "interval_family_exceeds_r": _validate_interval_family,
-    "interval_tightness_gap": _validate_interval_family,
-    "double_count_violation": _validate_double_count,
-    "window_violation": _validate_window,
-    "occurrence_mismatch": _validate_occurrence,
-}
-
-
 def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
+    from .witness import VALIDATORS
+
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
@@ -544,7 +428,7 @@ def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
     if not isinstance(payload, dict):
         raise InputError(f'"counterexample" must be a JSON object, got {type(payload).__name__}')
     kind = payload.get("kind")
-    validator = _VALIDATORS.get(kind) if isinstance(kind, str) else None
+    validator = VALIDATORS.get(kind) if isinstance(kind, str) else None
     if validator is None:
         raise InputError(f"unknown counterexample kind {kind!r}")
     confirmed, detail = validator(payload)
@@ -557,8 +441,10 @@ def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
 # wiring
 
 
-def _budget(args) -> search.SearchBudget:
+def _budget(args):
     """The command's search budget; its --budget-seconds clock starts now."""
+    from . import search
+
     return search.SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 
@@ -588,8 +474,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect (sweeps run in one process)")
     parser.add_argument("--vertex-budget", type=_nonnegative(int),
-                        default=graphs.DEFAULT_SEARCH_VERTEX_BUDGET,
-                        help="vertex budget for exhaustive graph searches (default 24)")
+                        default=DEFAULT_SEARCH_VERTEX_BUDGET,
+                        help="vertex budget for exhaustive graph searches (default %(default)s)")
 
 
 def _add_grid(parser: argparse.ArgumentParser, *, need_r: bool, r_optional: bool = False) -> None:

@@ -75,10 +75,9 @@ r = 6 and r = 7, one join each), while 12 x 12 at r = 1 needs 958,003,344.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial, perm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .counts import cyclic_order_count, interval_occurrence_count
 from .errors import InputError, ResourceLimitError, is_integer
@@ -88,25 +87,46 @@ DEFAULT_ORDER_BUDGET = 10**6
 TALLY_WORK_BUDGET = 5 * 10**7
 
 
-@dataclass(frozen=True)
 class CyclicOrder:
     """Canonical representative of one equivalence class.
 
     ``rows`` lists row labels by position (rows[0] is position 1), and
-    likewise ``cols``; both must start with label 1.
+    likewise ``cols``; both must start with label 1.  Immutable; compared
+    and hashed by (rows, cols).
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self) -> None:
-        _check_permutation(self.rows, "rows")
-        _check_permutation(self.cols, "cols")
-        if self.rows[0] != 1 or self.cols[0] != 1:
+    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> None:
+        _check_permutation(rows, "rows")
+        _check_permutation(cols, "cols")
+        if rows[0] != 1 or cols[0] != 1:
             raise InputError(
                 "cyclic order is not canonical: both sequences must start with 1 "
                 "(use canonical_order to rotate arbitrary permutation pairs)"
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols)
+
+    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
+        return (CyclicOrder, self._key())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"CyclicOrder(rows={self.rows!r}, cols={self.cols!r})"
 
     @property
     def n(self) -> int:
@@ -413,8 +433,7 @@ def interval_double_count(family: Family) -> DoubleCount:
     return interval_double_counts([family])[0]
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     """Outcome of the interval window structure check around one base interval."""
 
     passed: bool
@@ -442,57 +461,95 @@ def check_interval_windows(order: CyclicOrder, start_i: int, start_j: int, r: in
     r = 1 has no windows and passes vacuously.
     """
     _require_half_range(order, r)
-    start = (start_i, start_j)
-    base = diagonal_interval(order, start_i, start_j, r)
-    if r == 1:
-        return WindowReport(True, order, start, r)
+    return _window_check(order, r)(start_i, start_j)
 
+
+def first_window_failure(order: CyclicOrder, r: int) -> WindowReport | None:
+    """The report of the first start, in (i, j) order, that fails
+    check_interval_windows, or None when every start passes.
+
+    The work that does not depend on the start is done once for all of
+    them (see _window_check).
+    """
+    _require_half_range(order, r)
+    check = _window_check(order, r)
+    for i in range(1, order.n + 1):
+        for j in range(1, order.m + 1):
+            report = check(i, j)
+            if not report.passed:
+                return report
+    return None
+
+
+def _window_check(order: CyclicOrder, r: int) -> Callable[[int, int], WindowReport]:
+    """check_interval_windows on one (order, r), as a function of the start.
+
+    The order's intervals, their cell sets and their row projections are
+    built once.  The windows, and so checks (b) and (c), read the start
+    only through its row position x: they run once per x, and every later
+    start with the same x reuses their outcome.  Check (a) runs for each
+    start, and runs first, so each start gets the report it would get
+    alone.
+    """
     n = order.n
-    x = start_i
+    intervals = all_intervals(order, r)
+    cells = {iv: frozenset(iv) for iv in intervals}
+    projections = {iv: row_projection(iv) for iv in intervals}
+    by_projection: dict[frozenset[int], list[Placement]] = {}
+    for iv in intervals:
+        by_projection.setdefault(projections[iv], []).append(iv)
+    # x -> (its windows, the failure and witness of (b) or (c), if any)
+    by_row: dict[int, tuple[set[frozenset[int]], tuple[str, tuple[Placement, ...]] | None]] = {}
 
     def rows_at(first: int) -> frozenset[int]:
         return frozenset(order.rows[(first - 1 + k) % n] for k in range(r))
 
-    forward = [rows_at(x + off) for off in range(1, r)]
-    backward = [rows_at(x + off - r) for off in range(1, r)]
-    windows = set(forward) | set(backward)
-
-    intervals = all_intervals(order, r)
-    projections = {iv: row_projection(iv) for iv in intervals}
-    base_cells = set(base)
-
-    for iv in intervals:
-        if iv == base:
-            continue
-        if base_cells & set(iv) and projections[iv] not in windows:
-            return WindowReport(
-                False, order, start, r,
-                failure="interval meets the base but its row projection is not a window",
-                witness=(base, iv),
-            )
-
-    by_projection: dict[frozenset[int], list[Placement]] = {}
-    for iv in intervals:
-        by_projection.setdefault(projections[iv], []).append(iv)
-
-    for off in range(r - 1):
-        for fwd in by_projection.get(forward[off], ()):
-            for bwd in by_projection.get(backward[off], ()):
-                if set(fwd) & set(bwd):
-                    return WindowReport(
-                        False, order, start, r,
-                        failure=f"forward and backward window intervals overlap at offset {off + 1}",
-                        witness=(fwd, bwd),
+    def window_failure(
+        forward: list[frozenset[int]], backward: list[frozenset[int]], windows: set
+    ) -> tuple[str, tuple[Placement, ...]] | None:
+        for off in range(r - 1):
+            for fwd in by_projection.get(forward[off], ()):
+                for bwd in by_projection.get(backward[off], ()):
+                    if not cells[fwd].isdisjoint(bwd):
+                        return (
+                            f"forward and backward window intervals overlap at offset {off + 1}",
+                            (fwd, bwd),
+                        )
+        for window in windows:
+            group = by_projection.get(window, [])
+            for a, b in combinations(group, 2):
+                if not cells[a].isdisjoint(b):
+                    return (
+                        "two distinct intervals with the same window projection overlap",
+                        (a, b),
                     )
+        return None
 
-    for window in windows:
-        group = by_projection.get(window, [])
-        for a, b in combinations(group, 2):
-            if set(a) & set(b):
+    def check(start_i: int, start_j: int) -> WindowReport:
+        start = (start_i, start_j)
+        base = diagonal_interval(order, start_i, start_j, r)
+        if r == 1:
+            return WindowReport(True, order, start, r)
+        x = start_i
+        if x not in by_row:
+            forward = [rows_at(x + off) for off in range(1, r)]
+            backward = [rows_at(x + off - r) for off in range(1, r)]
+            windows = set(forward) | set(backward)
+            by_row[x] = (windows, window_failure(forward, backward, windows))
+        windows, failure = by_row[x]
+
+        base_cells = cells[base]
+        for iv in intervals:
+            if iv == base:
+                continue
+            if not base_cells.isdisjoint(iv) and projections[iv] not in windows:
                 return WindowReport(
                     False, order, start, r,
-                    failure="two distinct intervals with the same window projection overlap",
-                    witness=(a, b),
+                    failure="interval meets the base but its row projection is not a window",
+                    witness=(base, iv),
                 )
+        if failure is not None:
+            return WindowReport(False, order, start, r, failure=failure[0], witness=failure[1])
+        return WindowReport(True, order, start, r)
 
-    return WindowReport(True, order, start, r)
+    return check

@@ -1,6 +1,11 @@
-"""Shared exception types and input checks."""
+"""Shared exception types, input checks and the one default that both the
+library and the command line's option parser need."""
 
 from __future__ import annotations
+
+# Largest graph the exhaustive graph searches take by default; the command
+# line's --vertex-budget default, read without loading the graph module.
+DEFAULT_SEARCH_VERTEX_BUDGET = 24
 
 
 class InputError(ValueError):

@@ -12,12 +12,11 @@ import json
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import InputError, ResourceLimitError, is_integer
+from .errors import DEFAULT_SEARCH_VERTEX_BUDGET, InputError, ResourceLimitError, is_integer
 
 VertexSet = tuple[int, ...]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-DEFAULT_SEARCH_VERTEX_BUDGET = 24
 DEFAULT_PRODUCT_VERTEX_BUDGET = 4096
 
 

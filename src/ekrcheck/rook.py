@@ -9,7 +9,6 @@ they share a row or a column.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from random import Random
 from typing import Iterable, Iterator
@@ -65,14 +64,39 @@ def placements_intersect(a: Placement, b: Placement) -> bool:
     return not set(a).isdisjoint(b)
 
 
-@dataclass(frozen=True)
 class Family:
-    """A deduplicated collection of r-placements sharing one (n, m, r) context."""
+    """A deduplicated collection of r-placements sharing one (n, m, r) context.
 
-    n: int
-    m: int
-    r: int
-    sets: tuple[Placement, ...]
+    Immutable; compared and hashed by (n, m, r, sets).
+    """
+
+    __slots__ = ("n", "m", "r", "sets")
+
+    def __init__(self, n: int, m: int, r: int, sets: tuple[Placement, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "sets", sets)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.n, self.m, self.r, self.sets)
+
+    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
+        return (Family, self._key())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Family(n={self.n!r}, m={self.m!r}, r={self.r!r}, sets={self.sets!r})"
 
     @classmethod
     def build(cls, n: int, m: int, r: int, members: Iterable[Iterable[Iterable[int]]]) -> "Family":

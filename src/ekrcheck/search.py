@@ -47,8 +47,7 @@ graph without twins there is nothing to check and the full search runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .counts import rook_star_count
 from .errors import InputError, ResourceLimitError
@@ -70,24 +69,50 @@ VERDICT_FAILS = "EKR_FAILS"
 VERDICT_RANGE_HOLDS = "OUT_OF_THEOREM_RANGE_HOLDS"
 VERDICT_RANGE_FAILS = "OUT_OF_THEOREM_RANGE_FAILS"
 
+# Before its first node, a search reads the clock once per this many sets:
+# after enumerating them, in the symmetry check and while building the
+# compatibility masks.  A family of fewer sets is set up in milliseconds,
+# and the clique engine's first node reads the clock with exact bounds.
+SETS_PER_CLOCK_READ = 1024
 
-@dataclass
+
 class SearchBudget:
     """Limits for the exact search; exceeding either fails loudly.
 
     The clock starts when the budget is made, so every search given the
     same budget shares one deadline, and work done before a search (such
-    as enumerating its sets) counts against it.
+    as enumerating its sets) counts against it.  Budgets compare equal
+    when their limits are equal; the deadline is not compared.
     """
 
-    max_nodes: int = 10**8
-    max_seconds: float | None = None
-    deadline: float | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("max_nodes", "max_seconds", "deadline")
 
-    def __post_init__(self) -> None:
-        self.deadline = (
-            time.monotonic() + self.max_seconds if self.max_seconds is not None else None
-        )
+    def __init__(self, max_nodes: int = 10**8, max_seconds: float | None = None) -> None:
+        self.max_nodes = max_nodes
+        self.max_seconds = max_seconds
+        self.deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_nodes, self.max_seconds) == (other.max_nodes, other.max_seconds)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"SearchBudget(max_nodes={self.max_nodes!r}, max_seconds={self.max_seconds!r})"
+
+    def check_deadline(
+        self, work: str, lower_bound: int | None = None, upper_bound: int | None = None
+    ) -> None:
+        """Raise ResourceLimitError, naming the work under way, once the
+        deadline has passed; the bounds are those already exact."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimitError(
+                f"{work} exceeded {self.max_seconds} seconds",
+                lower_bound=lower_bound,
+                upper_bound=upper_bound,
+            )
 
 
 class _CliqueEngine:
@@ -105,7 +130,6 @@ class _CliqueEngine:
         self._count = len(adjacency)
         self._budget = budget
         self._offset = offset
-        self._deadline = budget.deadline
         self._nodes = 0
         self.best = 0
         self.root_bound = self._count
@@ -121,15 +145,15 @@ class _CliqueEngine:
                 lower_bound=self._offset + self.best,
                 upper_bound=self._offset + self.root_bound,
             )
-        # The first node and every 256th after it check the clock, so even
-        # a search of a handful of nodes sees an expired deadline.
-        if self._deadline is not None and self._nodes % 256 == 1:
-            if time.monotonic() > self._deadline:
-                raise ResourceLimitError(
-                    f"clique search exceeded {self._budget.max_seconds} seconds",
-                    lower_bound=self._offset + self.best,
-                    upper_bound=self._offset + self.root_bound,
-                )
+        # Every node reads the clock: a node colours its candidates, which
+        # costs far more than the read, and on tens of thousands of vertices
+        # one node can take a second.
+        if self._budget.deadline is not None:
+            self._budget.check_deadline(
+                "clique search",
+                lower_bound=self._offset + self.best,
+                upper_bound=self._offset + self.root_bound,
+            )
 
     def _color(self, candidates: int, k_min: int = 0) -> list[int]:
         """A proper coloring of the candidates, as the mask of each color
@@ -334,6 +358,8 @@ def _lex_smallest_maximum(
             element_masks[element] = element_masks.get(element, 0) | (1 << index)
     adjacency = [0] * len(members)
     for index, member in enumerate(members):
+        if index % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
+            budget.check_deadline("building the compatibility masks")
         mask = 0
         for element in member:
             mask |= element_masks[element]
@@ -353,7 +379,9 @@ def _lex_smallest_maximum(
     return tuple(members[i] for i in clique)
 
 
-def _transitive_symmetries(unique: Sequence[tuple], symmetries: Sequence[Mapping]) -> bool:
+def _transitive_symmetries(
+    unique: Sequence[tuple], symmetries: Sequence[Mapping], budget: SearchBudget
+) -> bool:
     """True iff the permutations pass the check in the module docstring.
 
     An element a permutation does not list is fixed by it.  Sets are keyed
@@ -371,7 +399,9 @@ def _transitive_symmetries(unique: Sequence[tuple], symmetries: Sequence[Mapping
         maps.append(full.__getitem__)
     reached = {0}
     queue = [unique[0]]
-    for member in queue:  # the queue grows while it is read
+    for count, member in enumerate(queue):  # the queue grows while it is read
+        if count % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
+            budget.check_deadline("symmetry check")
         for apply in maps:
             image = index.get(tuple(sorted(map(apply, member))))
             if image is None:
@@ -399,10 +429,12 @@ def max_intersecting_family(
     reported size.
     """
     budget = budget or SearchBudget()
+    if len(sets) >= SETS_PER_CLOCK_READ:
+        budget.check_deadline("enumerating the sets")
     unique = sorted(set(sets))
     if not unique:
         return 0, ()
-    if symmetries and _transitive_symmetries(unique, symmetries):
+    if symmetries and _transitive_symmetries(unique, symmetries, budget):
         first = set(unique[0])
         neighbours = [member for member in unique[1:] if not first.isdisjoint(member)]
         witness = (unique[0],) + _lex_smallest_maximum(neighbours, budget, offset=1)
@@ -443,16 +475,50 @@ def twin_symmetries(g: SimpleGraph) -> list[dict]:
     return [perm for twins in twin_classes(g) for perm in _transposition_and_cycle(twins)]
 
 
-@dataclass(frozen=True)
 class EkrReport:
-    """Verdict on whether stars are as large as every intersecting family."""
+    """Verdict on whether stars are as large as every intersecting family.
 
-    parameters: dict
-    max_intersecting: int
-    best_star: int
-    verdict: str
-    witness: tuple[tuple, ...]
-    elapsed: float = field(compare=False, default=0.0)
+    Immutable; compared and hashed by every field but ``elapsed``.
+    """
+
+    __slots__ = ("parameters", "max_intersecting", "best_star", "verdict", "witness", "elapsed")
+
+    def __init__(
+        self,
+        parameters: dict,
+        max_intersecting: int,
+        best_star: int,
+        verdict: str,
+        witness: tuple[tuple, ...],
+        elapsed: float = 0.0,
+    ) -> None:
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "max_intersecting", max_intersecting)
+        object.__setattr__(self, "best_star", best_star)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "elapsed", elapsed)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.parameters, self.max_intersecting, self.best_star, self.verdict, self.witness)
+
+    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
+        return (EkrReport, (*self._key(), self.elapsed))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"EkrReport({fields})"
 
     @property
     def holds(self) -> bool:
@@ -579,8 +645,7 @@ def holroyd_talbot_sweep(
     ]
 
 
-@dataclass(frozen=True)
-class LexCheckResult:
+class LexCheckResult(NamedTuple):
     """Premise/conclusion pair for the lexicographic-product implication."""
 
     premise: EkrReport

@@ -13,7 +13,13 @@ import sys
 from collections import Counter
 from itertools import combinations
 
-from ekrcheck import all_intervals, enumerate_cyclic_orders, reference_order
+from ekrcheck import (
+    all_intervals,
+    diagonal_interval,
+    enumerate_cyclic_orders,
+    reference_order,
+    row_projection,
+)
 
 
 def placements_by_cell_filter(n: int, m: int, r: int) -> list[tuple[tuple[int, int], ...]]:
@@ -80,6 +86,42 @@ def tally_by_order(n: int, m: int, r: int) -> Counter:
             tuple(sorted((rows[p - 1], cols[q - 1]) for p, q in cells)) for cells in positions
         )
     return tally
+
+
+def window_check_by_rebuild(order, start_i: int, start_j: int, r: int):
+    """(passed, failure, witness) of check_interval_windows at one start,
+    rebuilding every interval and projection for that start alone and
+    running checks (a), (b) and (c) in turn."""
+    n = order.n
+    base = diagonal_interval(order, start_i, start_j, r)
+    if r == 1:
+        return True, None, None
+
+    def rows_at(first):
+        return frozenset(order.rows[(first - 1 + k) % n] for k in range(r))
+
+    forward = [rows_at(start_i + off) for off in range(1, r)]
+    backward = [rows_at(start_i + off - r) for off in range(1, r)]
+    windows = set(forward) | set(backward)
+    intervals = all_intervals(order, r)
+    for iv in intervals:
+        if iv != base and set(base) & set(iv) and row_projection(iv) not in windows:
+            return False, "interval meets the base but its row projection is not a window", (base, iv)
+    by_projection: dict = {}
+    for iv in intervals:
+        by_projection.setdefault(row_projection(iv), []).append(iv)
+    for off in range(r - 1):
+        for fwd in by_projection.get(forward[off], ()):
+            for bwd in by_projection.get(backward[off], ()):
+                if set(fwd) & set(bwd):
+                    return (False, f"forward and backward window intervals overlap at offset "
+                                   f"{off + 1}", (fwd, bwd))
+    for window in windows:
+        for a, b in combinations(by_projection.get(window, []), 2):
+            if set(a) & set(b):
+                return (False, "two distinct intervals with the same window projection overlap",
+                        (a, b))
+    return True, None, None
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

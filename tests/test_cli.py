@@ -99,6 +99,16 @@ class TestVerify:
         assert result["status"] == "inconclusive"
         assert (result["lower_bound"], result["upper_bound"]) == bounds
 
+    def test_zero_seconds_budget_exits_3_before_a_large_search_is_built(self):
+        # 2,400 placements: the clock is read once enumeration ends.
+        code, out, _ = run_cli(
+            "verify", "--n", "6", "--m", "6", "--r", "3", "--json", "--budget-seconds", "0"
+        )
+        assert code == 3
+        result = json.loads(out)["result"]
+        assert result["reason"] == "enumerating the sets exceeded 0.0 seconds"
+        assert (result["lower_bound"], result["upper_bound"]) == (None, None)
+
     def test_enumeration_budgets_exit_3(self):
         code, out, _ = run_cli("orders", "--n", "8", "--m", "8", "--json")
         assert code == 3
@@ -535,17 +545,22 @@ PAYLOADS = {
 }
 
 
-def _check_witness_in_process(report: object) -> tuple[int, str, str]:
-    """Run check-witness on a report written to a temporary file; returns
-    (exit code, stdout, stderr)."""
+def _run_on_file(document: object, *argv: str) -> tuple[int, str, str]:
+    """Run the CLI in-process on ``document`` written to a temporary JSON
+    file, whose path follows ``argv``; returns (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "report.json")
+        path = os.path.join(work, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh)
+            json.dump(document, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check-witness", "--report", path, "--json"])
+            code = main([*argv, path, "--json"])
     return code, out.getvalue(), err.getvalue()
+
+
+def _check_witness_in_process(report: object) -> tuple[int, str, str]:
+    """Run check-witness on a report written to a temporary file."""
+    return _run_on_file(report, "check-witness", "--report")
 
 
 def _with(name: str, *path: object) -> dict:
@@ -617,14 +632,10 @@ FIELDS = sorted(
 KINDS = sorted({payload["kind"] for payload in PAYLOADS.values()})
 
 
-@st.composite
-def mutated_reports(draw):
-    """A report around a well-formed payload, with one to three fields
-    replaced or deleted at any depth (the payload itself included)."""
-    report = {"schema": 1, "command": "lex",
-              "counterexample": copy.deepcopy(PAYLOADS[draw(st.sampled_from(sorted(PAYLOADS)))])}
+def _mutate(draw, document: dict) -> dict:
+    """``document`` with one to three fields replaced or deleted at any depth."""
     for _ in range(draw(st.integers(1, 3))):
-        node = report
+        node = document
         while True:
             keys = list(node) if isinstance(node, dict) else list(range(len(node)))
             if not keys:
@@ -639,7 +650,17 @@ def mutated_reports(draw):
                 else:
                     node[key] = draw(JSON_VALUES)
                 break
-    return report
+    return document
+
+
+@st.composite
+def mutated_reports(draw):
+    """A report around a well-formed payload, with one to three fields
+    replaced or deleted at any depth (the payload itself included)."""
+    return _mutate(draw, {
+        "schema": 1, "command": "lex",
+        "counterexample": copy.deepcopy(PAYLOADS[draw(st.sampled_from(sorted(PAYLOADS)))]),
+    })
 
 
 @st.composite
@@ -656,5 +677,45 @@ class TestCheckWitnessFuzz:
     @given(mutated_reports() | random_reports() | JSON_VALUES)
     def test_every_report_gets_an_exit_code(self, report):
         code, _, err = _check_witness_in_process(report)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+
+# Well-formed input files, as `product --out` and `enumerate --out` write them.
+GRAPH_FILES = [
+    {"vertices": 5, "edges": [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]},
+    {"vertices": 4, "edges": []},
+]
+FAMILY_FILES = [
+    {"n": 4, "m": 4, "r": 2, "sets": [[[1, 1], [2, 2]], [[1, 1], [3, 3]], [[1, 2], [2, 1]]]},
+    {"n": 3, "m": 2, "r": 1, "sets": [[[1, 1]], [[2, 2]]]},
+]
+
+
+@st.composite
+def mutated_files(draw, documents):
+    return _mutate(draw, copy.deepcopy(draw(st.sampled_from(documents))))
+
+
+def random_files(fields):
+    """A document of known field names with random values."""
+    return st.dictionaries(st.sampled_from(fields), JSON_VALUES, max_size=len(fields))
+
+
+class TestInputFileFuzz:
+    """Whatever a graph or family file holds, the command ends in exit 0-3
+    with no traceback."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_files(GRAPH_FILES) | random_files(["vertices", "edges"]) | JSON_VALUES)
+    def test_every_graph_file_gets_an_exit_code(self, document):
+        code, _, err = _run_on_file(document, "graph-stats", "--graph")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_files(FAMILY_FILES) | random_files(["n", "m", "r", "sets"]) | JSON_VALUES)
+    def test_every_family_file_gets_an_exit_code(self, document):
+        code, _, err = _run_on_file(document, "double-count", "--family")
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import permutations
 from random import Random
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from ekrcheck import (
     CyclicOrder,
+    WindowReport,
+    cycles,
     all_intervals,
     canonical_order,
     check_interval_windows,
@@ -16,6 +20,7 @@ from ekrcheck import (
     diagonal_interval,
     enumerate_cyclic_orders,
     enumerate_placements,
+    first_window_failure,
     interval_double_count,
     interval_double_counts,
     interval_occurrence_count,
@@ -30,7 +35,7 @@ from ekrcheck import (
     Family,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
-from helpers import tally_by_order
+from helpers import tally_by_order, window_check_by_rebuild
 
 IDENTITY_33 = CyclicOrder((1, 2, 3), (1, 2, 3))
 IDENTITY_44 = CyclicOrder((1, 2, 3, 4), (1, 2, 3, 4))
@@ -270,6 +275,57 @@ class TestWindows:
     def test_half_range_enforced(self):
         with pytest.raises(InputError):
             check_interval_windows(IDENTITY_44, 1, 1, 3)
+        with pytest.raises(InputError):
+            first_window_failure(IDENTITY_44, 3)
+
+    @pytest.mark.parametrize("n, m", [(4, 4), (4, 6), (5, 5), (6, 5)])
+    def test_shared_work_gives_each_start_its_own_report(self, n, m, monkeypatch):
+        # Past the half range some starts fail, so the failure reports are
+        # compared too.
+        monkeypatch.setattr(cycles, "_require_half_range", lambda order, r: None)
+        starts = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+        rng = Random(n * m)
+        orders = [reference_order(n, m)] + [
+            canonical_order(rng.sample(range(1, n + 1), n), rng.sample(range(1, m + 1), m))
+            for _ in range(2)
+        ]
+        failures = 0
+        for order in orders:
+            for r in range(1, min(n, m) + 1):
+                shared = cycles._window_check(order, r)
+                reports = [shared(i, j) for i, j in starts]
+                assert [(report.passed, report.failure, report.witness) for report in reports] \
+                    == [window_check_by_rebuild(order, i, j, r) for i, j in starts]
+                assert reports == [check_interval_windows(order, i, j, r) for i, j in starts]
+                failed = [report for report in reports if not report.passed]
+                assert first_window_failure(order, r) == (failed[0] if failed else None)
+                failures += len(failed)
+        assert failures
+
+    def test_every_start_passes_in_the_half_range(self):
+        for n, m in [(4, 4), (5, 7), (6, 6)]:
+            for r in range(1, min(n, m) // 2 + 1):
+                assert first_window_failure(reference_order(n, m), r) is None
+
+
+class TestRecords:
+    def test_order_equality_and_hash(self):
+        same = CyclicOrder((1, 2, 3), (1, 2, 3))
+        assert same == IDENTITY_33 and hash(same) == hash(IDENTITY_33)
+        assert IDENTITY_33 != CyclicOrder((1, 3, 2), (1, 2, 3))
+        assert len({IDENTITY_33, same, IDENTITY_44}) == 2
+
+    def test_order_is_immutable(self):
+        with pytest.raises(AttributeError):
+            IDENTITY_33.rows = (1, 3, 2)
+
+    def test_order_copies_and_pickles(self):
+        assert copy.deepcopy(IDENTITY_44) == pickle.loads(pickle.dumps(IDENTITY_44)) == IDENTITY_44
+
+    def test_window_report_defaults(self):
+        report = WindowReport(True, IDENTITY_44, (1, 1), 2)
+        assert (report.failure, report.witness) == (None, None)
+        assert report == check_interval_windows(IDENTITY_44, 1, 1, 2)
 
 
 class TestOrderInvariance:

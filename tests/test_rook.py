@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from itertools import combinations
 from random import Random
 
@@ -193,6 +195,24 @@ class TestFamily:
         path.write_text(json.dumps({"n": 3, "m": 3, "sets": []}))
         with pytest.raises(InputError, match='"r"'):
             load_family(str(path))
+
+
+class TestFamilyRecord:
+    def test_equality_and_hash(self):
+        a = Family.build(3, 3, 1, [[(1, 1)], [(2, 2)]])
+        b = Family(3, 3, 1, (((1, 1),), ((2, 2),)))
+        assert a == b and hash(a) == hash(b)
+        assert a != Family(3, 3, 1, (((1, 1),),))
+        assert a != Family(3, 4, 1, b.sets)
+
+    def test_immutable(self):
+        family = Family(2, 2, 1, ())
+        with pytest.raises(AttributeError):
+            family.sets = (((1, 1),),)
+
+    def test_copies_and_pickles(self):
+        family = Family.build(3, 3, 2, [[(1, 1), (2, 2)]])
+        assert copy.deepcopy(family) == pickle.loads(pickle.dumps(family)) == family
 
 
 class TestRandomFamilies:

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import time
 from itertools import combinations
+from types import SimpleNamespace
 from random import Random
 
 import pytest
@@ -140,6 +143,67 @@ class TestMaxIntersectingFamily:
             max_intersecting_family(enumerate_placements(4, 4, 2), budget)
         # Stopped at the first node: nothing beyond the seed star is known.
         assert info.value.lower_bound == 9
+
+
+def expired_budget() -> SearchBudget:
+    budget = SearchBudget(max_seconds=0.0)
+    time.sleep(0.001)
+    return budget
+
+
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Fail the test if a clique engine is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the clique engine was built")
+
+    monkeypatch.setattr(search, "_CliqueEngine", refuse)
+
+
+class TestClockBeforeTheFirstNode:
+    """With 1,024 sets or more, an expired budget stops the search before
+    its clique engine is built; smaller families reach the engine's first
+    node, which reports bounds (TestMaxIntersectingFamily)."""
+
+    def test_after_enumeration(self, no_engine):
+        with pytest.raises(ResourceLimitError) as info:
+            rook_ekr_report(6, 6, 3, expired_budget())
+        assert str(info.value) == "enumerating the sets exceeded 0.0 seconds"
+        assert (info.value.lower_bound, info.value.upper_bound) == (None, None)
+
+    def test_in_the_symmetry_check(self):
+        unique = sorted(set(enumerate_placements(6, 6, 3)))
+        with pytest.raises(ResourceLimitError, match="^symmetry check exceeded"):
+            search._transitive_symmetries(unique, rook_symmetries(6, 6), expired_budget())
+
+    def test_while_building_the_masks(self, no_engine):
+        members = enumerate_placements(6, 6, 3)
+        with pytest.raises(ResourceLimitError, match="^building the compatibility masks exceeded"):
+            search._lex_smallest_maximum(members, expired_budget())
+
+    def test_every_node_reads_the_clock(self, monkeypatch):
+        # A clock that moves one second per reading: a 5 s budget runs out
+        # within a handful of nodes, long before a 256th node.
+        readings = iter(range(10**6))
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+        budget = SearchBudget(max_seconds=5)
+        spent = []
+        tick = search._CliqueEngine._tick
+
+        def counted(engine):
+            spent.append(engine._nodes)
+            tick(engine)
+
+        monkeypatch.setattr(search._CliqueEngine, "_tick", counted)
+        with pytest.raises(ResourceLimitError, match="^clique search exceeded 5 seconds"):
+            max_intersecting_family(enumerate_independent(empty_graph(9), 4), budget)
+        assert len(spent) <= 6
+
+    def test_a_live_budget_changes_nothing(self):
+        sets = enumerate_placements(6, 6, 3)
+        assert max_intersecting_family(sets, SearchBudget(max_seconds=60), rook_symmetries(6, 6)) \
+            == max_intersecting_family(sets, None, rook_symmetries(6, 6))
 
 
 class TestRookVerdicts:
@@ -396,3 +460,34 @@ class TestRenumberedColoring:
         for members in classes:
             assert members
             assert all(not adjacency[v] & members for v in bits(members))
+
+
+class TestRecords:
+    def report(self, elapsed: float) -> search.EkrReport:
+        return search.EkrReport({"kind": "rook"}, 9, 9, "EKR_HOLDS", ((1,),), elapsed)
+
+    def test_report_equality_ignores_elapsed(self):
+        assert self.report(1.0) == self.report(2.0)
+        assert self.report(1.0) != search.EkrReport({"kind": "rook"}, 9, 9, "EKR_FAILS", ((1,),))
+        assert self.report(0.5).elapsed == 0.5
+
+    def test_report_is_immutable(self):
+        with pytest.raises(AttributeError):
+            self.report(0.0).verdict = "EKR_FAILS"
+
+    def test_report_copies_and_pickles(self):
+        report = self.report(0.25)
+        for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+            assert (twin, twin.elapsed) == (report, 0.25)
+
+    def test_budget_compares_its_limits_and_is_unhashable(self):
+        assert SearchBudget(5, 1.0) == SearchBudget(max_nodes=5, max_seconds=1.0)
+        assert SearchBudget(5) != SearchBudget(6)
+        assert SearchBudget().deadline is None
+        with pytest.raises(TypeError):
+            hash(SearchBudget())
+
+    def test_lex_result_fields(self):
+        premise, conclusion = self.report(0.0), search.EkrReport({}, 3, 2, "EKR_FAILS", ())
+        result = search.LexCheckResult(premise=premise, conclusion=conclusion)
+        assert (result.premise, result.conclusion, result.violation) == (premise, conclusion, True)
