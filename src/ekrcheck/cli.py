@@ -26,7 +26,10 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 
-from .errors import DEFAULT_SEARCH_VERTEX_BUDGET, InputError, ResourceLimitError
+from .errors import (
+    DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError,
+    ResourceLimitError, load_json, save_json,
+)
 
 SCHEMA_VERSION = 1
 
@@ -79,6 +82,13 @@ def _check_interval_pairs(n: int, m: int, r_values: Sequence[int]) -> None:
         )
 
 
+# count writes (n-1)! * (m-1)! and its other counts in full, in time
+# quadratic in their digits, so a grid with a side longer than this exits 3
+# before any count is computed.  The largest grid it answers, 10^4 x 10^4,
+# writes about 165,000 digits.
+COUNT_SIDE_BUDGET = 10**4
+
+
 def _placement_json(placement: tuple) -> list[list[int]]:
     return [list(cell) for cell in placement]
 
@@ -112,6 +122,11 @@ def _family_exceeds_star_payload(report, g) -> dict:
 def _run_count(args) -> tuple[dict, dict, dict | None, int]:
     from . import counts
 
+    if max(args.n, args.m) > COUNT_SIDE_BUDGET:
+        raise ResourceLimitError(
+            f"count on a {args.n} x {args.m} grid: a side exceeds the budget of "
+            f"{COUNT_SIDE_BUDGET}"
+        )
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     result = {
         "placements": counts.rook_placement_count(args.n, args.m, args.r),
@@ -314,9 +329,7 @@ def _run_orders(args) -> tuple[dict, dict, dict | None, int]:
     payload = [order.to_json_dict() for order in order_list]
     result: dict = {"count": len(order_list)}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        save_json(payload, args.out)
         result["written"] = args.out
     else:
         result["orders"] = payload
@@ -346,10 +359,13 @@ def _run_product(args) -> tuple[dict, dict, dict | None, int]:
 
     if len(args.graph or []) != 2:
         raise InputError("product needs exactly two --graph arguments")
-    left = _graph_argument(args.graph[0], args.vertex_budget)
-    right = _graph_argument(args.graph[1], args.vertex_budget)
+    # --vertex-budget is meant for the exhaustive searches, so it only ever
+    # raises the product's own default bound.
+    bound = max(args.vertex_budget, graphs.DEFAULT_PRODUCT_VERTEX_BUDGET)
+    left = _graph_argument(args.graph[0], bound)
+    right = _graph_argument(args.graph[1], bound)
     build = graphs.cartesian_product if args.kind == "cartesian" else graphs.lexicographic_product
-    product = build(left, right, args.vertex_budget)
+    product = build(left, right, bound)
     parameters = {"kind": args.kind, "graph": list(args.graph)}
     result: dict = {"vertices": product.vertex_count, "edge_count": product.edge_count}
     if args.out:
@@ -415,11 +431,7 @@ def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
 def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
     from .witness import VALIDATORS
 
-    with open(args.report, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.report}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    report = load_json(args.report)
     if not isinstance(report, dict):
         raise InputError(f"{args.report}: a report must be a JSON object, got {type(report).__name__}")
     payload = report.get("counterexample")
@@ -465,12 +477,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit one JSON report on stdout")
     parser.add_argument("--out", help="write the produced artifact to this file")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks (default 0)")
-    parser.add_argument("--budget-nodes", type=_nonnegative(int), default=10**8,
-                        help="search node budget (default 1e8)")
+    parser.add_argument("--budget-nodes", type=_nonnegative(int), default=DEFAULT_NODE_BUDGET,
+                        help="search node budget (default %(default)s)")
     parser.add_argument("--budget-seconds", type=_nonnegative(float), default=None,
                         help="wall-clock budget for searches")
-    parser.add_argument("--budget-sets", type=_nonnegative(int), default=10**6,
-                        help="output-size budget for enumerations (default 1e6)")
+    parser.add_argument("--budget-sets", type=_nonnegative(int), default=DEFAULT_SET_BUDGET,
+                        help="output-size budget for enumerations (default %(default)s)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect (sweeps run in one process)")
     parser.add_argument("--vertex-budget", type=_nonnegative(int),
@@ -624,22 +636,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ekrcheck: error: {detail}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
-        report = {
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "parameters": _args_parameters(args),
-            "result": {
-                "status": "inconclusive",
-                "reason": str(exc),
-                "lower_bound": exc.lower_bound,
-                "upper_bound": exc.upper_bound,
-            },
-            "counterexample": None,
-            "elapsed_ms": int((time.monotonic() - started) * 1000),
-            "seed": seed,
+        parameters = _args_parameters(args)
+        result = {
+            "status": "inconclusive",
+            "reason": str(exc),
+            "lower_bound": exc.lower_bound,
+            "upper_bound": exc.upper_bound,
         }
-        _emit(report, args.json)
-        return 3
+        counterexample = None
+        exit_code = 3
     report = {
         "schema": SCHEMA_VERSION,
         "command": args.command,

@@ -80,14 +80,13 @@ from math import factorial, perm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .counts import cyclic_order_count, interval_occurrence_count
-from .errors import InputError, ResourceLimitError, is_integer
+from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer
 from .rook import Family, Placement, canonical_placement, row_projection
 
-DEFAULT_ORDER_BUDGET = 10**6
 TALLY_WORK_BUDGET = 5 * 10**7
 
 
-class CyclicOrder:
+class CyclicOrder(Record):
     """Canonical representative of one equivalence class.
 
     ``rows`` lists row labels by position (rows[0] is position 1), and
@@ -105,28 +104,7 @@ class CyclicOrder:
                 "cyclic order is not canonical: both sequences must start with 1 "
                 "(use canonical_order to rotate arbitrary permutation pairs)"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.rows, self.cols)
-
-    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
-        return (CyclicOrder, self._key())
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"CyclicOrder(rows={self.rows!r}, cols={self.cols!r})"
+        super().__init__(rows, cols)
 
     @property
     def n(self) -> int:
@@ -164,7 +142,7 @@ def canonical_order(rows: Sequence[int], cols: Sequence[int]) -> CyclicOrder:
 def enumerate_cyclic_orders(
     n: int,
     m: int,
-    max_orders: int = DEFAULT_ORDER_BUDGET,
+    max_orders: int = DEFAULT_SET_BUDGET,
 ) -> list[CyclicOrder]:
     """All canonical cyclic orders in lexicographic (rows, cols) order."""
     total = cyclic_order_count(n, m)
@@ -321,7 +299,7 @@ def count_orders_containing(
     n: int,
     m: int,
     placement: Iterable[Iterable[int]],
-    max_orders: int = DEFAULT_ORDER_BUDGET,
+    max_orders: int = DEFAULT_SET_BUDGET,
 ) -> int:
     """Number of canonical cyclic orders realizing the placement as an interval."""
     canon = canonical_placement(placement, n, m)

@@ -8,27 +8,28 @@ immutable after construction.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DEFAULT_SEARCH_VERTEX_BUDGET, InputError, ResourceLimitError, is_integer
+from .errors import (
+    DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError,
+    is_integer, load_json, save_json,
+)
 
 VertexSet = tuple[int, ...]
 
-DEFAULT_ENUMERATION_BUDGET = 10**6
 DEFAULT_PRODUCT_VERTEX_BUDGET = 4096
 
 
-class SimpleGraph:
-    """Immutable undirected graph on vertices 1..vertex_count."""
+class SimpleGraph(Record):
+    """Immutable undirected graph on vertices 1..vertex_count; compared and
+    hashed by its vertex count and edge list, and rebuilt from them."""
 
     __slots__ = ("_n", "_edges", "_adj")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = ()) -> None:
         if vertex_count < 1:
             raise InputError(f"vertex_count must be at least 1, got {vertex_count}")
-        self._n = vertex_count
         adj = [0] * (vertex_count + 1)
         seen: set[tuple[int, int]] = set()
         for index, edge in enumerate(edges):
@@ -48,8 +49,7 @@ class SimpleGraph:
             seen.add(key)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self._edges = tuple(sorted(seen))
-        self._adj = tuple(adj)
+        super().__init__(vertex_count, tuple(sorted(seen)), tuple(adj))
 
     @property
     def vertex_count(self) -> int:
@@ -97,13 +97,11 @@ class SimpleGraph:
         if not is_integer(v) or not 1 <= v <= self._n:
             raise InputError(f"vertex label out of range 1..{self._n}: {v!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimpleGraph):
-            return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+    def _key(self) -> tuple:
+        return (self._n, self._edges)
 
-    def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+    def __reduce__(self) -> tuple:
+        return (SimpleGraph, self._key())
 
     def __repr__(self) -> str:
         return f"SimpleGraph(vertices={self._n}, edges={len(self._edges)})"
@@ -183,7 +181,7 @@ def lexicographic_product(
 def enumerate_independent(
     g: SimpleGraph,
     r: int,
-    max_sets: int = DEFAULT_ENUMERATION_BUDGET,
+    max_sets: int = DEFAULT_SET_BUDGET,
 ) -> list[VertexSet]:
     """All independent r-subsets of V(G), sorted ascending within each set
     and emitted in lexicographic order with no duplicates."""
@@ -352,15 +350,8 @@ def graph_from_json_dict(obj: object) -> SimpleGraph:
 
 
 def load_graph(path: str) -> SimpleGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return graph_from_json_dict(obj)
+    return graph_from_json_dict(load_json(path))
 
 
 def save_graph(g: SimpleGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json_dict(g), fh, indent=2)
-        fh.write("\n")
+    save_json(graph_to_json_dict(g), path)

@@ -8,18 +8,17 @@ they share a row or a column.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations, permutations
 from random import Random
 from typing import Iterable, Iterator
 
 from .counts import rook_placement_count, rook_star_count
-from .errors import InputError, ResourceLimitError, is_integer
+from .errors import (
+    DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer, load_json, save_json,
+)
 
 Cell = tuple[int, int]
 Placement = tuple[Cell, ...]
-
-DEFAULT_FAMILY_BUDGET = 10**6
 
 
 def canonical_placement(cells: Iterable[Iterable[int]], n: int, m: int) -> Placement:
@@ -64,7 +63,7 @@ def placements_intersect(a: Placement, b: Placement) -> bool:
     return not set(a).isdisjoint(b)
 
 
-class Family:
+class Family(Record):
     """A deduplicated collection of r-placements sharing one (n, m, r) context.
 
     Immutable; compared and hashed by (n, m, r, sets).
@@ -73,30 +72,7 @@ class Family:
     __slots__ = ("n", "m", "r", "sets")
 
     def __init__(self, n: int, m: int, r: int, sets: tuple[Placement, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "sets", sets)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.n, self.m, self.r, self.sets)
-
-    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
-        return (Family, self._key())
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Family(n={self.n!r}, m={self.m!r}, r={self.r!r}, sets={self.sets!r})"
+        super().__init__(n, m, r, sets)
 
     @classmethod
     def build(cls, n: int, m: int, r: int, members: Iterable[Iterable[Iterable[int]]]) -> "Family":
@@ -130,7 +106,7 @@ def enumerate_placements(
     n: int,
     m: int,
     r: int,
-    max_sets: int = DEFAULT_FAMILY_BUDGET,
+    max_sets: int = DEFAULT_SET_BUDGET,
 ) -> list[Placement]:
     """All r-rook placements on the n-by-m grid in lexicographic order.
 
@@ -276,15 +252,8 @@ def family_from_json_dict(obj: object) -> Family:
 
 
 def load_family(path: str) -> Family:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return family_from_json_dict(obj)
+    return family_from_json_dict(load_json(path))
 
 
 def save_family(family: Family, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_json_dict(family), fh, indent=2)
-        fh.write("\n")
+    save_json(family_to_json_dict(family), path)

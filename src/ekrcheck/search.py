@@ -50,7 +50,10 @@ import time
 from typing import Mapping, NamedTuple, Sequence
 
 from .counts import rook_star_count
-from .errors import InputError, ResourceLimitError
+from .errors import (
+    DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
+    ResourceLimitError,
+)
 from .graphs import (
     SimpleGraph,
     best_star_size,
@@ -59,10 +62,8 @@ from .graphs import (
     min_maximal_independent_size,
     complete_graph,
     twin_classes,
-    DEFAULT_ENUMERATION_BUDGET,
-    DEFAULT_SEARCH_VERTEX_BUDGET,
 )
-from .rook import enumerate_placements, pairwise_intersecting, DEFAULT_FAMILY_BUDGET
+from .rook import enumerate_placements, pairwise_intersecting
 
 VERDICT_HOLDS = "EKR_HOLDS"
 VERDICT_FAILS = "EKR_FAILS"
@@ -87,7 +88,9 @@ class SearchBudget:
 
     __slots__ = ("max_nodes", "max_seconds", "deadline")
 
-    def __init__(self, max_nodes: int = 10**8, max_seconds: float | None = None) -> None:
+    def __init__(
+        self, max_nodes: int = DEFAULT_NODE_BUDGET, max_seconds: float | None = None
+    ) -> None:
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.deadline = time.monotonic() + max_seconds if max_seconds is not None else None
@@ -475,10 +478,11 @@ def twin_symmetries(g: SimpleGraph) -> list[dict]:
     return [perm for twins in twin_classes(g) for perm in _transposition_and_cycle(twins)]
 
 
-class EkrReport:
+class EkrReport(Record):
     """Verdict on whether stars are as large as every intersecting family.
 
-    Immutable; compared and hashed by every field but ``elapsed``.
+    Immutable; compared by every field but ``elapsed``.  Unhashable, since
+    ``parameters`` is a dict.
     """
 
     __slots__ = ("parameters", "max_intersecting", "best_star", "verdict", "witness", "elapsed")
@@ -492,33 +496,12 @@ class EkrReport:
         witness: tuple[tuple, ...],
         elapsed: float = 0.0,
     ) -> None:
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "max_intersecting", max_intersecting)
-        object.__setattr__(self, "best_star", best_star)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "elapsed", elapsed)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+        super().__init__(parameters, max_intersecting, best_star, verdict, witness, elapsed)
 
     def _key(self) -> tuple:
-        return (self.parameters, self.max_intersecting, self.best_star, self.verdict, self.witness)
+        return self._fields()[:-1]  # every field but elapsed
 
-    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
-        return (EkrReport, (*self._key(), self.elapsed))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"EkrReport({fields})"
+    __hash__ = None  # parameters is a dict
 
     @property
     def holds(self) -> bool:
@@ -557,7 +540,7 @@ def rook_ekr_report(
     m: int,
     r: int,
     budget: SearchBudget | None = None,
-    max_sets: int = DEFAULT_FAMILY_BUDGET,
+    max_sets: int = DEFAULT_SET_BUDGET,
 ) -> EkrReport:
     """Exact verdict for the n-by-m rook grid at size r.
 
@@ -586,7 +569,7 @@ def graph_ekr_report(
     g: SimpleGraph,
     r: int,
     budget: SearchBudget | None = None,
-    max_sets: int = DEFAULT_ENUMERATION_BUDGET,
+    max_sets: int = DEFAULT_SET_BUDGET,
     vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
     known_min_maximal: int | None = None,
 ) -> EkrReport:
@@ -628,7 +611,7 @@ def graph_ekr_report(
 def holroyd_talbot_sweep(
     g: SimpleGraph,
     budget: SearchBudget | None = None,
-    max_sets: int = DEFAULT_ENUMERATION_BUDGET,
+    max_sets: int = DEFAULT_SET_BUDGET,
     vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
     known_min_maximal: int | None = None,
 ) -> list[EkrReport]:
@@ -663,7 +646,7 @@ def lex_product_check(
     k: int,
     r: int,
     budget: SearchBudget | None = None,
-    max_sets: int = DEFAULT_ENUMERATION_BUDGET,
+    max_sets: int = DEFAULT_SET_BUDGET,
     vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
 ) -> LexCheckResult:
     """Check the implication: if G is r-EKR then G[K_k] is r-EKR."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ekrcheck import cycles, graphs, load_family, load_graph
+from ekrcheck import cycles, enumerate_placements, graphs, load_family, load_graph, search
 from ekrcheck.cli import main
 from helpers import canonical_json_without_elapsed, run_cli
 
@@ -202,6 +202,20 @@ class TestSweeps:
         assert main(["count", "--n", "2", "--m", "1600", "--r", "1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["cyclic_orders"] == factorial(1599)
 
+    def test_count_answers_a_side_at_the_budget(self, capsys):
+        assert main(["count", "--n", "10000", "--m", "2", "--r", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["cyclic_orders"] == factorial(9999)
+
+    def test_count_past_the_side_budget_exits_3_at_once(self, capsys):
+        started = time.monotonic()
+        assert main(["count", "--n", "2", "--m", "10001", "--r", "1", "--json"]) == 3
+        assert time.monotonic() - started < 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["result"]["reason"] == (
+            "count on a 2 x 10001 grid: a side exceeds the budget of 10000"
+        )
+
 
 class TestOrdersAndFiles:
     def test_orders_inline(self):
@@ -231,6 +245,22 @@ class TestOrdersAndFiles:
         g = load_graph(str(out_path))
         assert g.vertex_count == 12
         assert g.edge_count == 3 * 6 + 4 * 3
+
+    def test_product_of_k5_with_itself_is_the_papers_grid(self, capsys):
+        argv = ["product", "--kind", "cartesian", "--graph", "K5", "--graph", "K5", "--json"]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["vertices"], result["edge_count"]) == (25, 100)
+
+    @pytest.mark.parametrize("extra, code", [([], 3), (["--vertex-budget", "4200"], 0)])
+    def test_product_bound_is_the_larger_budget(self, capsys, extra, code):
+        argv = ["product", "--kind", "lexicographic", "--graph", "E70", "--graph", "E60"]
+        assert main([*argv, *extra, "--json"]) == code
+        result = json.loads(capsys.readouterr().out)["result"]
+        if code == 3:
+            assert result["reason"] == "product on 4200 vertices exceeds the budget of 4096"
+        else:
+            assert (result["vertices"], result["edge_count"]) == (4200, 0)
 
     def test_product_needs_two_graphs(self):
         code, _, err = run_cli("product", "--kind", "cartesian", "--graph", "K3")
@@ -451,6 +481,19 @@ class TestFailsClosed:
         code, _, err = run_cli("enumerate", "--n", "3", "--m", "3", "--r", "1", "--out", str(path))
         assert code == 2
         assert str(path) in err
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"vertices": "\xff"}', "not UTF-8 text at byte 14"),
+        (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply to read"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["graph-stats", "--graph"], ["double-count", "--family"], ["check-witness", "--report"],
+    ])
+    def test_unreadable_json_file_exits_2(self, tmp_path, capsys, content, message, argv):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main([*argv, str(path), "--json"]) == 2
+        assert capsys.readouterr().err == f"ekrcheck: error: {path}: {message}\n"
 
     def test_non_object_report(self, tmp_path):
         path = tmp_path / "list.json"
@@ -719,3 +762,49 @@ class TestInputFileFuzz:
         code, _, err = _run_on_file(document, "double-count", "--family")
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+class TestProducersMeetTheirValidators:
+    """A faked failure in each counterexample producer that no in-range run
+    reaches: check-witness must read the counterexample (never exit 2) and
+    refute it (exit 1), since the real recomputation holds."""
+
+    def produce_and_check(self, monkeypatch, capsys, command: str) -> str:
+        """Run ``command`` on the 4 x 4 grid at r = 2 and check its
+        counterexample; returns the counterexample's kind."""
+        assert main([command, "--n", "4", "--m", "4", "--r", "2", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()  # the validator recomputes with the real library
+        code, out, err = _check_witness_in_process(report)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"]["confirmed"] is False
+        return report["counterexample"]["kind"]
+
+    @pytest.mark.parametrize("kind", ["interval_family_exceeds_r", "interval_tightness_gap"])
+    def test_lemma1(self, monkeypatch, capsys, kind):
+        real = cycles.max_intersecting_intervals_witness
+
+        def faked(order, r):
+            if kind == "interval_tightness_gap":
+                return real(order, r)[:-1]
+            return tuple(sorted(cycles.all_intervals(order, r)))
+
+        monkeypatch.setattr(cycles, "max_intersecting_intervals_witness", faked)
+        assert self.produce_and_check(monkeypatch, capsys, "lemma1") == kind
+
+    def test_windows(self, monkeypatch, capsys):
+        def faked(order, r):
+            return cycles.WindowReport(False, order, (2, 3), r, "faked failure", ())
+
+        monkeypatch.setattr(cycles, "first_window_failure", faked)
+        assert self.produce_and_check(monkeypatch, capsys, "windows") == "window_violation"
+
+    def test_verify(self, monkeypatch, capsys):
+        def faked(n, m, r, budget=None, max_sets=None):
+            placements = tuple(enumerate_placements(n, m, r))
+            parameters = {"kind": "rook", "n": n, "m": m, "r": r}
+            return search.EkrReport(parameters, len(placements), 9, "EKR_FAILS", placements)
+
+        monkeypatch.setattr(search, "rook_ekr_report", faked)
+        kind = self.produce_and_check(monkeypatch, capsys, "verify")
+        assert kind == "intersecting_family_exceeds_star"

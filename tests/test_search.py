@@ -30,6 +30,7 @@ from ekrcheck import (
     star_family,
     twin_classes,
     twin_symmetries,
+    CyclicOrder,
     Family,
     SimpleGraph,
 )
@@ -479,6 +480,30 @@ class TestRecords:
         report = self.report(0.25)
         for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
             assert (twin, twin.elapsed) == (report, 0.25)
+
+    def test_report_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(self.report(0.0))
+        with pytest.raises(TypeError):
+            hash(rook_ekr_report(3, 3, 1))
+
+    def test_reprs_name_every_field(self):
+        assert repr(self.report(0.5)) == (
+            "EkrReport(parameters={'kind': 'rook'}, max_intersecting=9, best_star=9, "
+            "verdict='EKR_HOLDS', witness=((1,),), elapsed=0.5)"
+        )
+        assert repr(CyclicOrder((1, 2), (1, 3, 2))) == "CyclicOrder(rows=(1, 2), cols=(1, 3, 2))"
+        assert repr(Family(2, 2, 1, (((1, 1),),))) == "Family(n=2, m=2, r=1, sets=(((1, 1),),))"
+        assert repr(path_graph(3)) == "SimpleGraph(vertices=3, edges=2)"
+
+    def test_graph_is_an_immutable_record_of_its_edges(self):
+        g = path_graph(3)
+        with pytest.raises(AttributeError):
+            g._edges = ()
+        twins = (copy.deepcopy(g), pickle.loads(pickle.dumps(g)), path_graph(3))
+        assert all(twin == g and hash(twin) == hash(g) for twin in twins)
+        assert twins[1].adjacency_mask(2) == g.adjacency_mask(2)
+        assert g != cycle_graph(3) and g != empty_graph(3)
 
     def test_budget_compares_its_limits_and_is_unhashable(self):
         assert SearchBudget(5, 1.0) == SearchBudget(max_nodes=5, max_seconds=1.0)
