@@ -5,15 +5,17 @@ standard output, otherwise a small fixed table.  Exit codes:
 
     0   verified / property holds
     1   violation found (a machine-checkable counterexample is embedded)
-    2   usage or input error
+    2   usage or input error, an unknown flag included
     3   budget exhausted (inconclusive)
+    141 the reader closed standard output before the report was written
 
 Reports from runs that exit 1 can be revalidated independently with the
-``check-witness`` subcommand.
+``check-witness`` subcommand; ``witness`` writes each counterexample kind.
 
 This module imports only the standard library and ``errors`` when it
 loads; each handler imports the library modules it runs, so a command
-compiles no module it does not use.
+compiles no module it does not use, and imports a counterexample producer
+only when it finds a violation.  Each command takes only the flags it reads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Callable, Sequence
 
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError,
-    ResourceLimitError, load_json, save_json,
+    ResourceLimitError, save_json,
 )
 
 SCHEMA_VERSION = 1
@@ -66,6 +68,17 @@ def _graph_argument(text: str, vertex_budget: int):
     )
 
 
+def _artifact(out: str | None, result: dict, key: str, document: object) -> dict:
+    """``result`` with ``document`` written to the --out file, or held under
+    ``key`` when there is none."""
+    if out:
+        save_json(document, out)
+        result["written"] = out
+    else:
+        result[key] = document
+    return result
+
+
 # lemma1 and windows compare each of the identity order's n*m intervals with
 # every other at r cells a pair: (n*m)^2 * r steps for each r they evaluate.
 # Grids past this many steps exit 3 before any comparison; every grid of at
@@ -87,32 +100,6 @@ def _check_interval_pairs(n: int, m: int, r_values: Sequence[int]) -> None:
 # before any count is computed.  The largest grid it answers, 10^4 x 10^4,
 # writes about 165,000 digits.
 COUNT_SIDE_BUDGET = 10**4
-
-
-def _placement_json(placement: tuple) -> list[list[int]]:
-    return [list(cell) for cell in placement]
-
-
-def _family_exceeds_star_payload(report, g) -> dict:
-    """The counterexample of a search report that refutes EKR; ``g`` is the
-    searched graph, or None for a rook grid."""
-    from . import graphs
-
-    params = report.parameters
-    if params["kind"] == "rook":
-        context = {"type": "rook", "n": params["n"], "m": params["m"], "r": params["r"]}
-    else:
-        context = {
-            "type": "graph",
-            "graph": graphs.graph_to_json_dict(g),
-            "r": params["r"],
-        }
-    return {
-        "kind": "intersecting_family_exceeds_star",
-        "context": context,
-        "family": report.witness_to_json(),
-        "best_star": report.best_star,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +130,7 @@ def _run_enumerate(args) -> tuple[dict, dict, dict | None, int]:
     parameters = {"n": args.n, "m": args.m, "r": args.r}
     placements = rook.enumerate_placements(args.n, args.m, args.r, args.budget_sets)
     family = rook.Family(args.n, args.m, args.r, tuple(placements))
-    result: dict = {"count": len(family)}
-    if args.out:
-        rook.save_family(family, args.out)
-        result["written"] = args.out
-    else:
-        result["family"] = rook.family_to_json_dict(family)
+    result = _artifact(args.out, {"count": len(family)}, "family", rook.family_to_json_dict(family))
     return parameters, result, None, 0
 
 
@@ -159,7 +141,11 @@ def _run_verify(args) -> tuple[dict, dict, dict | None, int]:
     report = search.rook_ekr_report(
         args.n, args.m, args.r, budget=_budget(args), max_sets=args.budget_sets
     )
-    counterexample = None if report.holds else _family_exceeds_star_payload(report, None)
+    counterexample = None
+    if not report.holds:
+        from .witness import family_exceeds_star_payload
+
+        counterexample = family_exceeds_star_payload(report, None)
     return parameters, report.to_json_dict(), counterexample, 0 if report.holds else 1
 
 
@@ -189,13 +175,9 @@ def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
             }
         )
         if counterexample is None and value != r:
-            counterexample = {
-                "kind": "interval_family_exceeds_r" if value > r else "interval_tightness_gap",
-                **order.to_json_dict(),
-                "r": r,
-                "found_max": value,
-                "family": [_placement_json(p) for p in witness],
-            }
+            from .witness import interval_family_payload
+
+            counterexample = interval_family_payload(order, r, witness)
     result = {"checks": checks, "all_pass": counterexample is None}
     return parameters, result, counterexample, 0 if counterexample is None else 1
 
@@ -211,14 +193,9 @@ def _run_occurrence(args) -> tuple[dict, dict, dict | None, int]:
     for placement in placements:
         value = tally[placement]
         if value != expected:
-            counterexample = {
-                "kind": "occurrence_mismatch",
-                "n": args.n,
-                "m": args.m,
-                "placement": _placement_json(placement),
-                "expected": expected,
-                "found": value,
-            }
+            from .witness import occurrence_payload
+
+            counterexample = occurrence_payload(args.n, args.m, placement, expected, value)
             break
     result = {
         "placements": len(placements),
@@ -275,13 +252,9 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
         }
         checked.append(entry)
         if counterexample is None and not (entry["equal"] and entry["within_bound"]):
-            counterexample = {
-                "kind": "double_count_violation",
-                "family": rook.family_to_json_dict(family),
-                "lhs": lhs,
-                "rhs": rhs,
-                "bound": bound,
-            }
+            from .witness import double_count_payload
+
+            counterexample = double_count_payload(family, lhs, rhs, bound)
     result = {
         "families": len(checked),
         "all_equal": all(entry["equal"] for entry in checked),
@@ -305,14 +278,11 @@ def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
     # docstring), so the first order's first failure is the sweep's.
     order = cycles.reference_order(args.n, args.m)
     report = cycles.first_window_failure(order, args.r)
-    counterexample = None if report is None else {
-        "kind": "window_violation",
-        **order.to_json_dict(),
-        "start": list(report.start),
-        "r": args.r,
-        "failure": report.failure,
-        "witness": [_placement_json(p) for p in (report.witness or ())],
-    }
+    counterexample = None
+    if report is not None:
+        from .witness import window_payload
+
+        counterexample = window_payload(report)
     result = {
         "orders": order_total,
         "starts_per_order": args.n * args.m,
@@ -327,12 +297,7 @@ def _run_orders(args) -> tuple[dict, dict, dict | None, int]:
     parameters = {"n": args.n, "m": args.m}
     order_list = cycles.enumerate_cyclic_orders(args.n, args.m, args.budget_sets)
     payload = [order.to_json_dict() for order in order_list]
-    result: dict = {"count": len(order_list)}
-    if args.out:
-        save_json(payload, args.out)
-        result["written"] = args.out
-    else:
-        result["orders"] = payload
+    result = _artifact(args.out, {"count": len(order_list)}, "orders", payload)
     return parameters, result, None, 0
 
 
@@ -367,12 +332,8 @@ def _run_product(args) -> tuple[dict, dict, dict | None, int]:
     build = graphs.cartesian_product if args.kind == "cartesian" else graphs.lexicographic_product
     product = build(left, right, bound)
     parameters = {"kind": args.kind, "graph": list(args.graph)}
-    result: dict = {"vertices": product.vertex_count, "edge_count": product.edge_count}
-    if args.out:
-        graphs.save_graph(product, args.out)
-        result["written"] = args.out
-    else:
-        result["graph"] = graphs.graph_to_json_dict(product)
+    result = {"vertices": product.vertex_count, "edge_count": product.edge_count}
+    result = _artifact(args.out, result, "graph", graphs.graph_to_json_dict(product))
     return parameters, result, None, 0
 
 
@@ -390,7 +351,9 @@ def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
     counterexample = None
     for report in reports:
         if not report.holds:
-            counterexample = _family_exceeds_star_payload(report, g)
+            from .witness import family_exceeds_star_payload
+
+            counterexample = family_exceeds_star_payload(report, g)
             break
     result = {
         "min_maximal_independent_size": mu,
@@ -409,12 +372,16 @@ def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
         g, args.k, args.r,
         budget=_budget(args), max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
     )
+    # A violation is a failed conclusion, whose family is reported first.
     counterexample = None
-    if outcome.violation or not outcome.conclusion.holds:
-        product = graphs.lexicographic_product(g, graphs.complete_graph(args.k))
-        counterexample = _family_exceeds_star_payload(outcome.conclusion, product)
-    elif not outcome.premise.holds:
-        counterexample = _family_exceeds_star_payload(outcome.premise, g)
+    if not (outcome.premise.holds and outcome.conclusion.holds):
+        from .witness import family_exceeds_star_payload
+
+        if outcome.conclusion.holds:
+            counterexample = family_exceeds_star_payload(outcome.premise, g)
+        else:
+            product = graphs.lexicographic_product(g, graphs.complete_graph(args.k))
+            counterexample = family_exceeds_star_payload(outcome.conclusion, product)
     result = {
         "premise": outcome.premise.to_json_dict(),
         "conclusion": outcome.conclusion.to_json_dict(),
@@ -424,26 +391,10 @@ def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
     return parameters, result, counterexample, exit_code
 
 
-# ---------------------------------------------------------------------------
-# independent counterexample validation
-
-
 def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
-    from .witness import VALIDATORS
+    from .witness import check_report
 
-    report = load_json(args.report)
-    if not isinstance(report, dict):
-        raise InputError(f"{args.report}: a report must be a JSON object, got {type(report).__name__}")
-    payload = report.get("counterexample")
-    if payload is None:
-        raise InputError("the report carries no counterexample to check")
-    if not isinstance(payload, dict):
-        raise InputError(f'"counterexample" must be a JSON object, got {type(payload).__name__}')
-    kind = payload.get("kind")
-    validator = VALIDATORS.get(kind) if isinstance(kind, str) else None
-    if validator is None:
-        raise InputError(f"unknown counterexample kind {kind!r}")
-    confirmed, detail = validator(payload)
+    kind, confirmed, detail = check_report(args.report)
     parameters = {"report": args.report}
     result = {"kind": kind, "confirmed": confirmed, "detail": detail}
     return parameters, result, None, 0 if confirmed else 1
@@ -461,7 +412,7 @@ def _budget(args):
 
 
 def _nonnegative(cast: Callable[[str], int | float]) -> Callable[[str], int | float]:
-    """Argument type for budgets: ``cast`` the text and refuse values below 0."""
+    """Argument type for budgets and --samples: ``cast`` the text, refuse values below 0."""
 
     def parse(text: str) -> int | float:
         value = cast(text)
@@ -473,29 +424,75 @@ def _nonnegative(cast: Callable[[str], int | float]) -> Callable[[str], int | fl
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit one JSON report on stdout")
-    parser.add_argument("--out", help="write the produced artifact to this file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks (default 0)")
-    parser.add_argument("--budget-nodes", type=_nonnegative(int), default=DEFAULT_NODE_BUDGET,
-                        help="search node budget (default %(default)s)")
-    parser.add_argument("--budget-seconds", type=_nonnegative(float), default=None,
-                        help="wall-clock budget for searches")
-    parser.add_argument("--budget-sets", type=_nonnegative(int), default=DEFAULT_SET_BUDGET,
-                        help="output-size budget for enumerations (default %(default)s)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect (sweeps run in one process)")
-    parser.add_argument("--vertex-budget", type=_nonnegative(int),
-                        default=DEFAULT_SEARCH_VERTEX_BUDGET,
-                        help="vertex budget for exhaustive graph searches (default %(default)s)")
+# Flag groups: each flag is its add_argument name and options.
+_GRID = (
+    ("--n", {"type": int, "required": True, "help": "number of rows"}),
+    ("--m", {"type": int, "required": True, "help": "number of columns"}),
+)
+_R = (("--r", {"type": int, "required": True, "help": "placement size"}),)
+_GRAPH = (("--graph", {"required": True, "help": "graph file or K/E/P/C shorthand"}),)
+_OUT = (("--out", {"help": "write the produced artifact to this file"}),)
+_SEARCH_BUDGETS = (
+    ("--budget-nodes", {"type": _nonnegative(int), "default": DEFAULT_NODE_BUDGET,
+                        "help": "search node budget (default %(default)s)"}),
+    ("--budget-seconds", {"type": _nonnegative(float), "default": None,
+                          "help": "wall-clock budget for searches"}),
+)
+_SET_BUDGET = (
+    ("--budget-sets", {"type": _nonnegative(int), "default": DEFAULT_SET_BUDGET,
+                       "help": "output-size budget for enumerations (default %(default)s)"}),
+)
+_VERTEX_BUDGET = (
+    ("--vertex-budget", {"type": _nonnegative(int), "default": DEFAULT_SEARCH_VERTEX_BUDGET,
+                         "help": "vertex budget for exhaustive graph searches "
+                                 "(default %(default)s)"}),
+)
+_ALL_BUDGETS = _SEARCH_BUDGETS + _SET_BUDGET + _VERTEX_BUDGET
+# Every command takes these.
+_EVERY = (
+    ("--json", {"action": "store_true", "help": "emit one JSON report on stdout"}),
+    ("--threads", {"type": int, "default": 1, "help": "accepted for compatibility; has no "
+                                                      "effect (sweeps run in one process)"}),
+)
 
-
-def _add_grid(parser: argparse.ArgumentParser, *, need_r: bool, r_optional: bool = False) -> None:
-    parser.add_argument("--n", type=int, required=True, help="number of rows")
-    parser.add_argument("--m", type=int, required=True, help="number of columns")
-    if need_r:
-        parser.add_argument("--r", type=int, required=not r_optional, default=None,
-                            help="placement size")
+# command -> (help, handler, flag groups); each command takes only the flags
+# its handler reads, and any other flag is a usage error (exit 2).
+_COMMANDS = {
+    "count": ("closed-form counts for a grid", _run_count, (_GRID, _R)),
+    "enumerate": ("enumerate rook placements to a family file", _run_enumerate,
+                  (_GRID, _R, _OUT, _SET_BUDGET)),
+    "verify": ("exact EKR verdict for the rook grid", _run_verify,
+               (_GRID, _R, _SEARCH_BUDGETS, _SET_BUDGET)),
+    "lemma1": ("per-order interval bound sweep", _run_lemma1,
+               (_GRID, (("--r", {"type": int, "default": None, "help": "placement size"}),))),
+    "occurrence": ("per-placement order occurrence sweep", _run_occurrence,
+                   (_GRID, _R, _SET_BUDGET)),
+    "double-count": ("incidence identity on a family", _run_double_count, ((
+        ("--family", {"help": "family JSON file to check"}),
+        ("--n", {"type": int, "default": None}),
+        ("--m", {"type": int, "default": None}),
+        ("--r", {"type": int, "default": None}),
+        ("--samples", {"type": _nonnegative(int), "default": 100,
+                       "help": "number of sampled intersecting families (default 100)"}),
+        ("--seed", {"type": int, "default": 0, "help": "seed for sampled checks (default 0)"}),
+    ),)),
+    "windows": ("interval window structure sweep", _run_windows, (_GRID, _R)),
+    "orders": ("enumerate canonical cyclic orders", _run_orders, (_GRID, _OUT, _SET_BUDGET)),
+    "graph-stats": ("independence statistics of a graph", _run_graph_stats,
+                    (_GRAPH, _VERTEX_BUDGET)),
+    "product": ("cartesian or lexicographic product of two graphs", _run_product, ((
+        ("--kind", {"choices": ("cartesian", "lexicographic"), "required": True}),
+        ("--graph", {"action": "append", "help": "give twice: left and right operand"}),
+    ), _VERTEX_BUDGET, _OUT)),
+    "ht": ("EKR sweep over the conjectured range 1..mu/2", _run_ht, (_GRAPH, _ALL_BUDGETS)),
+    "lex": ("EKR implication check for G and G[K_k]", _run_lex, (_GRAPH, (
+        ("--k", {"type": int, "required": True, "help": "clique size substituted per vertex"}),
+        ("--r", {"type": int, "required": True, "help": "independent set size"}),
+    ), _ALL_BUDGETS)),
+    "check-witness": ("independently validate a report's counterexample", _run_check_witness, ((
+        ("--report", {"required": True, "help": "report JSON produced by an exit-1 run"}),
+    ),)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,84 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "independent sets in rook's graphs and small graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="closed-form counts for a grid")
-    _add_grid(p, need_r=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_count)
-
-    p = sub.add_parser("enumerate", help="enumerate rook placements to a family file")
-    _add_grid(p, need_r=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_enumerate)
-
-    p = sub.add_parser("verify", help="exact EKR verdict for the rook grid")
-    _add_grid(p, need_r=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_verify)
-
-    p = sub.add_parser("lemma1", help="per-order interval bound sweep")
-    _add_grid(p, need_r=True, r_optional=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_lemma1)
-
-    p = sub.add_parser("occurrence", help="per-placement order occurrence sweep")
-    _add_grid(p, need_r=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_occurrence)
-
-    p = sub.add_parser("double-count", help="incidence identity on a family")
-    p.add_argument("--family", help="family JSON file to check")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--samples", type=int, default=100,
-                   help="number of sampled intersecting families (default 100)")
-    _add_common(p)
-    p.set_defaults(handler=_run_double_count)
-
-    p = sub.add_parser("windows", help="interval window structure sweep")
-    _add_grid(p, need_r=True)
-    _add_common(p)
-    p.set_defaults(handler=_run_windows)
-
-    p = sub.add_parser("orders", help="enumerate canonical cyclic orders")
-    _add_grid(p, need_r=False)
-    _add_common(p)
-    p.set_defaults(handler=_run_orders)
-
-    p = sub.add_parser("graph-stats", help="independence statistics of a graph")
-    p.add_argument("--graph", required=True, help="graph file or K/E/P/C shorthand")
-    _add_common(p)
-    p.set_defaults(handler=_run_graph_stats)
-
-    p = sub.add_parser("product", help="cartesian or lexicographic product of two graphs")
-    p.add_argument("--kind", choices=("cartesian", "lexicographic"), required=True)
-    p.add_argument("--graph", action="append", help="give twice: left and right operand")
-    _add_common(p)
-    p.set_defaults(handler=_run_product)
-
-    p = sub.add_parser("ht", help="EKR sweep over the conjectured range 1..mu/2")
-    p.add_argument("--graph", required=True, help="graph file or K/E/P/C shorthand")
-    _add_common(p)
-    p.set_defaults(handler=_run_ht)
-
-    p = sub.add_parser("lex", help="EKR implication check for G and G[K_k]")
-    p.add_argument("--graph", required=True, help="graph file or K/E/P/C shorthand")
-    p.add_argument("--k", type=int, required=True, help="clique size substituted per vertex")
-    p.add_argument("--r", type=int, required=True, help="independent set size")
-    _add_common(p)
-    p.set_defaults(handler=_run_lex)
-
-    p = sub.add_parser("check-witness", help="independently validate a report's counterexample")
-    p.add_argument("--report", required=True, help="report JSON produced by an exit-1 run")
-    _add_common(p)
-    p.set_defaults(handler=_run_check_witness)
-
+    for command, (help_text, handler, groups) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for group in (*groups, _EVERY):
+            for name, options in group:
+                p.add_argument(name, **options)
+        p.set_defaults(handler=handler)
     return parser
-
-
-_SAMPLED_COMMANDS = {"double-count"}
 
 
 def _args_parameters(args) -> dict:
@@ -625,7 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.monotonic()
-    seed = args.seed if args.command in _SAMPLED_COMMANDS else None
+    seed = getattr(args, "seed", None)
     try:
         parameters, result, counterexample, exit_code = args.handler(args)
     except InputError as exc:
@@ -654,7 +580,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "elapsed_ms": int((time.monotonic() - started) * 1000),
         "seed": seed,
     }
-    _emit(report, args.json)
+    try:
+        _emit(report, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``ekrcheck orders ... | head``).  Point
+        # stdout at the null device, so the flush at exit writes nowhere
+        # instead of raising again, and exit as SIGPIPE would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return exit_code
 
 

@@ -25,7 +25,7 @@ def rook_placement_count(n: int, m: int, r: int) -> int:
     Choose r rows, r columns, and a bijection between them:
     C(n,r) * C(m,r) * r!.  Zero when r exceeds min(n, m).
     """
-    _require_grid(n, m)
+    require_grid(n, m)
     if r < 0:
         raise InputError(f"r must be nonnegative, got {r}")
     return math.comb(n, r) * math.comb(m, r) * math.factorial(r)
@@ -38,7 +38,7 @@ def rook_star_count(n: int, m: int, r: int) -> int:
     C(n-1,r-1) * C(m-1,r-1) * (r-1)!.  The grid is vertex transitive, so
     the count is the same for every cell.
     """
-    _require_grid(n, m)
+    require_grid(n, m)
     if r < 1:
         raise InputError(f"r must be at least 1, got {r}")
     return math.comb(n - 1, r - 1) * math.comb(m - 1, r - 1) * math.factorial(r - 1)
@@ -50,19 +50,25 @@ def cyclic_order_count(n: int, m: int) -> int:
     Pairs are identified under independent cyclic shifts of positions, an
     action with orbits of size n*m on the n!*m! pairs: (n-1)! * (m-1)!.
     """
-    _require_grid(n, m)
+    require_grid(n, m)
     return math.factorial(n - 1) * math.factorial(m - 1)
 
 
 def interval_occurrence_count(n: int, m: int, r: int) -> int:
     """Number of cyclic orders in which a fixed r-placement is a diagonal
     interval: r! * (n-r)! * (m-r)!."""
-    _require_grid(n, m)
-    if not 1 <= r <= min(n, m):
-        raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")
+    require_placement_size(n, m, r)
     return math.factorial(r) * math.factorial(n - r) * math.factorial(m - r)
 
 
-def _require_grid(n: int, m: int) -> None:
+def require_grid(n: int, m: int) -> None:
+    """The one check of a grid's sides: both at least 1."""
     if n < 1 or m < 1:
         raise InputError(f"grid dimensions must be at least 1, got ({n}, {m})")
+
+
+def require_placement_size(n: int, m: int, r: int) -> None:
+    """The grid check, then 1 <= r <= min(n, m): the sizes that have a star."""
+    require_grid(n, m)
+    if not 1 <= r <= min(n, m):
+        raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")

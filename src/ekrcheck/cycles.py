@@ -79,7 +79,7 @@ from itertools import combinations, permutations
 from math import factorial, perm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .counts import cyclic_order_count, interval_occurrence_count
+from .counts import cyclic_order_count, interval_occurrence_count, require_placement_size
 from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer
 from .rook import Family, Placement, canonical_placement, row_projection
 
@@ -169,8 +169,7 @@ def diagonal_interval(order: CyclicOrder, i: int, j: int, r: int) -> Placement:
     modulo n when r <= n, and likewise for columns.
     """
     n, m = order.n, order.m
-    if not 1 <= r <= min(n, m):
-        raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")
+    require_placement_size(n, m, r)
     if not 1 <= i <= n:
         raise InputError(f"start position i out of range 1..{n}: {i}")
     if not 1 <= j <= m:
@@ -349,8 +348,7 @@ def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
     distinct intervals start at (see the module docstring, which also
     defines the work count checked here before any walk).
     """
-    if not 1 <= r <= min(n, m):
-        raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")
+    require_placement_size(n, m, r)
     _check_tally_work(n, m, r, 1)
     cols_by_row: dict[int, list[int]] = {}
     for i, j in _distinct_intervals(reference_order(n, m), r).values():

@@ -8,8 +8,8 @@ immutable after construction.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError,
@@ -131,13 +131,15 @@ def _linear(a: int, b: int, h_count: int) -> int:
     return (a - 1) * h_count + b
 
 
-def cartesian_product(
+def _product(
     g: SimpleGraph,
     h: SimpleGraph,
-    max_vertices: int = DEFAULT_PRODUCT_VERTEX_BUDGET,
+    max_vertices: int,
+    joins: Callable[[int], Iterable[tuple[int, int]]],
 ) -> SimpleGraph:
-    """Cartesian product: (a,x)(b,y) is an edge iff a=b and xy in E(H),
-    or x=y and ab in E(G).  Vertex (a,x) maps to (a-1)*|V(H)|+x."""
+    """A copy of H inside each vertex of G, with vertex (a,x) mapped to
+    (a-1)*|V(H)|+x; for each edge ab of G, (a,x)(b,y) is an edge for the
+    pairs (x, y) that ``joins(|V(H)|)`` yields."""
     size = g.vertex_count * h.vertex_count
     if size > max_vertices:
         raise ResourceLimitError(
@@ -149,9 +151,19 @@ def cartesian_product(
         for x, y in h.edges:
             edges.append((_linear(a, x, hc), _linear(a, y, hc)))
     for a, b in g.edges:
-        for x in range(1, hc + 1):
-            edges.append((_linear(a, x, hc), _linear(b, x, hc)))
+        for x, y in joins(hc):
+            edges.append((_linear(a, x, hc), _linear(b, y, hc)))
     return SimpleGraph(size, edges)
+
+
+def cartesian_product(
+    g: SimpleGraph,
+    h: SimpleGraph,
+    max_vertices: int = DEFAULT_PRODUCT_VERTEX_BUDGET,
+) -> SimpleGraph:
+    """Cartesian product: (a,x)(b,y) is an edge iff a=b and xy in E(H),
+    or x=y and ab in E(G).  Vertex (a,x) maps to (a-1)*|V(H)|+x."""
+    return _product(g, h, max_vertices, lambda hc: ((x, x) for x in range(1, hc + 1)))
 
 
 def lexicographic_product(
@@ -161,21 +173,7 @@ def lexicographic_product(
 ) -> SimpleGraph:
     """Lexicographic product G[H]: (a,x)(b,y) is an edge iff ab in E(G),
     or a=b and xy in E(H).  Same vertex numbering as cartesian_product."""
-    size = g.vertex_count * h.vertex_count
-    if size > max_vertices:
-        raise ResourceLimitError(
-            f"product on {size} vertices exceeds the budget of {max_vertices}"
-        )
-    hc = h.vertex_count
-    edges = []
-    for a in range(1, g.vertex_count + 1):
-        for x, y in h.edges:
-            edges.append((_linear(a, x, hc), _linear(a, y, hc)))
-    for a, b in g.edges:
-        for x in range(1, hc + 1):
-            for y in range(1, hc + 1):
-                edges.append((_linear(a, x, hc), _linear(b, y, hc)))
-    return SimpleGraph(size, edges)
+    return _product(g, h, max_vertices, lambda hc: product(range(1, hc + 1), repeat=2))
 
 
 def enumerate_independent(

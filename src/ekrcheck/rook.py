@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 from random import Random
 from typing import Iterable, Iterator
 
-from .counts import rook_placement_count, rook_star_count
+from .counts import require_grid, require_placement_size, rook_placement_count, rook_star_count
 from .errors import (
     DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer, load_json, save_json,
 )
@@ -77,8 +77,7 @@ class Family(Record):
     @classmethod
     def build(cls, n: int, m: int, r: int, members: Iterable[Iterable[Iterable[int]]]) -> "Family":
         """Canonicalize, validate, deduplicate, and sort the members."""
-        if n < 1 or m < 1:
-            raise InputError(f"grid dimensions must be at least 1, got ({n}, {m})")
+        require_grid(n, m)
         if r < 0:
             raise InputError(f"r must be nonnegative, got {r}")
         canon: set[Placement] = set()
@@ -115,8 +114,7 @@ def enumerate_placements(
     independent cross-check.  Output order is lexicographic on the
     flattened (row, col, row, col, ...) tuple.
     """
-    if n < 1 or m < 1:
-        raise InputError(f"grid dimensions must be at least 1, got ({n}, {m})")
+    require_grid(n, m)
     if r < 0:
         raise InputError(f"r must be nonnegative, got {r}")
     if r == 0:
@@ -150,8 +148,7 @@ def enumerate_placements(
 
 def star_family(n: int, m: int, r: int, center: Iterable[int]) -> Family:
     """All r-placements through the given cell."""
-    if not 1 <= r <= min(n, m):
-        raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")
+    require_placement_size(n, m, r)
     (a, b) = canonical_placement([center], n, m)[0]
     other_rows = [x for x in range(1, n + 1) if x != a]
     other_cols = [y for y in range(1, m + 1) if y != b]
@@ -215,6 +212,7 @@ def random_intersecting_family(n: int, m: int, r: int, rng: Random) -> Family:
     random placements that keep the family pairwise intersecting, so the
     output is not always a plain star.
     """
+    require_placement_size(n, m, r)
     center = (rng.randint(1, n), rng.randint(1, m))
     star = star_family(n, m, r, center).sets
     members = list(rng.sample(star, rng.randint(1, len(star))))

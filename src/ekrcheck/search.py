@@ -49,7 +49,7 @@ from __future__ import annotations
 import time
 from typing import Mapping, NamedTuple, Sequence
 
-from .counts import rook_star_count
+from .counts import require_placement_size, rook_star_count
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
     ResourceLimitError,
@@ -549,8 +549,7 @@ def rook_ekr_report(
     search is given the row and column permutations, so it only searches
     the placements that meet the first one.
     """
-    if not 1 <= r <= min(n, m):
-        raise InputError(f"r must be in 1..min(n,m)={min(n, m)}, got {r}")
+    require_placement_size(n, m, r)
     started = time.monotonic()
     placements = enumerate_placements(n, m, r, max_sets)
     size, witness = max_intersecting_family(placements, budget, rook_symmetries(n, m))

@@ -1,16 +1,18 @@
-"""Independent validation of the counterexamples that reports carry.
+"""Each counterexample kind, written once: the producer that a command
+calls when it finds a violation, beside the validator that re-checks it.
 
-``check-witness`` reads a report's ``counterexample`` and looks up its
-``kind`` in ``VALIDATORS``.  Each validator type-checks the fields it reads,
-so a malformed payload is an InputError that names the field, and then
-recomputes the claim from the library: it returns (True, detail) when the
-counterexample is confirmed and (False, detail) when it is refuted.
+``check-witness`` hands a report file to ``check_report``, which looks up
+the payload's ``kind`` in ``VALIDATORS``.  Each validator type-checks the
+fields it reads, so a malformed payload is an InputError that names the
+field, and then recomputes the claim from the library: it returns (True,
+detail) when the counterexample is confirmed and (False, detail) when it
+is refuted.  This module imports only ``errors`` when it loads; each
+producer and validator imports the library modules it runs.
 """
 
 from __future__ import annotations
 
-from . import counts, cycles, graphs, rook
-from .errors import InputError, is_integer
+from .errors import InputError, is_integer, load_json
 
 
 def _field(obj: dict, name: str, where: str = "counterexample"):
@@ -41,25 +43,49 @@ def _integers(obj: dict, name: str) -> list[int]:
     return value
 
 
-def _placement(value: object, n: int, m: int, name: str) -> rook.Placement:
+def _placement(value: object, n: int, m: int, name: str) -> tuple:
+    from . import rook
+
     try:
         return rook.canonical_placement(value, n, m)
     except InputError as exc:
         raise InputError(f"counterexample {name}: {exc}") from None
 
 
-def _placements(payload: dict, n: int, m: int) -> list[rook.Placement]:
+def _placements(payload: dict, n: int, m: int) -> list[tuple]:
     return [
         _placement(member, n, m, f'"family"[{index}]')
         for index, member in enumerate(_list(payload, "family"))
     ]
 
 
-def _order(payload: dict) -> cycles.CyclicOrder:
+def _order(payload: dict):
+    from . import cycles
+
     return cycles.canonical_order(_integers(payload, "sigma1"), _integers(payload, "sigma2"))
 
 
+def family_exceeds_star_payload(report, g) -> dict:
+    """The counterexample of a search report that refutes EKR; ``g`` is the
+    searched graph, or None for a rook grid."""
+    params = report.parameters
+    if params["kind"] == "rook":
+        context = {"type": "rook", "n": params["n"], "m": params["m"], "r": params["r"]}
+    else:
+        from . import graphs
+
+        context = {"type": "graph", "graph": graphs.graph_to_json_dict(g), "r": params["r"]}
+    return {
+        "kind": "intersecting_family_exceeds_star",
+        "context": context,
+        "family": report.witness_to_json(),
+        "best_star": report.best_star,
+    }
+
+
 def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
+    from . import counts, rook
+
     context = _field(payload, "context")
     if not isinstance(context, dict):
         raise InputError(f'"context" must be a JSON object, got {type(context).__name__}')
@@ -70,6 +96,8 @@ def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
             return False, "family member has the wrong size"
         star = counts.rook_star_count(n, m, r)
     elif context.get("type") == "graph":
+        from . import graphs
+
         g = graphs.graph_from_json_dict(_field(context, "graph", "counterexample context"))
         r = _integer(context, "r", "counterexample context")
         members = []
@@ -95,7 +123,21 @@ def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
     return True, f"intersecting family of {len(members)} exceeds the star size {star}"
 
 
+def interval_family_payload(order, r: int, family: tuple) -> dict:
+    """The counterexample of an order whose largest intersecting interval
+    family, ``family``, does not have r members."""
+    return {
+        "kind": "interval_family_exceeds_r" if len(family) > r else "interval_tightness_gap",
+        **order.to_json_dict(),
+        "r": r,
+        "found_max": len(family),
+        "family": [[list(cell) for cell in p] for p in family],
+    }
+
+
 def _validate_interval_family(payload: dict) -> tuple[bool, str]:
+    from . import cycles, rook
+
     order = _order(payload)
     r = _integer(payload, "r")
     if payload["kind"] == "interval_tightness_gap":
@@ -117,7 +159,23 @@ def _validate_interval_family(payload: dict) -> tuple[bool, str]:
     return True, f"intersecting interval family of {len(members)} exceeds r={r}"
 
 
+def double_count_payload(family, lhs: int, rhs: int, bound: int) -> dict:
+    """The counterexample of a family whose two sides of the interval double
+    count differ, or, for an intersecting family, exceed ``bound``."""
+    from . import rook
+
+    return {
+        "kind": "double_count_violation",
+        "family": rook.family_to_json_dict(family),
+        "lhs": lhs,
+        "rhs": rhs,
+        "bound": bound,
+    }
+
+
 def _validate_double_count(payload: dict) -> tuple[bool, str]:
+    from . import counts, cycles, rook
+
     family = rook.family_from_json_dict(_field(payload, "family"))
     lhs, rhs = cycles.interval_double_count(family)
     bound = family.r * counts.cyclic_order_count(family.n, family.m)
@@ -128,7 +186,21 @@ def _validate_double_count(payload: dict) -> tuple[bool, str]:
     return False, f"recomputation finds lhs=rhs={lhs} within the bound {bound}"
 
 
+def window_payload(report) -> dict:
+    """The counterexample of a failed window check, ``cycles.WindowReport``."""
+    return {
+        "kind": "window_violation",
+        **report.order.to_json_dict(),
+        "start": list(report.start),
+        "r": report.r,
+        "failure": report.failure,
+        "witness": [[list(cell) for cell in p] for p in (report.witness or ())],
+    }
+
+
 def _validate_window(payload: dict) -> tuple[bool, str]:
+    from . import cycles
+
     order = _order(payload)
     start = _integers(payload, "start")
     if len(start) != 2:
@@ -139,7 +211,22 @@ def _validate_window(payload: dict) -> tuple[bool, str]:
     return False, "recomputed window check passes"
 
 
+def occurrence_payload(n: int, m: int, placement: tuple, expected: int, found: int) -> dict:
+    """The counterexample of a placement that is an interval of ``found``
+    cyclic orders of the n-by-m grid, not of the ``expected`` number."""
+    return {
+        "kind": "occurrence_mismatch",
+        "n": n,
+        "m": m,
+        "placement": [list(cell) for cell in placement],
+        "expected": expected,
+        "found": found,
+    }
+
+
 def _validate_occurrence(payload: dict) -> tuple[bool, str]:
+    from . import cycles
+
     n, m, expected, found = (_integer(payload, key) for key in ("n", "m", "expected", "found"))
     placement = _placement(_field(payload, "placement"), n, m, '"placement"')
     recomputed = cycles.count_orders_containing(n, m, placement)
@@ -156,3 +243,21 @@ VALIDATORS = {
     "window_violation": _validate_window,
     "occurrence_mismatch": _validate_occurrence,
 }
+
+
+def check_report(path: str) -> tuple[str, bool, str]:
+    """The kind of the counterexample that the report in the file at
+    ``path`` carries, and its validator's (confirmed, detail)."""
+    report = load_json(path)
+    if not isinstance(report, dict):
+        raise InputError(f"{path}: a report must be a JSON object, got {type(report).__name__}")
+    payload = report.get("counterexample")
+    if payload is None:
+        raise InputError("the report carries no counterexample to check")
+    if not isinstance(payload, dict):
+        raise InputError(f'"counterexample" must be a JSON object, got {type(payload).__name__}')
+    kind = payload.get("kind")
+    validator = VALIDATORS.get(kind) if isinstance(kind, str) else None
+    if validator is None:
+        raise InputError(f"unknown counterexample kind {kind!r}")
+    return (kind, *validator(payload))

@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from math import factorial
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ekrcheck import cycles, enumerate_placements, graphs, load_family, load_graph, search
+from ekrcheck import cli
 from ekrcheck.cli import main
 from helpers import canonical_json_without_elapsed, run_cli
 
@@ -460,6 +463,80 @@ class TestOutputContract:
         _, out2, _ = run_cli(*base, "--threads", "4")
         assert canonical_json_without_elapsed(out1) == canonical_json_without_elapsed(out2)
 
+    def test_a_closed_pipe_exits_141_without_a_traceback(self):
+        # orders 6 x 6 writes megabytes, far past what the pipe holds, so the
+        # command is still writing when the reader stops after one line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ekrcheck", "orders", "--n", "6", "--m", "6", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in err
+
+
+# A minimal run of each command, and the flags it reads among those that
+# every command used to take; all of them also take --json and --threads.
+COMMAND_RUNS = {
+    "count": (["--n", "3", "--m", "3", "--r", "1"], []),
+    "enumerate": (["--n", "3", "--m", "3", "--r", "1"], ["--out", "--budget-sets"]),
+    "verify": (["--n", "3", "--m", "3", "--r", "1"],
+               ["--budget-nodes", "--budget-seconds", "--budget-sets"]),
+    "lemma1": (["--n", "3", "--m", "3"], []),
+    "occurrence": (["--n", "3", "--m", "3", "--r", "1"], ["--budget-sets"]),
+    "double-count": (["--n", "3", "--m", "3", "--r", "1", "--samples", "1"], ["--seed"]),
+    "windows": (["--n", "3", "--m", "3", "--r", "1"], []),
+    "orders": (["--n", "3", "--m", "3"], ["--out", "--budget-sets"]),
+    "graph-stats": (["--graph", "C5"], ["--vertex-budget"]),
+    "product": (["--kind", "cartesian", "--graph", "K2", "--graph", "K3"],
+                ["--vertex-budget", "--out"]),
+    "ht": (["--graph", "E3"],
+           ["--budget-nodes", "--budget-seconds", "--budget-sets", "--vertex-budget"]),
+    "lex": (["--graph", "E3", "--k", "1", "--r", "1"],
+            ["--budget-nodes", "--budget-seconds", "--budget-sets", "--vertex-budget"]),
+    "check-witness": (["--report", "{report}"], []),
+}
+# A value each of those flags accepts.
+SHARED_FLAGS = {
+    "--out": "artifact.json", "--seed": "1", "--budget-nodes": "1000", "--budget-seconds": "60",
+    "--budget-sets": "1000", "--vertex-budget": "24",
+}
+
+
+class TestEachCommandTakesOnlyItsFlags:
+    def test_the_table_covers_every_command(self):
+        assert sorted(cli._COMMANDS) == sorted(COMMAND_RUNS)
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, reads) in COMMAND_RUNS.items()
+        for flag in SHARED_FLAGS if flag not in reads
+    ])
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        argv, _ = COMMAND_RUNS[command]
+        assert main([command, *argv, flag, SHARED_FLAGS[flag], "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {SHARED_FLAGS[flag]}" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+    def test_every_command_runs_with_threads_and_the_flags_it_reads(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        report = {"counterexample": PAYLOADS["window"]}
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        argv, reads = COMMAND_RUNS[command]
+        argv = [arg.replace("{report}", "report.json") for arg in argv]
+        flags = [part for flag in reads for part in (flag, SHARED_FLAGS[flag])]
+        for threads in ("1", "8"):
+            code = main([command, *argv, *flags, "--threads", threads, "--json"])
+            captured = capsys.readouterr()
+            # check-witness refutes the made-up window counterexample (exit 1)
+            assert (code, captured.err) == (1 if command == "check-witness" else 0, "")
+            assert json.loads(captured.out)["command"] == command
+
 
 class TestFailsClosed:
     """Bad files and malformed reports exit 2 with a message naming the culprit."""
@@ -537,14 +614,37 @@ class TestFailsClosed:
         "flag", ["--budget-nodes", "--budget-sets", "--vertex-budget", "--budget-seconds"]
     )
     def test_negative_budget_is_a_usage_error(self, flag, capsys):
-        assert main(["verify", "--n", "4", "--m", "4", "--r", "2", flag, "-1"]) == 2
+        # Each command is one that reads the flag, so the type check refuses it.
+        if flag == "--vertex-budget":
+            command = ["ht", "--graph", "E4"]
+        else:
+            command = ["verify", "--n", "4", "--m", "4", "--r", "2"]
+        assert main([*command, flag, "-1"]) == 2
         assert flag in capsys.readouterr().err
 
     def test_zero_budgets_are_accepted(self, capsys):
+        # ht reads all four budgets: zero ones end the run at a budget, never
+        # as a usage error.
         zeros = ["--budget-nodes", "0", "--budget-sets", "0",
                  "--vertex-budget", "0", "--budget-seconds", "0"]
-        assert main(["count", "--n", "3", "--m", "3", "--r", "1", "--json", *zeros]) == 0
-        assert json.loads(capsys.readouterr().out)["result"]["placements"] == 9
+        assert main(["ht", "--graph", "E3", "--json", *zeros]) == 3
+        assert json.loads(capsys.readouterr().out)["result"]["status"] == "inconclusive"
+
+    def test_negative_samples_is_a_usage_error(self, capsys):
+        argv = ["double-count", "--n", "3", "--m", "3", "--r", "1", "--json"]
+        assert main([*argv, "--samples", "-1"]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert main([*argv, "--samples", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["families"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["double-count", "--n", "0", "--m", "3", "--r", "1", "--samples", "2"],
+        ["verify", "--n", "0", "--m", "3", "--r", "1"],
+    ])
+    def test_an_empty_grid_is_blamed_on_the_grid(self, capsys, argv):
+        assert main([*argv, "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err == "ekrcheck: error: grid dimensions must be at least 1, got (0, 3)\n"
 
 
 

@@ -103,6 +103,33 @@ class TestProducts:
         assert same.edge_count == h.edge_count
         assert same.degree_sequence() == h.degree_sequence()
 
+    @pytest.mark.parametrize("g, h", [
+        (path_graph(3), cycle_graph(4)),
+        (cycle_graph(4), path_graph(3)),
+        (empty_graph(2), complete_graph(3)),
+        (complete_graph(3), empty_graph(2)),
+    ])
+    def test_products_match_their_definitions(self, g, h):
+        """Both products against their edge rules over every pair of (a, x)
+        vertices, with (a, x) numbered (a-1)*|V(H)|+x."""
+        pairs = [(a, x) for a in range(1, g.vertex_count + 1) for x in range(1, h.vertex_count + 1)]
+
+        def by_rule(rule) -> SimpleGraph:
+            return SimpleGraph(len(pairs), [
+                (i + 1, j + 1)
+                for i in range(len(pairs)) for j in range(i + 1, len(pairs))
+                if rule(*pairs[i], *pairs[j])
+            ])
+
+        def cartesian(a, x, b, y):
+            return (a == b and h.has_edge(x, y)) or (x == y and g.has_edge(a, b))
+
+        def lexicographic(a, x, b, y):
+            return g.has_edge(a, b) or (a == b and h.has_edge(x, y))
+
+        assert cartesian_product(g, h) == by_rule(cartesian)
+        assert lexicographic_product(g, h) == by_rule(lexicographic)
+
     def test_vertex_budget(self):
         with pytest.raises(ResourceLimitError):
             cartesian_product(complete_graph(10), complete_graph(10), max_vertices=50)
