@@ -103,10 +103,12 @@ COUNT_SIDE_BUDGET = 10**4
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (parameters, result, counterexample, exit_code)
+# subcommand handlers: each takes (args, parameters), the report's parameters
+# as main builds them, which only double-count edits, and returns
+# (result, counterexample, exit_code)
 
 
-def _run_count(args) -> tuple[dict, dict, dict | None, int]:
+def _run_count(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts
 
     if max(args.n, args.m) > COUNT_SIDE_BUDGET:
@@ -114,30 +116,27 @@ def _run_count(args) -> tuple[dict, dict, dict | None, int]:
             f"count on a {args.n} x {args.m} grid: a side exceeds the budget of "
             f"{COUNT_SIDE_BUDGET}"
         )
-    parameters = {"n": args.n, "m": args.m, "r": args.r}
     result = {
         "placements": counts.rook_placement_count(args.n, args.m, args.r),
         "star": counts.rook_star_count(args.n, args.m, args.r),
         "cyclic_orders": counts.cyclic_order_count(args.n, args.m),
         "interval_occurrences": counts.interval_occurrence_count(args.n, args.m, args.r),
     }
-    return parameters, result, None, 0
+    return result, None, 0
 
 
-def _run_enumerate(args) -> tuple[dict, dict, dict | None, int]:
+def _run_enumerate(args, parameters) -> tuple[dict, dict | None, int]:
     from . import rook
 
-    parameters = {"n": args.n, "m": args.m, "r": args.r}
     placements = rook.enumerate_placements(args.n, args.m, args.r, args.budget_sets)
     family = rook.Family(args.n, args.m, args.r, tuple(placements))
     result = _artifact(args.out, {"count": len(family)}, "family", rook.family_to_json_dict(family))
-    return parameters, result, None, 0
+    return result, None, 0
 
 
-def _run_verify(args) -> tuple[dict, dict, dict | None, int]:
+def _run_verify(args, parameters) -> tuple[dict, dict | None, int]:
     from . import search
 
-    parameters = {"n": args.n, "m": args.m, "r": args.r}
     report = search.rook_ekr_report(
         args.n, args.m, args.r, budget=_budget(args), max_sets=args.budget_sets
     )
@@ -146,15 +145,14 @@ def _run_verify(args) -> tuple[dict, dict, dict | None, int]:
         from .witness import family_exceeds_star_payload
 
         counterexample = family_exceeds_star_payload(report, None)
-    return parameters, report.to_json_dict(), counterexample, 0 if report.holds else 1
+    return report.to_json_dict(), counterexample, 0 if report.holds else 1
 
 
-def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
+def _run_lemma1(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts, cycles
 
     half = min(args.n, args.m) // 2
     r_values = [args.r] if args.r is not None else list(range(1, half + 1))
-    parameters = {"n": args.n, "m": args.m, "r": args.r}
     order_total = counts.cyclic_order_count(args.n, args.m)
     _check_interval_pairs(args.n, args.m, r_values)
     # The maximum is the same in every order (cycles module docstring), so the
@@ -179,13 +177,12 @@ def _run_lemma1(args) -> tuple[dict, dict, dict | None, int]:
 
             counterexample = interval_family_payload(order, r, witness)
     result = {"checks": checks, "all_pass": counterexample is None}
-    return parameters, result, counterexample, 0 if counterexample is None else 1
+    return result, counterexample, 0 if counterexample is None else 1
 
 
-def _run_occurrence(args) -> tuple[dict, dict, dict | None, int]:
+def _run_occurrence(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts, cycles, rook
 
-    parameters = {"n": args.n, "m": args.m, "r": args.r}
     expected = counts.interval_occurrence_count(args.n, args.m, args.r)
     placements = rook.enumerate_placements(args.n, args.m, args.r, args.budget_sets)
     tally = cycles.interval_tally(args.n, args.m, args.r)
@@ -203,33 +200,26 @@ def _run_occurrence(args) -> tuple[dict, dict, dict | None, int]:
         "expected_occurrences": expected,
         "all_match": counterexample is None,
     }
-    return parameters, result, counterexample, 0 if counterexample is None else 1
+    return result, counterexample, 0 if counterexample is None else 1
 
 
-def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
+def _run_double_count(args, parameters) -> tuple[dict, dict | None, int]:
     from random import Random
 
     from . import counts, cycles, rook
 
-    order_total = None
     if args.family:
+        for flag in ("n", "m", "r"):
+            if parameters[flag] is not None:
+                raise InputError(f"--{flag} cannot be given with --family: the file gives the grid")
         family = rook.load_family(args.family)
-        parameters = {
-            "family": args.family,
-            "n": family.n,
-            "m": family.m,
-            "r": family.r,
-        }
+        parameters.update(n=family.n, m=family.m, r=family.r)
+        del parameters["samples"]
         families = [family]
     else:
         if args.n is None or args.m is None or args.r is None:
             raise InputError("double-count needs --family, or --n/--m/--r to sample families")
-        parameters = {
-            "n": args.n,
-            "m": args.m,
-            "r": args.r,
-            "samples": args.samples,
-        }
+        del parameters["family"]
         families = [
             rook.random_intersecting_family(args.n, args.m, args.r, Random(args.seed + i))
             for i in range(args.samples)
@@ -237,10 +227,10 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
     checked = []
     counterexample = None
     double_counts = cycles.interval_double_counts(families)
+    bound = None
+    if families:  # all on the grid and at the r of the parameters
+        bound = parameters["r"] * counts.cyclic_order_count(parameters["n"], parameters["m"])
     for family, (lhs, rhs) in zip(families, double_counts):
-        if order_total is None:
-            order_total = counts.cyclic_order_count(family.n, family.m)
-        bound = family.r * order_total
         intersecting = rook.is_intersecting(family)
         entry = {
             "size": len(family),
@@ -259,19 +249,17 @@ def _run_double_count(args) -> tuple[dict, dict, dict | None, int]:
         "families": len(checked),
         "all_equal": all(entry["equal"] for entry in checked),
         "all_within_bound": all(entry["within_bound"] for entry in checked),
-        "bound": (families[0].r * order_total) if families else None,
+        "bound": bound,
         "max_lhs": max((entry["lhs"] for entry in checked), default=0),
     }
     if len(checked) == 1:
-        result["lhs"] = checked[0]["lhs"]
-        result["rhs"] = checked[0]["rhs"]
-    return parameters, result, counterexample, 0 if counterexample is None else 1
+        result.update(lhs=checked[0]["lhs"], rhs=checked[0]["rhs"])
+    return result, counterexample, 0 if counterexample is None else 1
 
 
-def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
+def _run_windows(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts, cycles
 
-    parameters = {"n": args.n, "m": args.m, "r": args.r}
     order_total = counts.cyclic_order_count(args.n, args.m)
     _check_interval_pairs(args.n, args.m, [args.r])
     # Each start passes or fails alike in every order (cycles module
@@ -288,24 +276,22 @@ def _run_windows(args) -> tuple[dict, dict, dict | None, int]:
         "starts_per_order": args.n * args.m,
         "all_pass": counterexample is None,
     }
-    return parameters, result, counterexample, 0 if counterexample is None else 1
+    return result, counterexample, 0 if counterexample is None else 1
 
 
-def _run_orders(args) -> tuple[dict, dict, dict | None, int]:
+def _run_orders(args, parameters) -> tuple[dict, dict | None, int]:
     from . import cycles
 
-    parameters = {"n": args.n, "m": args.m}
     order_list = cycles.enumerate_cyclic_orders(args.n, args.m, args.budget_sets)
     payload = [order.to_json_dict() for order in order_list]
     result = _artifact(args.out, {"count": len(order_list)}, "orders", payload)
-    return parameters, result, None, 0
+    return result, None, 0
 
 
-def _run_graph_stats(args) -> tuple[dict, dict, dict | None, int]:
+def _run_graph_stats(args, parameters) -> tuple[dict, dict | None, int]:
     from . import graphs
 
     g = _graph_argument(args.graph, args.vertex_budget)
-    parameters = {"graph": args.graph}
     sets = graphs.maximal_independent_sets(g, args.vertex_budget)
     sizes = [len(s) for s in sets]
     result = {
@@ -316,10 +302,10 @@ def _run_graph_stats(args) -> tuple[dict, dict, dict | None, int]:
         "maximal_independent_sets": len(sets),
         "well_covered": max(sizes) == min(sizes),
     }
-    return parameters, result, None, 0
+    return result, None, 0
 
 
-def _run_product(args) -> tuple[dict, dict, dict | None, int]:
+def _run_product(args, parameters) -> tuple[dict, dict | None, int]:
     from . import graphs
 
     if len(args.graph or []) != 2:
@@ -331,18 +317,16 @@ def _run_product(args) -> tuple[dict, dict, dict | None, int]:
     right = _graph_argument(args.graph[1], bound)
     build = graphs.cartesian_product if args.kind == "cartesian" else graphs.lexicographic_product
     product = build(left, right, bound)
-    parameters = {"kind": args.kind, "graph": list(args.graph)}
     result = {"vertices": product.vertex_count, "edge_count": product.edge_count}
     result = _artifact(args.out, result, "graph", graphs.graph_to_json_dict(product))
-    return parameters, result, None, 0
+    return result, None, 0
 
 
-def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
+def _run_ht(args, parameters) -> tuple[dict, dict | None, int]:
     from . import graphs, search
 
     budget = _budget(args)
     g = _graph_argument(args.graph, args.vertex_budget)
-    parameters = {"graph": args.graph}
     mu = graphs.min_maximal_independent_size(g, args.vertex_budget)
     reports = search.holroyd_talbot_sweep(
         g, budget=budget, max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
@@ -360,14 +344,13 @@ def _run_ht(args) -> tuple[dict, dict, dict | None, int]:
         "reports": [report.to_json_dict() for report in reports],
         "all_hold": counterexample is None,
     }
-    return parameters, result, counterexample, 0 if counterexample is None else 1
+    return result, counterexample, 0 if counterexample is None else 1
 
 
-def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
+def _run_lex(args, parameters) -> tuple[dict, dict | None, int]:
     from . import graphs, search
 
     g = _graph_argument(args.graph, args.vertex_budget)
-    parameters = {"graph": args.graph, "k": args.k, "r": args.r}
     outcome = search.lex_product_check(
         g, args.k, args.r,
         budget=_budget(args), max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
@@ -387,17 +370,15 @@ def _run_lex(args) -> tuple[dict, dict, dict | None, int]:
         "conclusion": outcome.conclusion.to_json_dict(),
         "implication_violated": outcome.violation,
     }
-    exit_code = 0 if counterexample is None else 1
-    return parameters, result, counterexample, exit_code
+    return result, counterexample, 0 if counterexample is None else 1
 
 
-def _run_check_witness(args) -> tuple[dict, dict, dict | None, int]:
+def _run_check_witness(args, parameters) -> tuple[dict, dict | None, int]:
     from .witness import check_report
 
     kind, confirmed, detail = check_report(args.report)
-    parameters = {"report": args.report}
     result = {"kind": kind, "confirmed": confirmed, "detail": detail}
-    return parameters, result, None, 0 if confirmed else 1
+    return result, None, 0 if confirmed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +436,9 @@ _EVERY = (
                                                       "effect (sweeps run in one process)"}),
 )
 
+# The dests of the flags that set how a run goes, not what it checks.
+_RUN_FLAGS = {"out", "seed", "budget_nodes", "budget_seconds", "budget_sets", "vertex_budget"}
+
 # command -> (help, handler, flag groups); each command takes only the flags
 # its handler reads, and any other flag is a usage error (exit 2).
 _COMMANDS = {
@@ -507,18 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
         for group in (*groups, _EVERY):
             for name, options in group:
                 p.add_argument(name, **options)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
-def _args_parameters(args) -> dict:
-    """Best-effort parameter echo for reports built on error paths."""
-    out = {}
-    for key in ("n", "m", "r", "graph", "k", "family", "samples", "kind", "report"):
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
+def _parameters(args) -> dict:
+    """The report's parameters, the same on every exit path: each flag of the
+    command's groups but ``_RUN_FLAGS``, in table order, keyed by its dest."""
+    _, _, groups = _COMMANDS[args.command]
+    dests = (name[2:].replace("-", "_") for group in groups for name, _ in group)
+    return {dest: getattr(args, dest) for dest in dests if dest not in _RUN_FLAGS}
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -547,13 +529,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            # The command's own parser refuses them, so its usage is printed.
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.monotonic()
-    seed = getattr(args, "seed", None)
+    parameters = _parameters(args)
     try:
-        parameters, result, counterexample, exit_code = args.handler(args)
+        result, counterexample, exit_code = args.handler(args, parameters)
     except InputError as exc:
         print(f"ekrcheck: error: {exc}", file=sys.stderr)
         return 2
@@ -562,7 +547,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ekrcheck: error: {detail}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
-        parameters = _args_parameters(args)
         result = {
             "status": "inconclusive",
             "reason": str(exc),
@@ -578,7 +562,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "result": result,
         "counterexample": counterexample,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
     }
     try:
         _emit(report, args.json)

@@ -79,7 +79,9 @@ from itertools import combinations, permutations
 from math import factorial, perm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .counts import cyclic_order_count, interval_occurrence_count, require_placement_size
+from .counts import (
+    cyclic_order_count, interval_occurrence_count, require_grid, require_placement_size,
+)
 from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer
 from .rook import Family, Placement, canonical_placement, row_projection
 
@@ -301,6 +303,7 @@ def count_orders_containing(
     max_orders: int = DEFAULT_SET_BUDGET,
 ) -> int:
     """Number of canonical cyclic orders realizing the placement as an interval."""
+    require_grid(n, m)
     canon = canonical_placement(placement, n, m)
     if not 1 <= len(canon) <= min(n, m):
         raise InputError(f"placement size must be in 1..min(n,m)={min(n, m)}, got {len(canon)}")

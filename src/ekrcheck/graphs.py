@@ -188,6 +188,7 @@ def enumerate_independent(
     if r == 0:
         return [()]
     n = g.vertex_count
+    adj = g._adj  # the vertices are 1..n, so unchecked
     out: list[VertexSet] = []
     chosen: list[int] = []
 
@@ -205,7 +206,7 @@ def enumerate_independent(
             if banned & bit:
                 continue
             chosen.append(v)
-            extend(v + 1, banned | bit | g.adjacency_mask(v))
+            extend(v + 1, banned | bit | adj[v])
             chosen.pop()
 
     extend(1, 0)
@@ -237,9 +238,10 @@ def maximal_independent_sets(
         )
     # Non-adjacency masks: independent sets of g are cliques of its complement.
     all_mask = ((1 << (n + 1)) - 1) & ~1
+    adj = g._adj  # the vertices are 1..n, so unchecked
     non_adj = [0] * (n + 1)
     for v in range(1, n + 1):
-        non_adj[v] = all_mask & ~g.adjacency_mask(v) & ~(1 << v)
+        non_adj[v] = all_mask & ~adj[v] & ~(1 << v)
 
     found: list[int] = []
 
@@ -270,11 +272,15 @@ def maximal_independent_sets(
     sets: list[VertexSet] = []
     for mask in found:
         members = tuple(v for v in range(1, n + 1) if mask & (1 << v))
-        for w in range(1, n + 1):
-            if not mask & (1 << w) and not g.adjacency_mask(w) & mask:
-                raise RuntimeError(
-                    f"internal error: reported set {members} is extensible by vertex {w}"
-                )
+        # Maximal: every vertex is in the set or next to one of its members.
+        uncovered = all_mask & ~mask
+        for v in members:
+            uncovered &= ~adj[v]
+        if uncovered:
+            w = (uncovered & -uncovered).bit_length() - 1
+            raise RuntimeError(
+                f"internal error: reported set {members} is extensible by vertex {w}"
+            )
         sets.append(members)
     sets.sort()
     return sets
@@ -318,7 +324,7 @@ def twin_classes(g: SimpleGraph) -> list[VertexSet]:
     open_classes: dict[int, list[int]] = {}
     closed_classes: dict[int, list[int]] = {}
     for v in range(1, g.vertex_count + 1):
-        mask = g.adjacency_mask(v)
+        mask = g._adj[v]
         open_classes.setdefault(mask, []).append(v)
         closed_classes.setdefault(mask | (1 << v), []).append(v)
     return [

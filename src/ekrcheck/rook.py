@@ -198,6 +198,7 @@ def is_intersecting(family: Family) -> bool:
 
 def random_placement(n: int, m: int, r: int, rng: Random) -> Placement:
     """A uniformly random r-placement."""
+    require_grid(n, m)
     if not 0 <= r <= min(n, m):
         raise InputError(f"r must be in 0..min(n,m)={min(n, m)}, got {r}")
     rows = sorted(rng.sample(range(1, n + 1), r))

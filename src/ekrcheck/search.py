@@ -47,23 +47,17 @@ graph without twins there is nothing to check and the full search runs.
 from __future__ import annotations
 
 import time
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .counts import require_placement_size, rook_star_count
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
     ResourceLimitError,
 )
-from .graphs import (
-    SimpleGraph,
-    best_star_size,
-    enumerate_independent,
-    lexicographic_product,
-    min_maximal_independent_size,
-    complete_graph,
-    twin_classes,
-)
 from .rook import enumerate_placements, pairwise_intersecting
+
+if TYPE_CHECKING:  # the graph functions import graphs when they run
+    from .graphs import SimpleGraph
 
 VERDICT_HOLDS = "EKR_HOLDS"
 VERDICT_FAILS = "EKR_FAILS"
@@ -475,6 +469,8 @@ def rook_symmetries(n: int, m: int) -> list[dict]:
 def twin_symmetries(g: SimpleGraph) -> list[dict]:
     """Generators of the permutations within each class of twins of g, all
     of them automorphisms of g."""
+    from .graphs import twin_classes
+
     return [perm for twins in twin_classes(g) for perm in _transposition_and_cycle(twins)]
 
 
@@ -580,6 +576,8 @@ def graph_ekr_report(
     the permutations of each class of twins, which it uses when they act
     transitively on the independent r-sets.
     """
+    from .graphs import best_star_size, enumerate_independent, min_maximal_independent_size
+
     if r < 1:
         raise InputError(f"r must be at least 1, got {r}")
     started = time.monotonic()
@@ -616,6 +614,8 @@ def holroyd_talbot_sweep(
 ) -> list[EkrReport]:
     """One report per r in the conjectured range 1..mu/2 (empty if mu < 2);
     mu is computed unless ``known_min_maximal`` gives it."""
+    from .graphs import min_maximal_independent_size
+
     mu = (
         known_min_maximal
         if known_min_maximal is not None
@@ -649,6 +649,8 @@ def lex_product_check(
     vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
 ) -> LexCheckResult:
     """Check the implication: if G is r-EKR then G[K_k] is r-EKR."""
+    from .graphs import complete_graph, lexicographic_product
+
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
     premise = graph_ekr_report(g, r, budget, max_sets, vertex_budget)

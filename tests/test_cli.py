@@ -391,6 +391,17 @@ class TestDoubleCount:
         assert code == 2
         assert "family" in err
 
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--r"])
+    def test_family_mode_refuses_a_grid_flag(self, tmp_path, capsys, flag):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(FAMILY))
+        assert main(["double-count", "--family", str(path), flag, "9", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ekrcheck: error: {flag} cannot be given with --family: the file gives the grid\n"
+        )
+
 
 class TestViolationsAndWitnesses:
     def test_out_of_range_failure_produces_counterexample(self, tmp_path):
@@ -536,6 +547,72 @@ class TestEachCommandTakesOnlyItsFlags:
             # check-witness refutes the made-up window counterexample (exit 1)
             assert (code, captured.err) == (1 if command == "check-witness" else 0, "")
             assert json.loads(captured.out)["command"] == command
+
+
+    def test_an_unknown_flag_prints_the_usage_of_the_command(self, capsys):
+        assert main(["verify", "--n", "4", "--m", "4", "--r", "2", "--out", "x.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ekrcheck verify ")
+        assert captured.err.endswith(
+            "ekrcheck verify: error: unrecognized arguments: --out x.json\n"
+        )
+
+
+# The family file that the double-count runs below read.
+FAMILY = {"n": 3, "m": 3, "r": 1, "sets": [[[1, 1]]]}
+# A run of each command that can exit 3, which exits 0 as it stands, and
+# the extra flags or the lowered module bound that make the same run exit 3.
+BUDGET_EXITS = [
+    (["count", "--n", "3", "--m", "3", "--r", "1"], [], (cli, "COUNT_SIDE_BUDGET", 1)),
+    (["enumerate", "--n", "3", "--m", "3", "--r", "1"], ["--budget-sets", "1"], None),
+    (["verify", "--n", "5", "--m", "5", "--r", "2"], ["--budget-nodes", "1"], None),
+    (["lemma1", "--n", "4", "--m", "4"], [], (cli, "INTERVAL_PAIR_BUDGET", 0)),
+    (["lemma1", "--n", "4", "--m", "4", "--r", "2"], [], (cli, "INTERVAL_PAIR_BUDGET", 0)),
+    (["occurrence", "--n", "4", "--m", "4", "--r", "2"], ["--budget-sets", "1"], None),
+    (["double-count", "--n", "4", "--m", "4", "--r", "2", "--samples", "2"], [],
+     (cycles, "TALLY_WORK_BUDGET", 0)),
+    (["double-count", "--family", "family.json"], [], (cycles, "TALLY_WORK_BUDGET", 0)),
+    (["windows", "--n", "4", "--m", "4", "--r", "2"], [], (cli, "INTERVAL_PAIR_BUDGET", 0)),
+    (["orders", "--n", "3", "--m", "3"], ["--budget-sets", "1"], None),
+    (["graph-stats", "--graph", "C5"], ["--vertex-budget", "1"], None),
+    (["product", "--kind", "cartesian", "--graph", "K2", "--graph", "K3"],
+     ["--vertex-budget", "0"], (graphs, "DEFAULT_PRODUCT_VERTEX_BUDGET", 0)),
+    (["ht", "--graph", "E5"], ["--budget-sets", "0"], None),
+    (["lex", "--graph", "E4", "--k", "2", "--r", "2"], ["--budget-sets", "5"], None),
+]
+
+
+class TestParametersOnEveryExitPath:
+    @pytest.mark.parametrize("argv, extra, bound", BUDGET_EXITS,
+                             ids=[" ".join(argv) for argv, _, _ in BUDGET_EXITS])
+    def test_a_budget_exit_echoes_the_parameters_of_a_full_run(
+        self, tmp_path, monkeypatch, capsys, argv, extra, bound
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "family.json").write_text(json.dumps(FAMILY))
+        assert main([*argv, "--json"]) == 0
+        full = json.loads(capsys.readouterr().out)["parameters"]
+        if bound:
+            monkeypatch.setattr(*bound)
+        assert main([*argv, *extra, "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["status"] == "inconclusive"
+        # Same keys, in the same order, with the same values.
+        assert list(report["parameters"].items()) == list(full.items())
+
+    @pytest.mark.parametrize("argv, parameters", [
+        (["lemma1", "--n", "40", "--m", "40"], {"n": 40, "m": 40, "r": None}),
+        (["double-count", "--family", "big.json"], {"family": "big.json", "n": 13, "m": 13, "r": 1}),
+    ])
+    def test_budget_exits_past_the_bounds_echo_every_parameter(
+        self, tmp_path, monkeypatch, capsys, argv, parameters
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text(json.dumps({**FAMILY, "n": 13, "m": 13}))
+        assert main([*argv, "--json"]) == 3
+        echoed = json.loads(capsys.readouterr().out)["parameters"]
+        assert list(echoed.items()) == list(parameters.items())
 
 
 class TestFailsClosed:

@@ -207,6 +207,10 @@ class TestOccurrences:
         assert count_orders_containing(3, 3, ((2, 2),)) == 4
         assert count_orders_containing(2, 2, ((1, 2),)) == 1
 
+    def test_the_grid_is_checked_first(self):
+        with pytest.raises(InputError, match=r"grid dimensions must be at least 1, got \(0, 3\)"):
+            count_orders_containing(0, 3, [[1, 1]])
+
     def test_matches_closed_form_for_all_placements(self):
         for r in (1, 2):
             expected = interval_occurrence_count(4, 4, r)

@@ -229,6 +229,24 @@ class TestAlphaMu:
             outside = set(range(1, g.vertex_count + 1)) - set(s)
             assert all(any(g.has_edge(v, w) for w in s) for v in outside)
 
+    def test_the_loops_read_the_masks_without_the_checked_accessor(self, monkeypatch):
+        g = cartesian_product(cycle_graph(4), cycle_graph(3))
+        vertices = set(range(1, g.vertex_count + 1))
+        independent = [
+            s for r in range(g.vertex_count + 1) for s in independent_sets_by_subset_filter(g, r)
+        ]
+        maximal = [
+            s for s in independent
+            if all(any(g.has_edge(v, w) for w in s) for v in vertices - set(s))
+        ]
+
+        def refuse(self, v):
+            raise AssertionError("adjacency_mask called")
+
+        monkeypatch.setattr(SimpleGraph, "adjacency_mask", refuse)
+        assert maximal_independent_sets(g) == sorted(maximal)
+        assert enumerate_independent(g, 3) == [s for s in independent if len(s) == 3]
+
     def test_vertex_budget(self):
         big = empty_graph(25)
         with pytest.raises(ResourceLimitError):

@@ -36,7 +36,8 @@ def probe(*argv: str) -> dict:
 
 @pytest.mark.parametrize("argv, modules", [
     (["count", "--n", "4", "--m", "4", "--r", "2"], BASE + ["ekrcheck.counts"]),
-    (["verify", "--n", "4", "--m", "4", "--r", "2"], SEARCH),
+    (["verify", "--n", "4", "--m", "4", "--r", "2"],
+     BASE + ["ekrcheck.counts", "ekrcheck.rook", "ekrcheck.search"]),
     (["lemma1", "--n", "5", "--m", "5"], CYCLE),
     (["occurrence", "--n", "4", "--m", "4", "--r", "2"], CYCLE),
     (["windows", "--n", "5", "--m", "5", "--r", "2"], CYCLE),

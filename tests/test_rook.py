@@ -233,3 +233,7 @@ class TestRandomFamilies:
         for _ in range(50):
             placement = random_placement(5, 6, 3, rng)
             assert canonical_placement(placement, 5, 6) == placement
+
+    def test_random_placement_checks_the_grid_first(self):
+        with pytest.raises(InputError, match=r"grid dimensions must be at least 1, got \(0, 3\)"):
+            random_placement(0, 3, 1, Random(0))
