@@ -71,10 +71,8 @@ _EXPORTS = {
             "Family",
             "canonical_placement",
             "enumerate_placements",
-            "is_intersecting",
             "load_family",
             "pairwise_intersecting",
-            "placements_intersect",
             "random_intersecting_family",
             "random_placement",
             "row_projection",

@@ -21,7 +21,6 @@ only when it finds a violation.  Each command takes only the flags it reads.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -30,7 +29,7 @@ from collections.abc import Callable, Sequence
 
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError,
-    ResourceLimitError, save_json,
+    ResourceLimitError, save_json, write_json,
 )
 
 SCHEMA_VERSION = 1
@@ -231,7 +230,7 @@ def _run_double_count(args, parameters) -> tuple[dict, dict | None, int]:
     if families:  # all on the grid and at the r of the parameters
         bound = parameters["r"] * counts.cyclic_order_count(parameters["n"], parameters["m"])
     for family, (lhs, rhs) in zip(families, double_counts):
-        intersecting = rook.is_intersecting(family)
+        intersecting = rook.pairwise_intersecting(family)
         entry = {
             "size": len(family),
             "lhs": lhs,
@@ -479,14 +478,18 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subparser of the command its first
+    argument names, else (no command, --help, an unknown one) every one."""
     parser = argparse.ArgumentParser(
         prog="ekrcheck",
         description="Exact verification of maximum intersecting families of "
                     "independent sets in rook's graphs and small graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, handler, groups) in _COMMANDS.items():
+    named = [command for command in argv[:1] if command in _COMMANDS]
+    for command in named or _COMMANDS:
+        help_text, handler, groups = _COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
         for group in (*groups, _EVERY):
             for name, options in group:
@@ -505,7 +508,7 @@ def _parameters(args) -> dict:
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        write_json(report, sys.stdout)
         return
     rows: list[tuple[str, object]] = [("command", report["command"])]
     rows.extend(report["parameters"].items())
@@ -527,7 +530,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Counts such as the number of cyclic orders are reported exactly,
         # past the 4,300 digits that Python otherwise converts to text.
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args, unknown = parser.parse_known_args(argv)
         if unknown:

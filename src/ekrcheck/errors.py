@@ -5,6 +5,8 @@ the immutable record base."""
 from __future__ import annotations
 
 import json
+from itertools import islice
+from typing import TextIO
 
 # Largest graph the exhaustive graph searches take by default; the command
 # line's --vertex-budget default, read without loading the graph module.
@@ -60,11 +62,20 @@ def load_json(path: str) -> object:
             raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
+def write_json(document: object, stream: TextIO) -> None:
+    """Write ``document`` to ``stream`` as indented JSON ending in a newline,
+    the one writer of reports and files: in batches of the encoder's pieces,
+    neither the whole text at once nor one unbuffered write per piece."""
+    pieces = json.JSONEncoder(indent=2).iterencode(document)
+    while batch := "".join(islice(pieces, 8192)):
+        stream.write(batch)
+    stream.write("\n")
+
+
 def save_json(document: object, path: str) -> None:
-    """Write ``document`` to ``path`` as indented JSON ending in a newline."""
+    """Write ``document`` to ``path`` with ``write_json``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+        write_json(document, fh)
 
 
 class Record:

@@ -73,13 +73,6 @@ class SimpleGraph(Record):
         self._check_vertex(v)
         return self._adj[v]
 
-    def neighbors(self, v: int) -> VertexSet:
-        mask = self.adjacency_mask(v)
-        return tuple(w for w in range(1, self._n + 1) if mask & (1 << w))
-
-    def degree(self, v: int) -> int:
-        return self.adjacency_mask(v).bit_count()
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(self._adj[v].bit_count() for v in range(1, self._n + 1)))
 

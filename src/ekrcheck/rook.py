@@ -58,11 +58,6 @@ def row_projection(placement: Placement) -> frozenset[int]:
     return frozenset(row for row, _ in placement)
 
 
-def placements_intersect(a: Placement, b: Placement) -> bool:
-    """True iff the two placements share at least one cell."""
-    return not set(a).isdisjoint(b)
-
-
 class Family(Record):
     """A deduplicated collection of r-placements sharing one (n, m, r) context.
 
@@ -191,11 +186,6 @@ def pairwise_intersecting(members: Iterable[Iterable]) -> bool:
     return True
 
 
-def is_intersecting(family: Family) -> bool:
-    """True iff every pair of members shares at least one cell."""
-    return pairwise_intersecting(family.sets)
-
-
 def random_placement(n: int, m: int, r: int, rng: Random) -> Placement:
     """A uniformly random r-placement."""
     require_grid(n, m)
@@ -217,13 +207,10 @@ def random_intersecting_family(n: int, m: int, r: int, rng: Random) -> Family:
     center = (rng.randint(1, n), rng.randint(1, m))
     star = star_family(n, m, r, center).sets
     members = list(rng.sample(star, rng.randint(1, len(star))))
-    cell_sets = [set(p) for p in members]
     for _ in range(rng.randint(0, 2 * r)):
         candidate = random_placement(n, m, r, rng)
-        cand_cells = set(candidate)
-        if all(cand_cells & s for s in cell_sets):
+        if pairwise_intersecting([*members, candidate]):
             members.append(candidate)
-            cell_sets.append(cand_cells)
     return Family.build(n, m, r, members)
 
 

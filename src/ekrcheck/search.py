@@ -71,13 +71,14 @@ VERDICT_RANGE_FAILS = "OUT_OF_THEOREM_RANGE_FAILS"
 SETS_PER_CLOCK_READ = 1024
 
 
-class SearchBudget:
+class SearchBudget(Record):
     """Limits for the exact search; exceeding either fails loudly.
 
     The clock starts when the budget is made, so every search given the
     same budget shares one deadline, and work done before a search (such
     as enumerating its sets) counts against it.  Budgets compare equal
-    when their limits are equal; the deadline is not compared.
+    when their limits are equal; the deadline is not compared.  A copy is
+    rebuilt from the limits, so it starts its own clock.
     """
 
     __slots__ = ("max_nodes", "max_seconds", "deadline")
@@ -85,19 +86,16 @@ class SearchBudget:
     def __init__(
         self, max_nodes: int = DEFAULT_NODE_BUDGET, max_seconds: float | None = None
     ) -> None:
-        self.max_nodes = max_nodes
-        self.max_seconds = max_seconds
-        self.deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+        deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+        super().__init__(max_nodes, max_seconds, deadline)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_nodes, self.max_seconds) == (other.max_nodes, other.max_seconds)
+    def _key(self) -> tuple:
+        return (self.max_nodes, self.max_seconds)
 
-    __hash__ = None  # mutable
+    __hash__ = None  # a running clock, not a value
 
-    def __repr__(self) -> str:
-        return f"SearchBudget(max_nodes={self.max_nodes!r}, max_seconds={self.max_seconds!r})"
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._key())
 
     def check_deadline(
         self, work: str, lower_bound: int | None = None, upper_bound: int | None = None

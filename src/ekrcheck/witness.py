@@ -181,7 +181,7 @@ def _validate_double_count(payload: dict) -> tuple[bool, str]:
     bound = family.r * counts.cyclic_order_count(family.n, family.m)
     if lhs != rhs:
         return True, f"recomputed lhs={lhs} differs from rhs={rhs}"
-    if rook.is_intersecting(family) and lhs > bound:
+    if rook.pairwise_intersecting(family) and lhs > bound:
         return True, f"recomputed lhs={lhs} exceeds the bound {bound}"
     return False, f"recomputation finds lhs=rhs={lhs} within the bound {bound}"
 

@@ -23,11 +23,11 @@ from ekrcheck import (
     graph_ekr_report,
     independence_number,
     interval_double_count,
-    is_intersecting,
     lex_product_check,
     max_intersecting_family,
     maximal_independent_sets,
     min_maximal_independent_size,
+    pairwise_intersecting,
     path_graph,
     random_intersecting_family,
     rook_placement_count,
@@ -166,7 +166,7 @@ def test_criterion_7_double_count_identity():
         assert lhs <= bound
         for seed in range(100):
             family = random_intersecting_family(4, 4, 2, Random(seed))
-            assert is_intersecting(family)
+            assert pairwise_intersecting(family)
             lhs, rhs = interval_double_count(family)
             assert lhs == rhs
             assert lhs <= bound
@@ -211,7 +211,7 @@ def test_criterion_10_search_oracle_equivalence():
             size, witness = max_intersecting_family(sample)
             assert size == brute_force_max_intersecting(sample)
             assert len(witness) == size
-            assert is_intersecting(Family(n, m, r, witness))
+            assert pairwise_intersecting(Family(n, m, r, witness))
 
 
 def test_criterion_11_thread_determinism(thread1_cli_runs):

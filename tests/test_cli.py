@@ -549,6 +549,22 @@ class TestEachCommandTakesOnlyItsFlags:
             assert json.loads(captured.out)["command"] == command
 
 
+    @pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+    def test_help_is_that_of_the_parser_of_every_command(self, capsys, command):
+        # A run builds only its own command's parser; its help must not change.
+        argv, _ = COMMAND_RUNS[command]
+        full, _ = cli.build_parser().parse_known_args([command, *argv])
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == full.parser.format_help()
+
+    def test_an_unknown_command_lists_every_command(self, capsys):
+        assert main(["bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err and "bogus" in captured.err
+        choices = captured.err.split("choose from", 1)[1]
+        assert all(command in choices for command in cli._COMMANDS)
+
     def test_an_unknown_flag_prints_the_usage_of_the_command(self, capsys):
         assert main(["verify", "--n", "4", "--m", "4", "--r", "2", "--out", "x.json"]) == 2
         captured = capsys.readouterr()

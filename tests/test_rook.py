@@ -15,10 +15,8 @@ from ekrcheck import (
     complete_graph,
     enumerate_independent,
     enumerate_placements,
-    is_intersecting,
     load_family,
     pairwise_intersecting,
-    placements_intersect,
     random_intersecting_family,
     random_placement,
     rook_placement_count,
@@ -110,7 +108,7 @@ class TestStarFamily:
 
     def test_every_star_is_intersecting(self):
         for center in [(1, 1), (2, 3), (4, 4)]:
-            assert is_intersecting(star_family(4, 4, 2, center))
+            assert pairwise_intersecting(star_family(4, 4, 2, center))
 
     def test_star_members_agree_with_filter(self):
         family = star_family(3, 4, 2, (2, 2))
@@ -125,10 +123,10 @@ class TestStarFamily:
 class TestIntersection:
     def test_disjoint_diagonals(self):
         family = Family.build(2, 2, 2, [[[1, 1], [2, 2]], [[1, 2], [2, 1]]])
-        assert not is_intersecting(family)
+        assert not pairwise_intersecting(family)
 
     def test_singleton_family(self):
-        assert is_intersecting(Family.build(3, 3, 2, [[[1, 1], [2, 2]]]))
+        assert pairwise_intersecting(Family.build(3, 3, 2, [[[1, 1], [2, 2]]]))
 
     def test_pairwise_intersecting_edge_cases(self):
         assert pairwise_intersecting([])
@@ -151,7 +149,7 @@ class TestIntersection:
     @settings(max_examples=60, deadline=None)
     @given(placements(), placements())
     def test_intersection_forces_row_overlap(self, a, b):
-        if placements_intersect(a, b):
+        if pairwise_intersecting([a, b]):
             assert row_projection(a) & row_projection(b)
 
     @settings(max_examples=60, deadline=None)
@@ -226,7 +224,7 @@ class TestRandomFamilies:
     def test_always_intersecting(self, seed):
         family = random_intersecting_family(4, 4, 2, Random(seed))
         assert len(family) >= 1
-        assert is_intersecting(family)
+        assert pairwise_intersecting(family)
 
     def test_random_placement_is_valid(self):
         rng = Random(3)

@@ -20,9 +20,9 @@ from ekrcheck import (
     enumerate_placements,
     graph_ekr_report,
     holroyd_talbot_sweep,
-    is_intersecting,
     lex_product_check,
     max_intersecting_family,
+    pairwise_intersecting,
     path_graph,
     rook_ekr_report,
     rook_star_count,
@@ -213,7 +213,7 @@ class TestRookVerdicts:
         assert report.max_intersecting == 9
         assert report.best_star == 9
         assert report.verdict == "EKR_HOLDS"
-        assert is_intersecting(Family(4, 4, 2, report.witness))
+        assert pairwise_intersecting(Family(4, 4, 2, report.witness))
 
     def test_singleton_case(self):
         report = rook_ekr_report(5, 7, 1)
@@ -260,6 +260,25 @@ class TestGraphVerdicts:
         assert report.max_intersecting == 4
         assert report.best_star == 3
         assert report.verdict == "OUT_OF_THEOREM_RANGE_FAILS"
+
+    @pytest.mark.parametrize("n, m", [
+        (n, m) for n in range(1, 25) for m in range(1, 25) if n * m <= 24
+    ])
+    def test_rook_and_graph_verdicts_agree_on_the_rook_graph(self, n, m):
+        # Vertex v of K_n x K_m is the cell ((v-1)//m + 1, (v-1)%m + 1).  Both
+        # reports certify their witness with pairwise_intersecting, the rook
+        # one on cells and the graph one on vertices.
+        g = cartesian_product(complete_graph(n), complete_graph(m))
+        for r in range(1, min(n, m) + 1):
+            rook, graph = rook_ekr_report(n, m, r), graph_ekr_report(g, r)
+            assert (rook.max_intersecting, rook.best_star, rook.verdict) == (
+                graph.max_intersecting, graph.best_star, graph.verdict
+            )
+            cells = tuple(
+                tuple(((v - 1) // m + 1, (v - 1) % m + 1) for v in member)
+                for member in graph.witness
+            )
+            assert cells == rook.witness
 
 
 class TestHolroydTalbotSweep:
@@ -431,6 +450,16 @@ class TestRenumberedColoring:
         assert report.max_intersecting == report.best_star
         assert engines == [(vertices, nodes)]
 
+    @pytest.mark.parametrize("g, runs", [
+        (empty_graph(10), [(0, 0), (16, 0), (84, 13), (194, 306), (250, 0)]),
+        (cartesian_product(cycle_graph(4), cycle_graph(6)), [(24, 0), (228, 30), (1112, 166)]),
+        (cartesian_product(path_graph(4), cycle_graph(5)), [(20, 0), (155, 21), (600, 77)]),
+    ], ids=["E10", "C4xC6", "P4xC5"])
+    def test_sweep_max_phase_node_counts(self, g, runs, engines):
+        # Deterministic, so an engine change can quote exact before and after.
+        holroyd_talbot_sweep(g)
+        assert engines == runs
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 12).flatmap(
@@ -511,6 +540,11 @@ class TestRecords:
         assert SearchBudget().deadline is None
         with pytest.raises(TypeError):
             hash(SearchBudget())
+        budget = SearchBudget(5, 60.0)
+        with pytest.raises(AttributeError):
+            budget.max_nodes = 6
+        for twin in (copy.copy(budget), pickle.loads(pickle.dumps(budget))):
+            assert twin == budget and twin.deadline >= budget.deadline
 
     def test_lex_result_fields(self):
         premise, conclusion = self.report(0.0), search.EkrReport({}, 3, 2, "EKR_FAILS", ())
