@@ -9,6 +9,9 @@ standard output, otherwise a small fixed table.  Exit codes:
     3   budget exhausted (inconclusive)
     141 the reader closed standard output before the report was written
 
+A report that cannot be written for another reason (a full disk, say)
+exits 2, with the reason on standard error.
+
 Reports from runs that exit 1 can be revalidated independently with the
 ``check-witness`` subcommand; ``witness`` writes each counterexample kind.
 
@@ -16,6 +19,8 @@ This module imports only the standard library and ``errors`` when it
 loads; each handler imports the library modules it runs, so a command
 compiles no module it does not use, and imports a counterexample producer
 only when it finds a violation.  Each command takes only the flags it reads.
+A process started from the command line enters through ``run``, which ends
+it without the interpreter's teardown once the report is written.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import re
 import sys
 import time
 from collections.abc import Callable, Sequence
+from typing import NoReturn
 
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError,
@@ -571,14 +577,41 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _emit(report, args.json)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe (``ekrcheck orders ... | head``).  Point
-        # stdout at the null device, so the flush at exit writes nowhere
-        # instead of raising again, and exit as SIGPIPE would: 128 + 13.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+    except OSError as exc:
+        return _unwritten(exc)
     return exit_code
 
 
+def _unwritten(exc: OSError) -> int:
+    """The exit code of a run whose standard output failed with ``exc``.
+
+    A closed pipe (``ekrcheck orders ... | head``) exits as SIGPIPE would,
+    128 + 13, and silently; any other failure is an error (exit 2) named
+    on stderr, never a traceback (exit 1, which reads as "refuted").
+    Standard output is pointed at the null device, so a later flush
+    writes nowhere instead of raising again.
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if isinstance(exc, BrokenPipeError):
+        return 141
+    print(f"ekrcheck: error: <stdout>: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
+def run() -> NoReturn:
+    """Run ``main`` as the whole process (``python -m ekrcheck`` and the
+    ``ekrcheck`` script): flush both standard streams, then leave through
+    ``os._exit``, skipping the teardown in which the interpreter frees
+    every module and object after the report is out.  Every file a command
+    writes is closed before ``main`` returns."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _unwritten(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -73,9 +73,15 @@ def write_json(document: object, stream: TextIO) -> None:
 
 
 def save_json(document: object, path: str) -> None:
-    """Write ``document`` to ``path`` with ``write_json``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write_json(document, fh)
+    """Write ``document`` to ``path`` with ``write_json``; a failed write
+    raises an OSError that names the file, as a failed open does."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write_json(document, fh)
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 class Record:

@@ -42,11 +42,34 @@ placements; on a graph, permutations of a class of twins (vertices with
 equal open or equal closed neighbourhoods) are automorphisms; on the
 edgeless graph E_n all vertices are twins and the check passes, while on a
 graph without twins there is nothing to check and the full search runs.
+
+Cycle certificate.  On the edgeless graph E_n, with n >= 2r, the searched
+family is every r-subset of [n], and Katona's cycle method (*A simple
+proof of the Erdos-Chao Ko-Rado theorem*, JCTB 1972) bounds its
+intersecting subfamilies.  A cyclic order of [n] is an arrangement of the
+n labels around a circle, and its intervals are its runs of r consecutive
+labels.  Let D be the number of distinct intervals of the identity order
+(1, 2, ..., n), k the largest intersecting family among them, P the number
+of r-sets and O the number of cyclic orders.  The permutations of [n] act
+on the labels and the rotations on the positions, so the two actions
+commute, and the first is transitive on the orders and on the r-sets.
+Hence every order has D distinct intervals and a largest intersecting
+family of k of them, and every r-set is an interval of the same number occ
+of orders; counting the (order, interval) pairs both ways gives O*D =
+P*occ.  An intersecting family F meets the intervals of each order in an
+intersecting family of at most k of them, so summing over the orders,
+|F| * occ <= O * k, and |F| <= O*k/occ = k*P/D.  ``graph_ekr_report``
+computes k with the clique engine, D and P by counting, and checks that
+the division is exact; on E_n they come out as k = r and D = n, so the
+bound is r*C(n, r)/n = C(n-1, r-1), the star.  The max phase stops once
+it reaches the bound, so when the star seed meets it no node is searched;
+the witness pass and its certification run as before.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .counts import require_placement_size, rook_star_count
@@ -201,11 +224,15 @@ class _CliqueEngine:
     def _greedy_class(self, pool: int) -> int:
         """The class that greedy coloring takes from ``pool``: each vertex in
         index order that has no neighbour taken before it."""
+        adj = self._adj
         taken = 0
         while pool:
             bit = pool & -pool
             taken |= bit
-            pool &= ~bit & ~self._adj[bit.bit_length() - 1]
+            # Clearing bits by XOR keeps every operand nonnegative, which is
+            # cheaper than AND with a complement (a negative int).
+            pool ^= bit
+            pool ^= pool & adj[bit.bit_length() - 1]
         return taken
 
     def _branch_order(self, candidates: int, k_min: int) -> list[tuple[int, int]]:
@@ -221,22 +248,35 @@ class _CliqueEngine:
                 order.append((bit.bit_length() - 1, color))
         return order
 
-    def max_clique_size(self, initial_best: int = 0) -> int:
-        """Exact maximum clique size; ``initial_best`` must be attainable."""
+    def max_clique_size(self, initial_best: int = 0, upper_bound: int | None = None) -> int:
+        """Exact maximum clique size; ``initial_best`` must be attainable.
+
+        ``upper_bound``, when given, is a bound the caller has proved: the
+        search stops once it reaches it, at the root without coloring when
+        ``initial_best`` already does.  A bound below ``initial_best`` is
+        refused, since one of them is wrong.
+        """
+        if upper_bound is not None and upper_bound < initial_best:
+            raise RuntimeError(
+                f"internal error: the proved upper bound {upper_bound} is below "
+                f"an attained clique of {initial_best}"
+            )
         self.best = initial_best
+        stop = self._count if upper_bound is None else upper_bound
         full = self.full_mask()
-        if full:
+        if full and self.best < stop:
             colored = self._branch_order(full, 0)
-            self.root_bound = colored[-1][1]
+            self.root_bound = min(colored[-1][1], stop)
             if self.root_bound > self.best:
                 self._tick()
-                self._expand(full, colored)
+                self._expand(full, colored, stop)
         # The search is complete, so a later budget exit reports exact bounds.
         self.root_bound = self.best
         return self.best
 
-    def _expand(self, candidates: int, colored: list[tuple[int, int]]) -> None:
-        """Branch and bound from the root, whose node is already counted.
+    def _expand(self, candidates: int, colored: list[tuple[int, int]], stop: int) -> None:
+        """Branch and bound from the root, whose node is already counted,
+        until the whole tree is searched or the best size reaches ``stop``.
 
         One frame ``[candidates, clique size, coloring, next index]`` per
         clique level.  A frame branches on its vertices from the highest
@@ -269,6 +309,8 @@ class _CliqueEngine:
             frame[0], frame[3] = candidates, index - 1
             if size + 1 > self.best:
                 self.best = size + 1
+                if self.best == stop:
+                    return
             sub = candidates & self._adj[v]
             if sub:
                 self._tick()
@@ -342,11 +384,10 @@ class _CliqueEngine:
         raise RuntimeError("internal error: failed to rebuild a maximum clique")
 
 
-def _lex_smallest_maximum(
-    members: Sequence[tuple], budget: SearchBudget, offset: int = 0
-) -> tuple[tuple, ...]:
-    """The lexicographically smallest maximum intersecting subfamily of the
-    sorted distinct ``members``; ``offset`` as in ``_CliqueEngine``."""
+def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> tuple[list[int], int]:
+    """The compatibility masks of ``members`` (bit j of mask i is set when
+    members i and j differ and meet), and the largest star among them, a
+    clique to seed the search with."""
     element_masks: dict[object, int] = {}
     for index, member in enumerate(members):
         for element in member:
@@ -365,9 +406,23 @@ def _lex_smallest_maximum(
     seed = max(
         (mask.bit_count() for mask in element_masks.values()), default=min(len(members), 1)
     )
+    return adjacency, seed
 
+
+def _lex_smallest_maximum(
+    members: Sequence[tuple],
+    budget: SearchBudget,
+    offset: int = 0,
+    upper_bound: int | None = None,
+) -> tuple[tuple, ...]:
+    """The lexicographically smallest maximum intersecting subfamily of the
+    sorted distinct ``members``; ``offset`` and ``upper_bound`` as in
+    ``_CliqueEngine``, the bound counting the offset's members too."""
+    adjacency, seed = _compatibility(members, budget)
     engine = _CliqueEngine(adjacency, budget, offset)
-    size = engine.max_clique_size(initial_best=seed)
+    size = engine.max_clique_size(
+        initial_best=seed, upper_bound=None if upper_bound is None else upper_bound - offset
+    )
     clique = engine.lex_smallest_clique(size)
     if len(clique) != size:
         raise RuntimeError("internal error: witness size does not match the reported maximum")
@@ -379,31 +434,45 @@ def _transitive_symmetries(
 ) -> bool:
     """True iff the permutations pass the check in the module docstring.
 
-    An element a permutation does not list is fixed by it.  Sets are keyed
-    by their sorted elements.
+    An element a permutation does not list is fixed by it.  Elements are
+    numbered by their first position in the family, and a set is keyed by
+    the sum of its elements' bits, an integer with as many bits set as the
+    set has elements exactly when none repeats.  A set with a repeated
+    element is refused (its search then runs unreduced), so a key stands
+    for the sorted elements.  A bijection sends distinct elements to
+    distinct bits, so the key of an image is the sum of the image bits.
     """
-    index = {tuple(sorted(member)): i for i, member in enumerate(unique)}
+    elements = list(dict.fromkeys(chain.from_iterable(unique)))
+    position = {element: i for i, element in enumerate(elements)}
+    bits = [1 << i for i in range(len(elements))]
+    rows = [[position[element] for element in member] for member in unique]
+    index = {}
+    for i, row in enumerate(rows):
+        key = sum(map(bits.__getitem__, row))
+        if key.bit_count() != len(row):  # a carry: some position repeats
+            return False
+        index[key] = i
     if len(index) != len(unique):
         return False
-    elements = set().union(*unique)
     maps = []
     for perm in symmetries:
-        full = {element: perm.get(element, element) for element in elements}
-        if set(full.values()) != elements:
+        image = [position.get(perm.get(element, element)) for element in elements]
+        if None in image or len(set(image)) != len(elements):
             return False
-        maps.append(full.__getitem__)
+        maps.append([1 << p for p in image].__getitem__)
     reached = {0}
-    queue = [unique[0]]
-    for count, member in enumerate(queue):  # the queue grows while it is read
+    queue = [0]
+    for count, i in enumerate(queue):  # the queue grows while it is read
         if count % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
             budget.check_deadline("symmetry check")
-        for apply in maps:
-            image = index.get(tuple(sorted(map(apply, member))))
+        row = rows[i]
+        for bit in maps:
+            image = index.get(sum(map(bit, row)))
             if image is None:
                 return False
             if image not in reached:
                 reached.add(image)
-                queue.append(unique[image])
+                queue.append(image)
     return len(reached) == len(unique)
 
 
@@ -411,6 +480,7 @@ def max_intersecting_family(
     sets: Sequence[tuple],
     budget: SearchBudget | None = None,
     symmetries: Sequence[Mapping] | None = None,
+    upper_bound: int | None = None,
 ) -> tuple[int, tuple[tuple, ...]]:
     """Exact maximum size of a pairwise-intersecting subfamily, with witness.
 
@@ -419,9 +489,11 @@ def max_intersecting_family(
     permutations (mappings; unlisted elements are fixed) that the caller
     expects to be symmetries of the family.  When they pass the check in
     the module docstring, only the sets that meet the first set are
-    searched; otherwise, or without them, the whole family is.  Certified
-    before returning: the witness is pairwise intersecting and has the
-    reported size.
+    searched; otherwise, or without them, the whole family is.
+    ``upper_bound`` is a bound on the answer that the caller has proved,
+    such as the cycle certificate in the module docstring; the maximum
+    search stops once it reaches it.  Certified before returning: the
+    witness is pairwise intersecting and has the reported size.
     """
     budget = budget or SearchBudget()
     if len(sets) >= SETS_PER_CLOCK_READ:
@@ -432,9 +504,9 @@ def max_intersecting_family(
     if symmetries and _transitive_symmetries(unique, symmetries, budget):
         first = set(unique[0])
         neighbours = [member for member in unique[1:] if not first.isdisjoint(member)]
-        witness = (unique[0],) + _lex_smallest_maximum(neighbours, budget, offset=1)
+        witness = (unique[0],) + _lex_smallest_maximum(neighbours, budget, 1, upper_bound)
     else:
-        witness = _lex_smallest_maximum(unique, budget)
+        witness = _lex_smallest_maximum(unique, budget, 0, upper_bound)
 
     if not pairwise_intersecting(witness):
         raise RuntimeError("internal error: witness is not pairwise intersecting")
@@ -558,6 +630,26 @@ def rook_ekr_report(
     )
 
 
+def _cycle_bound(n: int, r: int, sets: Sequence[tuple]) -> int:
+    """The cycle certificate's bound k*P/D for the r-sets ``sets`` of [n],
+    n >= 2r, with its facts computed as the module docstring proves it."""
+    intervals = sorted(
+        {tuple(sorted((start + i) % n + 1 for i in range(r))) for start in range(n)}
+    )
+    # The intervals are few, so their search gets a budget of its own: a
+    # budget exit must never report their bounds as the family's.
+    budget = SearchBudget()
+    adjacency, seed = _compatibility(intervals, budget)
+    k = _CliqueEngine(adjacency, budget).max_clique_size(seed)
+    bound, remainder = divmod(k * len(sets), len(intervals))
+    if remainder:
+        raise RuntimeError(
+            f"internal error: {k} * {len(sets)} sets is not a multiple of "
+            f"{len(intervals)} intervals"
+        )
+    return bound
+
+
 def graph_ekr_report(
     g: SimpleGraph,
     r: int,
@@ -572,7 +664,9 @@ def graph_ekr_report(
     only asks for one good vertex).  In-theorem-range means r is at most
     half the smallest maximal independent set size.  The search is given
     the permutations of each class of twins, which it uses when they act
-    transitively on the independent r-sets.
+    transitively on the independent r-sets.  On an edgeless graph with at
+    least 2r vertices it is also given the cycle certificate's bound (module
+    docstring), at which its maximum phase stops.
     """
     from .graphs import best_star_size, enumerate_independent, min_maximal_independent_size
 
@@ -586,7 +680,10 @@ def graph_ekr_report(
         if known_min_maximal is not None
         else min_maximal_independent_size(g, vertex_budget)
     )
-    size, witness = max_intersecting_family(sets, budget, twin_symmetries(g))
+    bound = None
+    if g.edge_count == 0 and g.vertex_count >= 2 * r:
+        bound = _cycle_bound(g.vertex_count, r, sets)
+    size, witness = max_intersecting_family(sets, budget, twin_symmetries(g), bound)
     return EkrReport(
         parameters={
             "kind": "graph",

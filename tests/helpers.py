@@ -74,6 +74,35 @@ def brute_force_max_intersecting(sets) -> int:
     return best
 
 
+def transitive_symmetries_by_sorting(unique, symmetries) -> bool:
+    """The symmetry check of the ``search`` module docstring on the sorted
+    distinct sets ``unique``, keying each set and each image by its sorted
+    elements; a set with a repeated element is refused outright."""
+    if any(len(set(member)) != len(member) for member in unique):
+        return False
+    index = {tuple(sorted(member)): i for i, member in enumerate(unique)}
+    if len(index) != len(unique):
+        return False
+    elements = set().union(*unique)
+    maps = []
+    for perm in symmetries:
+        full = {element: perm.get(element, element) for element in elements}
+        if set(full.values()) != elements:
+            return False
+        maps.append(full)
+    reached = {0}
+    queue = [unique[0]]
+    for member in queue:
+        for full in maps:
+            image = index.get(tuple(sorted(full[element] for element in member)))
+            if image is None:
+                return False
+            if image not in reached:
+                reached.add(image)
+                queue.append(unique[image])
+    return len(reached) == len(unique)
+
+
 def tally_by_order(n: int, m: int, r: int) -> Counter:
     """For every placement, the number of cyclic orders realizing it as an
     interval, found by relabelling the identity order's distinct intervals

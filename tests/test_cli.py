@@ -309,8 +309,8 @@ class TestGraphCommands:
         ]
 
     def test_ht_on_the_edgeless_graph_at_n_equal_2r_plus_1(self):
-        # At r=4 the greedy coloring bound is loose (n = 2r + 1); the
-        # re-numbered bound keeps this run to a fraction of a second.
+        # At r=4 the greedy coloring bound is loose (n = 2r + 1); the cycle
+        # certificate closes the maximum search at its root.
         code, out, _ = run_cli("ht", "--graph", "E9", "--json")
         assert code == 0
         result = json.loads(out)["result"]
@@ -487,6 +487,38 @@ class TestOutputContract:
         assert proc.wait(timeout=120) == 141
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["count", "--n", "4", "--m", "4", "--r", "2", "--json"], 0),
+        (["count", "--n", "4", "--m", "4", "--r", "2"], 0),
+        (["lex", "--graph", "E5", "--k", "2", "--r", "3", "--json"], 1),
+        (["verify", "--n", "4", "--m", "4", "--json"], 2),
+        (["verify", "--n", "5", "--m", "5", "--r", "2", "--budget-nodes", "1", "--json"], 3),
+    ])
+    def test_python_m_exits_as_main_returns(self, capsys, argv, code):
+        proc_code, proc_out, _ = run_cli(*argv)
+        assert main(argv) == proc_code == code
+        out = capsys.readouterr().out
+        if "--json" in argv and code != 2:
+            assert canonical_json_without_elapsed(out) == canonical_json_without_elapsed(proc_out)
+        else:  # a table ends in its elapsed_ms row; a usage error prints nothing
+            assert out.splitlines()[:-1] == proc_out.splitlines()[:-1]
+
+    def test_a_closed_pipe_exits_141_from_python_m_and_from_main(self, monkeypatch):
+        argv = ["count", "--n", "4", "--m", "4", "--r", "2", "--json"]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ekrcheck", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, timeout=120)
+            with open(write, "w", closefd=False) as stream:
+                monkeypatch.setattr(sys, "stdout", stream)
+                code = main(argv)
+                monkeypatch.undo()
+        finally:
+            os.close(write)
+        assert proc.returncode == code == 141
+        assert proc.stderr == b""
+
 
 # A minimal run of each command, and the flags it reads among those that
 # every command used to take; all of them also take --json and --threads.
@@ -645,6 +677,33 @@ class TestFailsClosed:
         code, _, err = run_cli("double-count", "--family", str(path))
         assert code == 2
         assert str(path) in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "table"])
+    def test_a_full_stdout_exits_2_with_one_line(self, json_flag):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ekrcheck", "count", "--n", "4", "--m", "4", "--r", "2",
+                 *json_flag],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "ekrcheck: error: <stdout>: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_stdout_in_process(self, monkeypatch, capsys):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            code = main(["count", "--n", "4", "--m", "4", "--r", "2", "--json"])
+            monkeypatch.undo()
+        assert code == 2
+        assert capsys.readouterr().err == "ekrcheck: error: <stdout>: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_out_file_is_named(self):
+        code, out, err = run_cli("orders", "--n", "3", "--m", "3", "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "ekrcheck: error: /dev/full: No space left on device\n"
 
     def test_unwritable_out(self, tmp_path):
         path = tmp_path / "no-such-directory" / "family.json"

@@ -11,8 +11,15 @@ import ekrcheck
 
 # Runs ``python -m ekrcheck`` in-process, then writes to stderr the exit
 # code, the ekrcheck modules loaded and whether dataclasses was loaded.
+# ``cli.run`` leaves through ``os._exit``, which the probe turns into
+# SystemExit so that it can report after the run.
 PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
+
+def leave(code):
+    raise SystemExit(code)
+
+os._exit = leave
 try:
     runpy.run_module("ekrcheck", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -43,6 +50,7 @@ def probe(*argv: str) -> dict:
     (["windows", "--n", "5", "--m", "5", "--r", "2"], CYCLE),
     (["double-count", "--n", "4", "--m", "4", "--r", "2", "--samples", "2"], CYCLE),
     (["ht", "--graph", "E5"], SEARCH),
+    (["lex", "--graph", "E8", "--k", "2", "--r", "4"], SEARCH),
     (["graph-stats", "--graph", "C5"], BASE + ["ekrcheck.graphs"]),
 ])
 def test_each_command_loads_only_what_it_runs(argv, modules):

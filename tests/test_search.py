@@ -2,6 +2,7 @@ import copy
 import pickle
 import time
 from itertools import combinations
+from math import comb
 from types import SimpleNamespace
 from random import Random
 
@@ -35,7 +36,7 @@ from ekrcheck import (
     SimpleGraph,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
-from helpers import brute_force_max_intersecting
+from helpers import brute_force_max_intersecting, transitive_symmetries_by_sorting
 
 
 def brute_lex_min_max_family(sets):
@@ -327,8 +328,8 @@ def engines(monkeypatch):
     runs = []
     original = search._CliqueEngine.max_clique_size
 
-    def spy(self, initial_best=0):
-        size = original(self, initial_best)
+    def spy(self, initial_best=0, upper_bound=None):
+        size = original(self, initial_best, upper_bound)
         runs.append((self._count, self._nodes))
         return size
 
@@ -397,6 +398,42 @@ class TestSymmetryReduction:
             max_intersecting_family(sets)
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 5), max_size=3), min_size=1, max_size=8),
+        st.lists(st.permutations(range(7)), max_size=3),
+        st.lists(st.dictionaries(st.integers(0, 6), st.integers(0, 6), max_size=4), max_size=2),
+        st.booleans(),
+    )
+    def test_the_check_agrees_with_sorted_keys(self, members, perms, maps, close):
+        symmetries = [dict(enumerate(perm)) for perm in perms]
+        family = {tuple(member) for member in members}
+        if close:
+            # The orbit of the first set under bijections, which the check
+            # accepts unless an element repeats.
+            family = {tuple(sorted(members[0]))}
+            frontier = list(family)
+            while frontier:
+                member = frontier.pop()
+                for perm in symmetries:
+                    image = tuple(sorted(perm[element] for element in member))
+                    if image not in family:
+                        family.add(image)
+                        frontier.append(image)
+        else:
+            symmetries += maps
+        unique = sorted(family)
+        assert search._transitive_symmetries(unique, symmetries, SearchBudget()) == (
+            transitive_symmetries_by_sorting(unique, symmetries)
+        )
+
+    def test_a_set_with_a_repeated_element_is_searched_unreduced(self, engines):
+        sets = [(1, 1), (2, 2)]
+        swap = {1: 2, 2: 1}
+        assert not search._transitive_symmetries(sets, [swap], SearchBudget())
+        assert max_intersecting_family(sets, symmetries=[swap]) == (1, ((1, 1),))
+        assert engines[0][0] == 2
+
     def test_a_map_that_is_not_a_bijection_is_refused(self, engines):
         # It sends every set into the family and reaches all three from the
         # first, which meets no other set; trusted, it would report 1.
@@ -420,7 +457,8 @@ class TestSymmetryReduction:
         assert (report.max_intersecting, report.witness) == (1, (((1, 1),),))
         report = graph_ekr_report(empty_graph(5), 1)
         assert (report.max_intersecting, report.witness) == (1, ((1,),))
-        assert [vertices for vertices, _ in engines] == [0, 0]
+        # Between them, the cycle certificate's search of E5's 5 intervals.
+        assert [vertices for vertices, _ in engines] == [0, 5, 0]
 
     def test_seven_by_seven_searches_the_first_placements_neighbourhood(self, engines):
         report = rook_ekr_report(7, 7, 3)
@@ -438,23 +476,90 @@ class TestSymmetryReduction:
         assert engines == [(4557, 9)]
 
 
+class TestCycleCertificate:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_edgeless_reports_match_the_unbounded_search(self, n, monkeypatch):
+        g = empty_graph(n)
+        bounded = [graph_ekr_report(g, r) for r in range(1, n // 2 + 1)]
+        for r in range(1, n // 2 + 1):
+            assert search._cycle_bound(n, r, enumerate_independent(g, r)) == comb(n - 1, r - 1)
+        monkeypatch.setattr(search, "_cycle_bound", lambda n, r, sets: None)
+        assert bounded == [graph_ekr_report(g, r) for r in range(1, n // 2 + 1)]
+
+    def test_the_max_phase_stops_at_the_root(self, engines):
+        report = graph_ekr_report(empty_graph(10), 4)
+        assert report.max_intersecting == report.best_star == 84
+        # The 10 intervals of the identity order, then no node on 194 sets.
+        assert engines[1:] == [(194, 0)]
+        assert engines[0][0] == 10
+
+    def test_a_bound_below_the_seed_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "_cycle_bound", lambda n, r, sets: comb(n - 1, r - 1) - 1)
+        with pytest.raises(RuntimeError, match="below an attained clique"):
+            graph_ekr_report(empty_graph(8), 3)
+
+    @pytest.mark.parametrize("g, r", [
+        (empty_graph(4), 3), (cycle_graph(8), 3), (complete_graph(3), 1),
+    ], ids=["E4 r3", "C8 r3", "K3 r1"])
+    def test_no_bound_without_the_theorem(self, g, r, monkeypatch):
+        # Fewer than 2r vertices, or an edge: the search runs unbounded.
+        def refuse(*args):
+            raise AssertionError("the cycle bound was computed")
+
+        monkeypatch.setattr(search, "_cycle_bound", refuse)
+        graph_ekr_report(g, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(
+                    lambda e: e[0] < e[1])),
+                st.integers(0, k),
+            )
+        )
+    )
+    def test_a_true_bound_keeps_the_maximum(self, case):
+        k, edges, slack = case
+        adjacency = [0] * k
+        for u, v in edges:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+        exact = search._CliqueEngine(adjacency, SearchBudget())
+        size = exact.max_clique_size(min(k, 1))
+        bounded = search._CliqueEngine(adjacency, SearchBudget())
+        assert bounded.max_clique_size(min(k, 1), min(size + slack, k)) == size
+        assert bounded._nodes <= exact._nodes
+
+
 def bits(mask):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 class TestRenumberedColoring:
+    # The edgeless graphs are searched here without the cycle certificate,
+    # which graph_ekr_report gives them, so the counts still pin the engine.
+
     @pytest.mark.parametrize("n, vertices, nodes", [(9, 120, 854), (10, 194, 306)])
     def test_edgeless_graphs_at_n_equal_2r_plus_1(self, n, vertices, nodes, engines):
         # The plain greedy bound took 278,557 (E9) and 4,143 (E10) nodes.
-        report = graph_ekr_report(empty_graph(n), 4)
-        assert report.max_intersecting == report.best_star
+        g = empty_graph(n)
+        size, _ = max_intersecting_family(enumerate_independent(g, 4),
+                                          symmetries=twin_symmetries(g))
+        assert size == comb(n - 1, 3)
         assert engines == [(vertices, nodes)]
 
+    def test_edgeless_max_phase_node_counts(self, engines):
+        g = empty_graph(10)
+        for r in range(1, 6):
+            max_intersecting_family(enumerate_independent(g, r), symmetries=twin_symmetries(g))
+        assert engines == [(0, 0), (16, 0), (84, 13), (194, 306), (250, 0)]
+
     @pytest.mark.parametrize("g, runs", [
-        (empty_graph(10), [(0, 0), (16, 0), (84, 13), (194, 306), (250, 0)]),
         (cartesian_product(cycle_graph(4), cycle_graph(6)), [(24, 0), (228, 30), (1112, 166)]),
         (cartesian_product(path_graph(4), cycle_graph(5)), [(20, 0), (155, 21), (600, 77)]),
-    ], ids=["E10", "C4xC6", "P4xC5"])
+    ], ids=["C4xC6", "P4xC5"])
     def test_sweep_max_phase_node_counts(self, g, runs, engines):
         # Deterministic, so an engine change can quote exact before and after.
         holroyd_talbot_sweep(g)
