@@ -9,8 +9,8 @@ standard output, otherwise a small fixed table.  Exit codes:
     3   budget exhausted (inconclusive)
     141 the reader closed standard output before the report was written
 
-A report that cannot be written for another reason (a full disk, say)
-exits 2, with the reason on standard error.
+A report or help text that cannot be written for another reason (a full
+disk, say) exits 2, with the reason on standard error.
 
 Reports from runs that exit 1 can be revalidated independently with the
 ``check-witness`` subcommand; ``witness`` writes each counterexample kind.
@@ -484,10 +484,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage text on standard output fails
+    as a report does: argparse's own writer drops the OSError of a failed
+    write, so a run would exit 0 with its text lost.  The text is flushed
+    at once, so the failure reaches ``main`` however stdout is buffered."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The parser for ``argv``: only the subparser of the command its first
     argument names, else (no command, --help, an unknown one) every one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ekrcheck",
         description="Exact verification of maximum intersecting families of "
                     "independent sets in rook's graphs and small graphs.",
@@ -545,6 +559,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:
+        return _unwritten(exc)
     started = time.monotonic()
     parameters = _parameters(args)
     try:

@@ -66,7 +66,9 @@ The tally's work count is (n-1)! * n + (m-1)! * m = n! + m! window steps
 plus, for each join, at most n!/(n-r)! * m!/(m-r)! products, in place of
 (n-1)! * (m-1)! * n * m intervals built one order at a time.  interval_tally
 refuses a count over TALLY_WORK_BUDGET before any walk, counting one join
-before it lists the n*m identity intervals that find the others.  The
+before it lists the n*m identity intervals that find the others.
+count_orders_containing, which counts one placement's orders, walks the
+same n! + m! windows under the same budget, with no join.  The
 budget admits every grid of at most 10^6 orders, the bound the tally had
 when it listed orders: the largest such count is 25,411,680 (7 x 7 at
 r = 6 and r = 7, one join each), while 12 x 12 at r = 1 needs 958,003,344.
@@ -82,7 +84,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .counts import (
     cyclic_order_count, interval_occurrence_count, require_grid, require_placement_size,
 )
-from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer
+from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, require_integers
 from .rook import Family, Placement, canonical_placement, row_projection
 
 TALLY_WORK_BUDGET = 5 * 10**7
@@ -132,9 +134,7 @@ def canonical_order(rows: Sequence[int], cols: Sequence[int]) -> CyclicOrder:
     equivalence class; the map is idempotent on canonical pairs.
     """
     for values, name in ((rows, "rows"), (cols, "cols")):
-        if not isinstance(values, (list, tuple)) or not all(map(is_integer, values)):
-            raise InputError(f"{name} must be a sequence of integers, got {values!r}")
-        _check_permutation(tuple(values), name)
+        _check_permutation(tuple(require_integers(values, name)), name)
     row_seq, col_seq = tuple(rows), tuple(cols)
     i = row_seq.index(1)
     j = col_seq.index(1)
@@ -296,22 +296,54 @@ def max_intersecting_intervals_witness(order: CyclicOrder, r: int) -> tuple[Plac
     return tuple(sorted(intervals[v] for v in range(len(intervals)) if mask & (1 << v)))
 
 
-def count_orders_containing(
-    n: int,
-    m: int,
-    placement: Iterable[Iterable[int]],
-    max_orders: int = DEFAULT_SET_BUDGET,
-) -> int:
-    """Number of canonical cyclic orders realizing the placement as an interval."""
+def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) -> int:
+    """Number of canonical cyclic orders realizing the placement as an
+    interval, counted without listing the orders.
+
+    Let p have r cells, and let pi send each row of p to its column.  An
+    order (s1, s2) realizes p at start (i, j) exactly when the r-window w
+    of s1 at i and the r-window v of s2 at j pair up as the cells of p:
+    the cells of p have distinct rows, so that is when w holds the rows of
+    p and v[k] = pi(w[k]) for every k.  So the order realizes p exactly
+    when the set of pi(w), over the windows w of s1 on the rows of p,
+    meets the set of the windows of s2 on the columns of p.  The canonical
+    orders are the pairs of a canonical row order and a canonical column
+    order, chosen independently, so each row order is walked once for its
+    set and each column order once for its own, and each pair of a row set
+    and a column set that meet counts the product of their multiplicities:
+    n! + m! window steps.  This count is written apart from
+    interval_tally's join, which it cross-checks, and takes the same work
+    budget.
+    """
     require_grid(n, m)
     canon = canonical_placement(placement, n, m)
-    if not 1 <= len(canon) <= min(n, m):
-        raise InputError(f"placement size must be in 1..min(n,m)={min(n, m)}, got {len(canon)}")
-    return sum(
-        1
-        for order in enumerate_cyclic_orders(n, m, max_orders)
-        if interval_start(order, canon) is not None
-    )
+    r = len(canon)
+    require_placement_size(n, m, r)
+    _check_tally_work(n, m, r, 0, "counting the orders of one placement")
+    column = dict(canon)
+
+    def window_sets(size: int, labels: set[int], relabel: Callable) -> Counter[frozenset]:
+        """How many canonical cyclic orders of 1..size have each set of
+        relabelled r-windows on ``labels``."""
+        sets: Counter[frozenset] = Counter()
+        for rest in permutations(range(2, size + 1)):
+            ring = (1,) + rest
+            ring += ring[: r - 1]
+            windows = (ring[start : start + r] for start in range(size))
+            sets[frozenset(relabel(w) for w in windows if set(w) == labels)] += 1
+        return sets
+
+    row_sets = window_sets(n, set(column), lambda w: tuple(map(column.__getitem__, w)))
+    col_sets = window_sets(m, set(column.values()), tuple)
+    holding: dict[tuple[int, ...], list[frozenset]] = {}
+    for col_set in col_sets:
+        for window in col_set:
+            holding.setdefault(window, []).append(col_set)
+    total = 0
+    for row_set, count in row_sets.items():
+        met = {col_set for window in row_set for col_set in holding.get(window, ())}
+        total += count * sum(col_sets[col_set] for col_set in met)
+    return total
 
 
 def _window_tallies(size: int, r: int) -> list[Counter[tuple[int, ...]]]:
@@ -327,7 +359,7 @@ def _window_tallies(size: int, r: int) -> list[Counter[tuple[int, ...]]]:
     return tallies
 
 
-def _check_tally_work(n: int, m: int, r: int, joins: int) -> None:
+def _check_tally_work(n: int, m: int, r: int, joins: int, what: str = "interval tally") -> None:
     """Refuse a tally whose work count (module docstring) exceeds the budget.
 
     12! alone exceeds the budget, so a side past 12 is counted as 12: the
@@ -337,7 +369,7 @@ def _check_tally_work(n: int, m: int, r: int, joins: int) -> None:
     work = factorial(n) + factorial(m) + joins * perm(n, r) * perm(m, r)
     if work > TALLY_WORK_BUDGET:
         raise ResourceLimitError(
-            f"interval tally needs at least {work} window steps and products, "
+            f"{what} needs at least {work} window steps and products, "
             f"over the budget of {TALLY_WORK_BUDGET}"
         )
 
@@ -397,8 +429,7 @@ def interval_double_counts(families: Iterable[Family]) -> list[DoubleCount]:
     out = []
     for family in families:
         n, m, r = family.n, family.m, family.r
-        if not 1 <= r <= min(n, m):
-            raise InputError(f"family r must be in 1..min(n,m)={min(n, m)}, got {r}")
+        require_placement_size(n, m, r)
         if (n, m, r) not in tallies:
             tallies[n, m, r] = interval_tally(n, m, r)
         tally = tallies[n, m, r]

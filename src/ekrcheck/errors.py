@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice
-from typing import TextIO
+from typing import Callable, TextIO
 
 # Largest graph the exhaustive graph searches take by default; the command
 # line's --vertex-budget default, read without loading the graph module.
@@ -46,20 +46,60 @@ def is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_json(path: str) -> object:
-    """The JSON document in the file at ``path``.  Malformed JSON is an
-    InputError that names the file, line and column; so are text that is
-    not UTF-8 and nesting too deep for the parser, which would otherwise
-    end the run with a traceback and exit 1."""
+def require_object(value: object, what: str) -> dict:
+    """``value``, or an input error unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def require_field(obj: dict, name: str, where: str) -> object:
+    """``obj[name]``, or an input error that names the missing field."""
+    if name not in obj:
+        raise InputError(f'{where} is missing the "{name}" field')
+    return obj[name]
+
+
+def require_integer(obj: dict, name: str, where: str) -> int:
+    value = require_field(obj, name, where)
+    if not is_integer(value):
+        raise InputError(f'{where} "{name}" must be an integer, got {value!r}')
+    return value
+
+
+def require_list(obj: dict, name: str, where: str, default: list | None = None) -> list:
+    value = obj.get(name, default) if default is not None else require_field(obj, name, where)
+    if not isinstance(value, list):
+        raise InputError(f'{where} "{name}" must be a list, got {value!r}')
+    return value
+
+
+def require_integers(values: object, what: str) -> list[int]:
+    """``values`` as a list, if it is a list or tuple of integers."""
+    if not isinstance(values, (list, tuple)) or not all(map(is_integer, values)):
+        raise InputError(f"{what} must be a sequence of integers, got {values!r}")
+    return list(values)
+
+
+def load_json(path: str, parse: Callable[[object], object]) -> object:
+    """``parse`` of the JSON document in the file at ``path``.  Malformed
+    JSON is an InputError that names the file, line and column; so are
+    text that is not UTF-8, nesting too deep for the parser (which would
+    otherwise end the run with a traceback and exit 1) and every InputError
+    of ``parse``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            document = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply to read") from None
+    try:
+        return parse(document)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_json(document: object, stream: TextIO) -> None:

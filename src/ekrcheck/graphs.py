@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError,
-    is_integer, load_json, save_json,
+    is_integer, load_json, require_integer, require_list, require_object, save_json,
 )
 
 VertexSet = tuple[int, ...]
@@ -206,15 +206,6 @@ def enumerate_independent(
     return out
 
 
-def best_star_size(g: SimpleGraph, sets: Iterable[VertexSet]) -> int:
-    """The most of the given vertex sets that contain one vertex of g."""
-    per_vertex = [0] * (g.vertex_count + 1)
-    for member in sets:
-        for v in member:
-            per_vertex[v] += 1
-    return max(per_vertex)
-
-
 def maximal_independent_sets(
     g: SimpleGraph,
     max_vertices: int = DEFAULT_SEARCH_VERTEX_BUDGET,
@@ -333,21 +324,14 @@ def graph_to_json_dict(g: SimpleGraph) -> dict:
 
 
 def graph_from_json_dict(obj: object) -> SimpleGraph:
-    if not isinstance(obj, dict):
-        raise InputError(f"graph document must be a JSON object, got {type(obj).__name__}")
-    if "vertices" not in obj:
-        raise InputError('graph document is missing the "vertices" field')
-    vertices = obj["vertices"]
-    if not is_integer(vertices):
-        raise InputError(f'"vertices" must be an integer, got {vertices!r}')
-    edges = obj.get("edges", [])
-    if not isinstance(edges, list):
-        raise InputError('"edges" must be a list of vertex pairs')
-    return SimpleGraph(vertices, edges)
+    where = "graph document"
+    obj = require_object(obj, where)
+    return SimpleGraph(require_integer(obj, "vertices", where),
+                       require_list(obj, "edges", where, default=[]))
 
 
 def load_graph(path: str) -> SimpleGraph:
-    return graph_from_json_dict(load_json(path))
+    return load_json(path, graph_from_json_dict)
 
 
 def save_graph(g: SimpleGraph, path: str) -> None:

@@ -8,13 +8,15 @@ they share a row or a column.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 from random import Random
 from typing import Iterable, Iterator
 
 from .counts import require_grid, require_placement_size, rook_placement_count, rook_star_count
 from .errors import (
-    DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer, load_json, save_json,
+    DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, is_integer, load_json,
+    require_integer, require_list, require_object, save_json,
 )
 
 Cell = tuple[int, int]
@@ -186,6 +188,14 @@ def pairwise_intersecting(members: Iterable[Iterable]) -> bool:
     return True
 
 
+def largest_star(members: Iterable[Iterable]) -> int:
+    """The most of the given sets that hold one element: the largest star
+    among them, for placements and vertex sets alike; 0 when no set has an
+    element.  A set that repeats an element holds it once."""
+    holders = Counter(element for member in members for element in set(member))
+    return max(holders.values(), default=0)
+
+
 def random_placement(n: int, m: int, r: int, rng: Random) -> Placement:
     """A uniformly random r-placement."""
     require_grid(n, m)
@@ -224,21 +234,14 @@ def family_to_json_dict(family: Family) -> dict:
 
 
 def family_from_json_dict(obj: object) -> Family:
-    if not isinstance(obj, dict):
-        raise InputError(f"family document must be a JSON object, got {type(obj).__name__}")
-    for field in ("n", "m", "r"):
-        if field not in obj:
-            raise InputError(f'family document is missing the "{field}" field')
-        if not is_integer(obj[field]):
-            raise InputError(f'"{field}" must be an integer, got {obj[field]!r}')
-    sets = obj.get("sets", [])
-    if not isinstance(sets, list):
-        raise InputError('"sets" must be a list of placements')
-    return Family.build(obj["n"], obj["m"], obj["r"], sets)
+    where = "family document"
+    obj = require_object(obj, where)
+    n, m, r = (require_integer(obj, name, where) for name in ("n", "m", "r"))
+    return Family.build(n, m, r, require_list(obj, "sets", where, default=[]))
 
 
 def load_family(path: str) -> Family:
-    return family_from_json_dict(load_json(path))
+    return load_json(path, family_from_json_dict)
 
 
 def save_family(family: Family, path: str) -> None:

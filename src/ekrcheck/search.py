@@ -77,7 +77,7 @@ from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
     ResourceLimitError,
 )
-from .rook import enumerate_placements, pairwise_intersecting
+from .rook import enumerate_placements, largest_star, pairwise_intersecting
 
 if TYPE_CHECKING:  # the graph functions import graphs when they run
     from .graphs import SimpleGraph
@@ -386,8 +386,10 @@ class _CliqueEngine:
 
 def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> tuple[list[int], int]:
     """The compatibility masks of ``members`` (bit j of mask i is set when
-    members i and j differ and meet), and the largest star among them, a
-    clique to seed the search with."""
+    members i and j differ and meet), and a clique to seed the search with:
+    every member when each meets every other, so that no node colours the
+    complete graph, and otherwise the largest star among them or a single
+    member (which may be the empty set, with no elements at all)."""
     element_masks: dict[object, int] = {}
     for index, member in enumerate(members):
         for element in member:
@@ -400,13 +402,10 @@ def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> tuple[list
         for element in member:
             mask |= element_masks[element]
         adjacency[index] = mask & ~(1 << index)
-
-    # Every element's star is a clique, and so is a single member (which
-    # may be the empty set, with no elements at all).
-    seed = max(
-        (mask.bit_count() for mask in element_masks.values()), default=min(len(members), 1)
-    )
-    return adjacency, seed
+    everyone = (1 << len(members)) - 1
+    if all(mask | (1 << index) == everyone for index, mask in enumerate(adjacency)):
+        return adjacency, len(members)
+    return adjacency, max(largest_star(members), min(len(members), 1))
 
 
 def _lex_smallest_maximum(
@@ -668,13 +667,13 @@ def graph_ekr_report(
     least 2r vertices it is also given the cycle certificate's bound (module
     docstring), at which its maximum phase stops.
     """
-    from .graphs import best_star_size, enumerate_independent, min_maximal_independent_size
+    from .graphs import enumerate_independent, min_maximal_independent_size
 
     if r < 1:
         raise InputError(f"r must be at least 1, got {r}")
     started = time.monotonic()
     sets = enumerate_independent(g, r, max_sets)
-    best_star = best_star_size(g, sets)
+    best_star = largest_star(sets)
     mu = (
         known_min_maximal
         if known_min_maximal is not None

@@ -12,35 +12,16 @@ producer and validator imports the library modules it runs.
 
 from __future__ import annotations
 
-from .errors import InputError, is_integer, load_json
+from .errors import (
+    InputError, load_json, require_field, require_integer, require_integers, require_list,
+    require_object,
+)
+
+_WHERE = "counterexample"  # the name that the payload's field checks give it
 
 
-def _field(obj: dict, name: str, where: str = "counterexample"):
-    """``obj[name]``, or an input error that names the missing field."""
-    if name not in obj:
-        raise InputError(f'{where} is missing the "{name}" field')
-    return obj[name]
-
-
-def _integer(obj: dict, name: str, where: str = "counterexample") -> int:
-    value = _field(obj, name, where)
-    if not is_integer(value):
-        raise InputError(f'{where} "{name}" must be an integer, got {value!r}')
-    return value
-
-
-def _list(obj: dict, name: str, where: str = "counterexample") -> list:
-    value = _field(obj, name, where)
-    if not isinstance(value, list):
-        raise InputError(f'{where} "{name}" must be a list, got {value!r}')
-    return value
-
-
-def _integers(obj: dict, name: str) -> list[int]:
-    value = _list(obj, name)
-    if not all(map(is_integer, value)):
-        raise InputError(f'counterexample "{name}" must be a list of integers, got {value!r}')
-    return value
+def _integers(payload: dict, name: str) -> list[int]:
+    return require_integers(require_field(payload, name, _WHERE), f'counterexample "{name}"')
 
 
 def _placement(value: object, n: int, m: int, name: str) -> tuple:
@@ -55,7 +36,7 @@ def _placement(value: object, n: int, m: int, name: str) -> tuple:
 def _placements(payload: dict, n: int, m: int) -> list[tuple]:
     return [
         _placement(member, n, m, f'"family"[{index}]')
-        for index, member in enumerate(_list(payload, "family"))
+        for index, member in enumerate(require_list(payload, "family", _WHERE))
     ]
 
 
@@ -86,11 +67,10 @@ def family_exceeds_star_payload(report, g) -> dict:
 def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
     from . import counts, rook
 
-    context = _field(payload, "context")
-    if not isinstance(context, dict):
-        raise InputError(f'"context" must be a JSON object, got {type(context).__name__}')
+    context = require_object(require_field(payload, "context", _WHERE), 'counterexample "context"')
+    where = "counterexample context"
     if context.get("type") == "rook":
-        n, m, r = (_integer(context, key, "counterexample context") for key in ("n", "m", "r"))
+        n, m, r = (require_integer(context, name, where) for name in ("n", "m", "r"))
         members = _placements(payload, n, m)
         if any(len(member) != r for member in members):
             return False, "family member has the wrong size"
@@ -98,20 +78,18 @@ def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
     elif context.get("type") == "graph":
         from . import graphs
 
-        g = graphs.graph_from_json_dict(_field(context, "graph", "counterexample context"))
-        r = _integer(context, "r", "counterexample context")
-        members = []
-        for index, member in enumerate(_list(payload, "family")):
-            if not isinstance(member, list) or not all(map(is_integer, member)):
-                raise InputError(f'counterexample "family"[{index}] must be a list of vertices, '
-                                 f"got {member!r}")
-            members.append(tuple(sorted(member)))
+        g = graphs.graph_from_json_dict(require_field(context, "graph", where))
+        r = require_integer(context, "r", where)
+        members = [
+            tuple(sorted(require_integers(member, f'counterexample "family"[{index}]')))
+            for index, member in enumerate(require_list(payload, "family", _WHERE))
+        ]
         for member in members:
             if len(set(member)) != r:
                 return False, "family member has the wrong size"
             if not g.is_independent(member):
                 return False, f"family member {list(member)} is not independent"
-        star = graphs.best_star_size(g, graphs.enumerate_independent(g, r))
+        star = rook.largest_star(graphs.enumerate_independent(g, r))
     else:
         return False, f"unknown counterexample context {context.get('type')!r}"
     if len(set(members)) != len(members):
@@ -139,9 +117,9 @@ def _validate_interval_family(payload: dict) -> tuple[bool, str]:
     from . import cycles, rook
 
     order = _order(payload)
-    r = _integer(payload, "r")
+    r = require_integer(payload, "r", _WHERE)
     if payload["kind"] == "interval_tightness_gap":
-        found = _integer(payload, "found_max")
+        found = require_integer(payload, "found_max", _WHERE)
         recomputed = cycles.max_intersecting_intervals(order, r)
         if recomputed == found and recomputed < r:
             return True, f"recomputed interval maximum {recomputed} is below r={r}"
@@ -176,7 +154,7 @@ def double_count_payload(family, lhs: int, rhs: int, bound: int) -> dict:
 def _validate_double_count(payload: dict) -> tuple[bool, str]:
     from . import counts, cycles, rook
 
-    family = rook.family_from_json_dict(_field(payload, "family"))
+    family = rook.family_from_json_dict(require_field(payload, "family", _WHERE))
     lhs, rhs = cycles.interval_double_count(family)
     bound = family.r * counts.cyclic_order_count(family.n, family.m)
     if lhs != rhs:
@@ -205,7 +183,7 @@ def _validate_window(payload: dict) -> tuple[bool, str]:
     start = _integers(payload, "start")
     if len(start) != 2:
         raise InputError(f'counterexample "start" must be a pair (i, j), got {start!r}')
-    report = cycles.check_interval_windows(order, *start, _integer(payload, "r"))
+    report = cycles.check_interval_windows(order, *start, require_integer(payload, "r", _WHERE))
     if not report.passed:
         return True, f"recomputed window check fails: {report.failure}"
     return False, "recomputed window check passes"
@@ -227,9 +205,14 @@ def occurrence_payload(n: int, m: int, placement: tuple, expected: int, found: i
 def _validate_occurrence(payload: dict) -> tuple[bool, str]:
     from . import cycles
 
-    n, m, expected, found = (_integer(payload, key) for key in ("n", "m", "expected", "found"))
-    placement = _placement(_field(payload, "placement"), n, m, '"placement"')
-    recomputed = cycles.count_orders_containing(n, m, placement)
+    n, m, expected, found = (
+        require_integer(payload, name, _WHERE) for name in ("n", "m", "expected", "found")
+    )
+    placement = _placement(require_field(payload, "placement", _WHERE), n, m, '"placement"')
+    try:
+        recomputed = cycles.count_orders_containing(n, m, placement)
+    except InputError as exc:
+        raise InputError(f'counterexample "placement": {exc}') from None
     if recomputed != expected and recomputed == found:
         return True, f"recomputed occurrence count {recomputed} differs from expected {expected}"
     return False, f"recomputed occurrence count is {recomputed}"
@@ -248,14 +231,14 @@ VALIDATORS = {
 def check_report(path: str) -> tuple[str, bool, str]:
     """The kind of the counterexample that the report in the file at
     ``path`` carries, and its validator's (confirmed, detail)."""
-    report = load_json(path)
-    if not isinstance(report, dict):
-        raise InputError(f"{path}: a report must be a JSON object, got {type(report).__name__}")
-    payload = report.get("counterexample")
+    return load_json(path, _check_document)
+
+
+def _check_document(report: object) -> tuple[str, bool, str]:
+    payload = require_object(report, "report").get("counterexample")
     if payload is None:
         raise InputError("the report carries no counterexample to check")
-    if not isinstance(payload, dict):
-        raise InputError(f'"counterexample" must be a JSON object, got {type(payload).__name__}')
+    payload = require_object(payload, '"counterexample"')
     kind = payload.get("kind")
     validator = VALIDATORS.get(kind) if isinstance(kind, str) else None
     if validator is None:

@@ -15,8 +15,10 @@ from itertools import combinations
 
 from ekrcheck import (
     all_intervals,
+    canonical_placement,
     diagonal_interval,
     enumerate_cyclic_orders,
+    interval_start,
     reference_order,
     row_projection,
 )
@@ -115,6 +117,15 @@ def tally_by_order(n: int, m: int, r: int) -> Counter:
             tuple(sorted((rows[p - 1], cols[q - 1]) for p, q in cells)) for cells in positions
         )
     return tally
+
+
+def count_orders_by_listing(n: int, m: int, placement) -> int:
+    """The canonical cyclic orders that realize the placement as an
+    interval, counted by listing every order and scanning its starts."""
+    canon = canonical_placement(placement, n, m)
+    return sum(
+        1 for order in enumerate_cyclic_orders(n, m) if interval_start(order, canon) is not None
+    )
 
 
 def window_check_by_rebuild(order, start_i: int, start_j: int, r: int):

@@ -339,6 +339,25 @@ class TestGraphCommands:
         assert result["conclusion"]["verdict"] == "EKR_HOLDS"
         assert not result["implication_violated"]
 
+    @pytest.mark.parametrize("graph, r, family, star", [
+        ("E10", 6, 210, 126), ("E12", 7, 792, 462),
+    ])
+    def test_lex_on_a_family_whose_members_all_meet(self, tmp_path, graph, r, family, star):
+        # Every r-subset of [n] meets every other once 2r > n.  The seed takes
+        # them all, so the run needs no search; a search alone took 6.9 s on
+        # E10 and ran out of 20 s on E12.
+        argv = ["lex", "--graph", graph, "--k", "1", "--r", str(r), "--budget-seconds", "10"]
+        code, out, err = run_cli(*argv, "--json")
+        assert (code, err) == (1, "")
+        result = json.loads(out)["result"]
+        for side in ("premise", "conclusion"):
+            assert (result[side]["max_intersecting"], result[side]["best_star"]) == (family, star)
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        code, out, _ = run_cli("check-witness", "--report", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["confirmed"]
+
 
 class TestDoubleCount:
     def test_sampled_mode_is_seeded(self):
@@ -705,6 +724,38 @@ class TestFailsClosed:
         assert (code, out) == (2, "")
         assert err == "ekrcheck: error: /dev/full: No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_to_a_full_stdout_exits_2_with_one_line(self, argv, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ekrcheck", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "ekrcheck: error: <stdout>: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_help_to_a_full_stdout_in_process(self, monkeypatch, capsys):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            code = main(["verify", "--help"])
+            monkeypatch.undo()
+        assert code == 2
+        assert capsys.readouterr().err == "ekrcheck: error: <stdout>: No space left on device\n"
+
+    def test_help_into_a_closed_pipe_exits_141_silently(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ekrcheck", "--help"],
+                                  stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     def test_unwritable_out(self, tmp_path):
         path = tmp_path / "no-such-directory" / "family.json"
         code, _, err = run_cli("enumerate", "--n", "3", "--m", "3", "--r", "1", "--out", str(path))
@@ -799,7 +850,6 @@ class TestFailsClosed:
         assert err == "ekrcheck: error: grid dimensions must be at least 1, got (0, 3)\n"
 
 
-
 # One well-formed counterexample of each kind, as its producer writes it;
 # "graph_star" is the one that `lex --graph E4 --k 1 --r 3` reports.
 PAYLOADS = {
@@ -869,6 +919,35 @@ def _with(name: str, *path: object) -> dict:
     return payload
 
 
+class TestFileReaders:
+    """Each file reader refuses a malformed document with one line that
+    names the file and the field."""
+
+    @pytest.mark.parametrize("argv, document, names", [
+        (["double-count", "--family"], [1, 2], "family document must be a JSON object"),
+        (["double-count", "--family"], {"m": 2, "r": 1, "sets": []}, '"n"'),
+        (["double-count", "--family"], {"n": 2, "m": 2, "r": 1, "sets": 5}, '"sets"'),
+        (["graph-stats", "--graph"], "C5", "graph document must be a JSON object"),
+        (["graph-stats", "--graph"], {"edges": []}, '"vertices"'),
+        (["graph-stats", "--graph"], {"vertices": 3, "edges": {}}, '"edges"'),
+        (["check-witness", "--report"], 7, "report must be a JSON object"),
+        (["check-witness", "--report"],
+         {"counterexample": {k: v for k, v in PAYLOADS["occurrence"].items() if k != "found"}},
+         '"found"'),
+        (["check-witness", "--report"],
+         {"counterexample": {**PAYLOADS["window"], "r": "2"}}, '"r"'),
+    ], ids=[f"{reader}-{case}" for reader in ("family", "graph", "report")
+            for case in ("not-an-object", "missing-field", "wrong-type")])
+    def test_each_file_reader_names_the_file_and_the_field(self, tmp_path, argv, document, names):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(*argv, str(path), "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ekrcheck: error: {path}: ")
+        assert names in err
+        assert len(err.splitlines()) == 1
+
+
 class TestCheckWitnessFailsClosed:
     """A malformed counterexample exits 2 with a message naming the field."""
 
@@ -901,6 +980,17 @@ class TestCheckWitnessFailsClosed:
         code, _, err = run_cli("check-witness", "--report", str(path))
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("found, code", [(1036799, 1), (1036800, 0)])
+    def test_an_eight_by_eight_occurrence_report_is_answered(self, found, code):
+        # 25,401,600 orders, past the order budget; the count walks row and
+        # column orders apart.  The true count is 2! * 6! * 6! = 1,036,800.
+        payload = {**PAYLOADS["occurrence"], "n": 8, "m": 8, "expected": 1036800, "found": found}
+        if code == 0:
+            payload["expected"] = 1036801
+        exit_code, out, err = _check_witness_in_process({"counterexample": payload})
+        assert (exit_code, err) == (code, "")
+        assert json.loads(out)["result"]["detail"].startswith("recomputed occurrence count")
 
     @pytest.mark.parametrize("name", sorted(PAYLOADS))
     def test_well_formed_payloads_keep_their_verdict(self, name):

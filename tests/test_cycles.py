@@ -35,7 +35,7 @@ from ekrcheck import (
     Family,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
-from helpers import tally_by_order, window_check_by_rebuild
+from helpers import count_orders_by_listing, tally_by_order, window_check_by_rebuild
 
 IDENTITY_33 = CyclicOrder((1, 2, 3), (1, 2, 3))
 IDENTITY_44 = CyclicOrder((1, 2, 3, 4), (1, 2, 3, 4))
@@ -216,6 +216,43 @@ class TestOccurrences:
             expected = interval_occurrence_count(4, 4, r)
             for placement in enumerate_placements(4, 4, r):
                 assert count_orders_containing(4, 4, placement) == expected
+
+
+class TestCountOrdersContaining:
+    """count_orders_containing walks row and column orders apart; the oracle
+    lists the orders."""
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+    def test_equals_the_order_listing_count_for_every_placement(self, n, m):
+        # Every r up to min(n, m): at r = n or r = m one order realizes a
+        # placement at several starts, and is still counted once.
+        for r in range(1, min(n, m) + 1):
+            for placement in enumerate_placements(n, m, r):
+                assert count_orders_containing(n, m, placement) == count_orders_by_listing(
+                    n, m, placement
+                )
+
+    @pytest.mark.parametrize("n, m", [(5, 5), (4, 5), (4, 6), (3, 6)])
+    def test_equals_the_order_listing_count_on_sampled_placements(self, n, m):
+        rng = Random(n * 10 + m)
+        for r in range(1, min(n, m) + 1):
+            for placement in rng.sample(enumerate_placements(n, m, r), 2):
+                assert count_orders_containing(n, m, placement) == count_orders_by_listing(
+                    n, m, placement
+                )
+
+    def test_eight_by_eight_past_the_order_budget(self):
+        # 25,401,600 orders, too many to list; 8! + 8! window steps.
+        expected = interval_occurrence_count(8, 8, 2)
+        assert count_orders_containing(8, 8, ((1, 1), (2, 2))) == expected
+
+    def test_placement_size_is_checked(self):
+        with pytest.raises(InputError, match=r"r must be in 1..min\(n,m\)=2, got 0"):
+            count_orders_containing(2, 3, ())
+
+    def test_work_budget_is_checked(self):
+        with pytest.raises(ResourceLimitError, match="counting the orders of one placement"):
+            count_orders_containing(13, 13, ((1, 1),))
 
 
 class TestDoubleCount:

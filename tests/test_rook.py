@@ -25,6 +25,7 @@ from ekrcheck import (
     star_family,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
+from ekrcheck.rook import largest_star
 from helpers import placements_by_cell_filter
 
 
@@ -141,6 +142,23 @@ class TestIntersection:
     def test_pairwise_intersecting_matches_a_pair_scan(self, members):
         expected = all(a & b for a, b in combinations(members, 2))
         assert pairwise_intersecting(members) == expected
+
+    def test_largest_star_edge_cases(self):
+        assert largest_star([]) == 0
+        assert largest_star([()]) == 0
+        # A set that repeats an element holds it once.
+        assert largest_star([(1, 1, 2), (1, 3)]) == 2
+        assert largest_star(iter([(1, 2), (2, 3), (3, 1), (2, 4)])) == 3
+        assert largest_star(star_family(4, 4, 2, (2, 3))) == 9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 6), max_size=4), max_size=8))
+    def test_largest_star_matches_a_per_element_count(self, members):
+        elements = {element for member in members for element in member}
+        expected = max(
+            (sum(element in member for member in members) for element in elements), default=0
+        )
+        assert largest_star(members) == expected
 
     def test_row_projection(self):
         assert row_projection(((1, 3), (2, 1))) == {1, 2}

@@ -537,6 +537,31 @@ def bits(mask):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
+class TestCompleteFamilies:
+    """A family whose members all meet is seeded with all of them, so its
+    maximum phase colours nothing."""
+
+    @pytest.mark.parametrize("members, seed", [
+        ([()], 1),
+        ([(), (1,)], 1),
+        ([(1, 2), (2, 3), (1, 3)], 3),
+        ([(1, 2), (2, 3), (3, 4)], 2),
+        ([(0, i) for i in range(1, 70)], 69),
+    ])
+    def test_seed(self, members, seed):
+        assert search._compatibility(members, SearchBudget())[1] == seed
+
+    @pytest.mark.parametrize("n, r", [(10, 6), (12, 7)])
+    def test_edgeless_graphs_past_half(self, n, r, engines):
+        # Every r-subset of [n] meets every other once 2r > n; the family
+        # beats the star.  Only the sets meeting the first are searched.
+        report = graph_ekr_report(empty_graph(n), r)
+        assert (report.max_intersecting, report.best_star) == (comb(n, r), comb(n - 1, r - 1))
+        assert report.verdict == "OUT_OF_THEOREM_RANGE_FAILS"
+        assert report.witness == tuple(combinations(range(1, n + 1), r))
+        assert engines == [(comb(n, r) - 1, 0)]
+
+
 class TestRenumberedColoring:
     # The edgeless graphs are searched here without the cycle certificate,
     # which graph_ekr_report gives them, so the counts still pin the engine.
