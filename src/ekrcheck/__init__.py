@@ -34,11 +34,9 @@ _EXPORTS = {
             "diagonal_interval",
             "enumerate_cyclic_orders",
             "first_window_failure",
-            "interval_double_count",
             "interval_double_counts",
             "interval_start",
             "interval_tally",
-            "max_intersecting_intervals",
             "max_intersecting_intervals_witness",
             "reference_order",
             "restrict_to_order",

@@ -533,7 +533,7 @@ def _emit(report: dict, as_json: bool) -> None:
     rows: list[tuple[str, object]] = [("command", report["command"])]
     rows.extend(report["parameters"].items())
     for key, value in report["result"].items():
-        if isinstance(value, (dict, list)):
+        if isinstance(value, (dict, list, tuple)):
             rows.append((key, f"<{len(value)} entries>"))
         else:
             rows.append((key, value))

@@ -56,9 +56,21 @@ def cyclic_order_count(n: int, m: int) -> int:
 
 def interval_occurrence_count(n: int, m: int, r: int) -> int:
     """Number of cyclic orders in which a fixed r-placement is a diagonal
-    interval: r! * (n-r)! * (m-r)!."""
+    interval: r! * (n-r)! * (m-r)!, divided by n when r = n = m.
+
+    Each (order, start) pair realizing the placement p is one permutation
+    pair that realizes p from positions (1, 1): its first r rows and
+    columns walk p's cells in one of r! sequences, and the other rows and
+    columns follow in (n-r)! * (m-r)! ways.  Two starts of one order
+    realize the same placement only with the same row set, which fixes the
+    row position when r < n, and the same column set, which fixes the
+    column position when r < m; with r = n < m (or r = m < n) the pairing
+    then fixes the other.  At r = n = m the n starts (i+k, j+k) walk the
+    same pairing, so each order is counted n times: n!/n = (n-1)!.
+    """
     require_placement_size(n, m, r)
-    return math.factorial(r) * math.factorial(n - r) * math.factorial(m - r)
+    pairs = math.factorial(r) * math.factorial(n - r) * math.factorial(m - r)
+    return pairs // n if r == n == m else pairs
 
 
 def require_grid(n: int, m: int) -> None:

@@ -119,7 +119,7 @@ class CyclicOrder(Record):
         return len(self.cols)
 
     def to_json_dict(self) -> dict:
-        return {"sigma1": list(self.rows), "sigma2": list(self.cols)}
+        return {"sigma1": self.rows, "sigma2": self.cols}
 
 
 def _check_permutation(values: tuple[int, ...], name: str) -> None:
@@ -210,16 +210,11 @@ def all_intervals(order: CyclicOrder, r: int) -> list[Placement]:
 def interval_start(order: CyclicOrder, placement: Placement) -> tuple[int, int] | None:
     """The start (i, j) whose interval realizes the placement, or None.
 
-    Starts are scanned in (i, j) order; for r <= min(n, m)/2 the start is
-    unique when it exists.
+    The first such start in (i, j) order; for r <= min(n, m)/2 the start
+    is unique when it exists.
     """
-    r = len(placement)
     target = canonical_placement(placement, order.n, order.m)
-    for i in range(1, order.n + 1):
-        for j in range(1, order.m + 1):
-            if diagonal_interval(order, i, j, r) == target:
-                return (i, j)
-    return None
+    return _distinct_intervals(order, len(target)).get(target)
 
 
 def restrict_to_order(family: Family, order: CyclicOrder) -> Family:
@@ -278,18 +273,12 @@ def _require_half_range(order: CyclicOrder, r: int) -> None:
         raise InputError(f"r must satisfy 1 <= r <= min(n,m)/2 = {bound / 2:g}, got {r}")
 
 
-def max_intersecting_intervals(order: CyclicOrder, r: int) -> int:
-    """Exact maximum size of an intersecting family drawn from this
-    order's intervals.
-
-    The r intervals through any fixed cell pairwise intersect, so the
-    value is at least r; the cycle-method bound says it is at most r.
-    """
-    return len(max_intersecting_intervals_witness(order, r))
-
-
 def max_intersecting_intervals_witness(order: CyclicOrder, r: int) -> tuple[Placement, ...]:
-    """A maximum intersecting family of intervals (one witness)."""
+    """A maximum intersecting family drawn from this order's intervals.
+
+    The r intervals through any fixed cell pairwise intersect, so it has
+    at least r members; the cycle-method bound says it has at most r.
+    """
     _require_half_range(order, r)
     intervals = all_intervals(order, r)
     _, mask = _micro_max_clique(_interval_compatibility_masks(intervals))
@@ -436,11 +425,6 @@ def interval_double_counts(families: Iterable[Family]) -> list[DoubleCount]:
         lhs = sum(tally[member] for member in family)
         out.append(DoubleCount(lhs, len(family) * interval_occurrence_count(n, m, r)))
     return out
-
-
-def interval_double_count(family: Family) -> DoubleCount:
-    """interval_double_counts for one family."""
-    return interval_double_counts([family])[0]
 
 
 class WindowReport(NamedTuple):

@@ -67,9 +67,11 @@ def require_integer(obj: dict, name: str, where: str) -> int:
     return value
 
 
-def require_list(obj: dict, name: str, where: str, default: list | None = None) -> list:
+def require_list(obj: dict, name: str, where: str, default: list | None = None) -> list | tuple:
+    """``obj[name]`` if it is a list, or a tuple as in the documents that
+    this package builds before writing them."""
     value = obj.get(name, default) if default is not None else require_field(obj, name, where)
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):
         raise InputError(f'{where} "{name}" must be a list, got {value!r}')
     return value
 

@@ -320,7 +320,7 @@ def twin_classes(g: SimpleGraph) -> list[VertexSet]:
 
 
 def graph_to_json_dict(g: SimpleGraph) -> dict:
-    return {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}
+    return {"vertices": g.vertex_count, "edges": g.edges}
 
 
 def graph_from_json_dict(obj: object) -> SimpleGraph:

@@ -229,7 +229,7 @@ def family_to_json_dict(family: Family) -> dict:
         "n": family.n,
         "m": family.m,
         "r": family.r,
-        "sets": [[list(cell) for cell in placement] for placement in family.sets],
+        "sets": family.sets,
     }
 
 

@@ -582,16 +582,9 @@ class EkrReport(Record):
             "max_intersecting": self.max_intersecting,
             "best_star": self.best_star,
             "verdict": self.verdict,
-            "witness": self.witness_to_json(),
+            "witness": self.witness,
             "elapsed_ms": int(self.elapsed * 1000),
         }
-
-    def witness_to_json(self) -> list[list]:
-        """The witness as JSON lists: a placement's cells become [row, col]."""
-        return [
-            [list(cell) if isinstance(cell, tuple) else cell for cell in member]
-            for member in self.witness
-        ]
 
 
 def _verdict(holds: bool, in_range: bool) -> str:

@@ -59,7 +59,7 @@ def family_exceeds_star_payload(report, g) -> dict:
     return {
         "kind": "intersecting_family_exceeds_star",
         "context": context,
-        "family": report.witness_to_json(),
+        "family": report.witness,
         "best_star": report.best_star,
     }
 
@@ -109,7 +109,7 @@ def interval_family_payload(order, r: int, family: tuple) -> dict:
         **order.to_json_dict(),
         "r": r,
         "found_max": len(family),
-        "family": [[list(cell) for cell in p] for p in family],
+        "family": family,
     }
 
 
@@ -120,7 +120,7 @@ def _validate_interval_family(payload: dict) -> tuple[bool, str]:
     r = require_integer(payload, "r", _WHERE)
     if payload["kind"] == "interval_tightness_gap":
         found = require_integer(payload, "found_max", _WHERE)
-        recomputed = cycles.max_intersecting_intervals(order, r)
+        recomputed = len(cycles.max_intersecting_intervals_witness(order, r))
         if recomputed == found and recomputed < r:
             return True, f"recomputed interval maximum {recomputed} is below r={r}"
         return False, f"recomputed interval maximum is {recomputed}"
@@ -155,7 +155,7 @@ def _validate_double_count(payload: dict) -> tuple[bool, str]:
     from . import counts, cycles, rook
 
     family = rook.family_from_json_dict(require_field(payload, "family", _WHERE))
-    lhs, rhs = cycles.interval_double_count(family)
+    lhs, rhs = cycles.interval_double_counts([family])[0]
     bound = family.r * counts.cyclic_order_count(family.n, family.m)
     if lhs != rhs:
         return True, f"recomputed lhs={lhs} differs from rhs={rhs}"
@@ -169,10 +169,10 @@ def window_payload(report) -> dict:
     return {
         "kind": "window_violation",
         **report.order.to_json_dict(),
-        "start": list(report.start),
+        "start": report.start,
         "r": report.r,
         "failure": report.failure,
-        "witness": [[list(cell) for cell in p] for p in (report.witness or ())],
+        "witness": report.witness or (),
     }
 
 
@@ -196,7 +196,7 @@ def occurrence_payload(n: int, m: int, placement: tuple, expected: int, found: i
         "kind": "occurrence_mismatch",
         "n": n,
         "m": m,
-        "placement": [list(cell) for cell in placement],
+        "placement": placement,
         "expected": expected,
         "found": found,
     }

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ekrcheck import cycles, enumerate_placements, graphs, load_family, load_graph, search
 from ekrcheck import cli
 from ekrcheck.cli import main
+from ekrcheck.errors import write_json
 from helpers import canonical_json_without_elapsed, run_cli
 
 
@@ -153,6 +154,20 @@ class TestSweeps:
         result = json.loads(out)["result"]
         assert result["all_match"]
         assert (result["placements"], result["expected_occurrences"]) == (7350, 3456)
+
+    def test_full_placements_at_r_equal_to_n_and_m(self):
+        # Each order realizes a full placement at n starts, and counts once.
+        code, out, _ = run_cli("count", "--n", "4", "--m", "4", "--r", "4", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["interval_occurrences"] == 6
+        code, out, _ = run_cli("occurrence", "--n", "4", "--m", "4", "--r", "4", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["all_match"] is True
+        code, out, _ = run_cli(
+            "double-count", "--n", "4", "--m", "4", "--r", "4", "--samples", "3", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["all_equal"] is True
 
     def test_windows(self):
         code, out, _ = run_cli("windows", "--n", "4", "--m", "4", "--r", "2", "--json")
@@ -481,6 +496,33 @@ class TestOutputContract:
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
         assert canonical_json_without_elapsed(out1) == canonical_json_without_elapsed(out2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.integers() | st.text(),
+        lambda inner: (st.lists(inner) | st.tuples(inner, inner) | st.tuples(inner)
+                       | st.dictionaries(st.text(), inner)),
+        max_leaves=30,
+    ))
+    def test_tuples_are_written_as_lists(self, document):
+        def as_lists(value):
+            if isinstance(value, dict):
+                return {key: as_lists(item) for key, item in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [as_lists(item) for item in value]
+            return value
+
+        written = []
+        for doc in (document, as_lists(document)):
+            stream = io.StringIO()
+            write_json(doc, stream)
+            written.append(stream.getvalue())
+        assert written[0] == written[1]
+
+    def test_table_counts_the_witness_entries(self):
+        code, out, _ = run_cli("verify", "--n", "4", "--m", "4", "--r", "2")
+        assert code == 0
+        assert ["witness", "<9", "entries>"] in [line.split() for line in out.splitlines()]
 
     def test_main_is_callable_in_process(self, capsys):
         assert main(["count", "--n", "3", "--m", "3", "--r", "1", "--json"]) == 0

@@ -132,6 +132,12 @@ class TestIntervalOccurrenceCount:
         assert interval_occurrence_count(3, 3, 1) == 4
         assert interval_occurrence_count(2, 2, 1) == 1
 
+    def test_full_placements_of_a_square_grid(self):
+        # The n starts (i+k, j+k) of one order walk the same full placement.
+        for n in range(1, 8):
+            assert interval_occurrence_count(n, n, n) == math.factorial(n - 1)
+        assert interval_occurrence_count(4, 5, 4) == math.factorial(4)
+
     def test_r_out_of_range_rejected(self):
         with pytest.raises(InputError):
             interval_occurrence_count(4, 4, 0)

@@ -21,12 +21,10 @@ from ekrcheck import (
     enumerate_cyclic_orders,
     enumerate_placements,
     first_window_failure,
-    interval_double_count,
     interval_double_counts,
     interval_occurrence_count,
     interval_start,
     interval_tally,
-    max_intersecting_intervals,
     max_intersecting_intervals_witness,
     random_intersecting_family,
     reference_order,
@@ -176,15 +174,15 @@ class TestRestriction:
 
 class TestIntervalBound:
     def test_r_one_is_one(self):
-        assert max_intersecting_intervals(IDENTITY_33, 1) == 1
+        assert len(max_intersecting_intervals_witness(IDENTITY_33, 1)) == 1
 
     def test_all_orders_of_four_by_four(self):
         for order in enumerate_cyclic_orders(4, 4):
-            assert max_intersecting_intervals(order, 2) == 2
+            assert len(max_intersecting_intervals_witness(order, 2)) == 2
 
     def test_six_by_six_identity(self):
         identity = CyclicOrder(tuple(range(1, 7)), tuple(range(1, 7)))
-        assert max_intersecting_intervals(identity, 3) == 3
+        assert len(max_intersecting_intervals_witness(identity, 3)) == 3
 
     def test_witness_is_valid(self):
         order = canonical_order((1, 4, 2, 3), (1, 3, 4, 2))
@@ -195,7 +193,7 @@ class TestIntervalBound:
 
     def test_out_of_half_range_rejected(self):
         with pytest.raises(InputError):
-            max_intersecting_intervals(IDENTITY_33, 2)
+            max_intersecting_intervals_witness(IDENTITY_33, 2)
 
 
 class TestOccurrences:
@@ -211,11 +209,16 @@ class TestOccurrences:
         with pytest.raises(InputError, match=r"grid dimensions must be at least 1, got \(0, 3\)"):
             count_orders_containing(0, 3, [[1, 1]])
 
-    def test_matches_closed_form_for_all_placements(self):
-        for r in (1, 2):
-            expected = interval_occurrence_count(4, 4, r)
-            for placement in enumerate_placements(4, 4, r):
-                assert count_orders_containing(4, 4, placement) == expected
+    @pytest.mark.parametrize("n, m, r", [
+        (n, m, r) for n in range(1, 7) for m in range(n, 7) if n * m <= 24
+        for r in range(1, n + 1)
+    ])
+    def test_matches_closed_form_for_all_placements(self, n, m, r):
+        # r = n = m included, where each order realizes a full diagonal at
+        # n starts and counts once.
+        expected = interval_occurrence_count(n, m, r)
+        for placement in enumerate_placements(n, m, r):
+            assert count_orders_containing(n, m, placement) == expected
 
 
 class TestCountOrdersContaining:
@@ -258,20 +261,20 @@ class TestCountOrdersContaining:
 class TestDoubleCount:
     def test_star_at_four_by_four(self):
         star = star_family(4, 4, 2, (1, 1))
-        assert interval_double_count(star) == (72, 72)
+        assert interval_double_counts([star])[0] == (72, 72)
 
     def test_empty_family(self):
-        assert interval_double_count(Family(4, 4, 2, ())) == (0, 0)
+        assert interval_double_counts([Family(4, 4, 2, ())])[0] == (0, 0)
 
     def test_single_member(self):
         family = Family.build(4, 4, 2, [[[1, 1], [2, 2]]])
-        assert interval_double_count(family) == (8, 8)
+        assert interval_double_counts([family])[0] == (8, 8)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_identity_for_random_intersecting_families(self, seed):
         family = random_intersecting_family(4, 4, 2, Random(seed))
-        lhs, rhs = interval_double_count(family)
+        lhs, rhs = interval_double_counts([family])[0]
         assert lhs == rhs
         assert lhs <= 2 * cyclic_order_count(4, 4)
 
@@ -281,7 +284,7 @@ class TestDoubleCount:
         pool = enumerate_placements(3, 4, 2)
         members = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=12))
         family = Family.build(3, 4, 2, members)
-        lhs, rhs = interval_double_count(family)
+        lhs, rhs = interval_double_counts([family])[0]
         assert lhs == rhs
 
     @settings(max_examples=25, deadline=None)
@@ -386,10 +389,10 @@ class TestOrderInvariance:
         reference = reference_order(n, m)
         assert reference == enumerate_cyclic_orders(n, m)[0]
         for r in range(1, min(n, m) // 2 + 1):
-            expected_max = max_intersecting_intervals(reference, r)
+            expected_max = len(max_intersecting_intervals_witness(reference, r))
             expected_windows = outcomes(reference, r)
             for order in enumerate_cyclic_orders(n, m):
-                assert max_intersecting_intervals(order, r) == expected_max
+                assert len(max_intersecting_intervals_witness(order, r)) == expected_max
                 assert outcomes(order, r) == expected_windows
 
     @pytest.mark.parametrize("n, m, r", [(4, 4, 1), (4, 4, 2), (4, 5, 2)])
@@ -404,7 +407,7 @@ class TestOrderInvariance:
         families = [star_family(n, m, r, (1, 1)), star_family(n, m, r, (2, 3))]
         families += [random_intersecting_family(n, m, r, Random(seed)) for seed in range(3)]
         for family in families:
-            lhs, _ = interval_double_count(family)
+            lhs, _ = interval_double_counts([family])[0]
             assert lhs == sum(len(restrict_to_order(family, order)) for order in orders)
 
 
@@ -470,4 +473,4 @@ class TestFactoredTally:
         families.append(star_family(4, 5, 2, (1, 1)))
         results = interval_double_counts(families)
         assert calls == [(4, 4, 2), (4, 5, 2)]
-        assert results == [interval_double_count(family) for family in families]
+        assert results == [interval_double_counts([family])[0] for family in families]

@@ -261,6 +261,13 @@ class TestJson:
         save_graph(g, str(path))
         assert load_graph(str(path)) == g
 
+    def test_round_trip_in_process(self):
+        # The document holds the edges as tuples, which the reader takes too.
+        from ekrcheck.graphs import graph_from_json_dict, graph_to_json_dict
+
+        g = cartesian_product(complete_graph(3), complete_graph(4))
+        assert graph_from_json_dict(graph_to_json_dict(g)) == g
+
     def test_syntax_error_carries_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": 3,\n  "edges": [[1, 2],]}')

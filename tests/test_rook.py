@@ -195,6 +195,12 @@ class TestFamily:
         save_family(family, str(path))
         assert load_family(str(path)) == family
 
+    def test_json_round_trip_in_process(self):
+        from ekrcheck.rook import family_from_json_dict, family_to_json_dict
+
+        family = star_family(4, 4, 2, (2, 2))
+        assert family_from_json_dict(family_to_json_dict(family)) == family
+
     def test_json_reader_canonicalizes(self, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"n": 3, "m": 3, "r": 2, "sets": [[[2, 2], [1, 1]]]}))
