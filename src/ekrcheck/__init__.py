@@ -85,7 +85,6 @@ _EXPORTS = {
             "LexCheckResult",
             "SearchBudget",
             "graph_ekr_report",
-            "holroyd_talbot_sweep",
             "lex_product_check",
             "max_intersecting_family",
             "rook_ekr_report",

@@ -333,10 +333,13 @@ def _run_ht(args, parameters) -> tuple[dict, dict | None, int]:
     budget = _budget(args)
     g = _graph_argument(args.graph, args.vertex_budget)
     mu = graphs.min_maximal_independent_size(g, args.vertex_budget)
-    reports = search.holroyd_talbot_sweep(
-        g, budget=budget, max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
-        known_min_maximal=mu,
-    )
+    # The conjectured range is 1..mu/2, empty when mu < 2.
+    reports = [
+        search.graph_ekr_report(
+            g, r, budget, args.budget_sets, args.vertex_budget, known_min_maximal=mu
+        )
+        for r in range(1, mu // 2 + 1)
+    ]
     counterexample = None
     for report in reports:
         if not report.holds:
@@ -353,7 +356,7 @@ def _run_ht(args, parameters) -> tuple[dict, dict | None, int]:
 
 
 def _run_lex(args, parameters) -> tuple[dict, dict | None, int]:
-    from . import graphs, search
+    from . import search
 
     g = _graph_argument(args.graph, args.vertex_budget)
     outcome = search.lex_product_check(
@@ -368,8 +371,7 @@ def _run_lex(args, parameters) -> tuple[dict, dict | None, int]:
         if outcome.conclusion.holds:
             counterexample = family_exceeds_star_payload(outcome.premise, g)
         else:
-            product = graphs.lexicographic_product(g, graphs.complete_graph(args.k))
-            counterexample = family_exceeds_star_payload(outcome.conclusion, product)
+            counterexample = family_exceeds_star_payload(outcome.conclusion, outcome.product)
     result = {
         "premise": outcome.premise.to_json_dict(),
         "conclusion": outcome.conclusion.to_json_dict(),
@@ -532,11 +534,13 @@ def _emit(report: dict, as_json: bool) -> None:
         return
     rows: list[tuple[str, object]] = [("command", report["command"])]
     rows.extend(report["parameters"].items())
+    # A result key that repeats a top-level row (verify's elapsed_ms) is
+    # printed as result.<key>, so that no two rows share a name.
+    top = {"command", *report["parameters"], "counterexample", "elapsed_ms"}
     for key, value in report["result"].items():
         if isinstance(value, (dict, list, tuple)):
-            rows.append((key, f"<{len(value)} entries>"))
-        else:
-            rows.append((key, value))
+            value = f"<{len(value)} entries>"
+        rows.append((f"result.{key}" if key in top else key, value))
     if report["counterexample"] is not None:
         rows.append(("counterexample", report["counterexample"].get("kind")))
     rows.append(("elapsed_ms", report["elapsed_ms"]))

@@ -497,7 +497,9 @@ def max_intersecting_family(
     budget = budget or SearchBudget()
     if len(sets) >= SETS_PER_CLOCK_READ:
         budget.check_deadline("enumerating the sets")
-    unique = sorted(set(sets))
+    # dict.fromkeys keeps the sets in their given order, which every
+    # enumerator already sorts, so the sort is a single linear pass.
+    unique = sorted(dict.fromkeys(sets))
     if not unique:
         return 0, ()
     if symmetries and _transitive_symmetries(unique, symmetries, budget):
@@ -587,10 +589,25 @@ class EkrReport(Record):
         }
 
 
-def _verdict(holds: bool, in_range: bool) -> str:
+def _report(
+    parameters: dict,
+    sets: Sequence[tuple],
+    star: int,
+    in_range: bool,
+    started: float,
+    budget: SearchBudget | None,
+    symmetries: Sequence[Mapping],
+    upper_bound: int | None = None,
+) -> EkrReport:
+    """The verdict on ``sets`` against ``star``: the exact maximum and its
+    witness from ``max_intersecting_family``, timed from ``started``."""
+    size, witness = max_intersecting_family(sets, budget, symmetries, upper_bound)
+    holds = size <= star
     if in_range:
-        return VERDICT_HOLDS if holds else VERDICT_FAILS
-    return VERDICT_RANGE_HOLDS if holds else VERDICT_RANGE_FAILS
+        verdict = VERDICT_HOLDS if holds else VERDICT_FAILS
+    else:
+        verdict = VERDICT_RANGE_HOLDS if holds else VERDICT_RANGE_FAILS
+    return EkrReport(parameters, size, star, verdict, witness, time.monotonic() - started)
 
 
 def rook_ekr_report(
@@ -610,15 +627,9 @@ def rook_ekr_report(
     require_placement_size(n, m, r)
     started = time.monotonic()
     placements = enumerate_placements(n, m, r, max_sets)
-    size, witness = max_intersecting_family(placements, budget, rook_symmetries(n, m))
-    star = rook_star_count(n, m, r)
-    return EkrReport(
-        parameters={"kind": "rook", "n": n, "m": m, "r": r},
-        max_intersecting=size,
-        best_star=star,
-        verdict=_verdict(size <= star, 2 * r <= min(n, m)),
-        witness=witness,
-        elapsed=time.monotonic() - started,
+    return _report(
+        {"kind": "rook", "n": n, "m": m, "r": r}, placements, rook_star_count(n, m, r),
+        2 * r <= min(n, m), started, budget, rook_symmetries(n, m),
     )
 
 
@@ -654,8 +665,9 @@ def graph_ekr_report(
 
     The comparator is the best star over all vertices (the EKR property
     only asks for one good vertex).  In-theorem-range means r is at most
-    half the smallest maximal independent set size.  The search is given
-    the permutations of each class of twins, which it uses when they act
+    half the smallest maximal independent set size mu, which is computed
+    unless ``known_min_maximal`` gives it.  The search is given the
+    permutations of each class of twins, which it uses when they act
     transitively on the independent r-sets.  On an edgeless graph with at
     least 2r vertices it is also given the cycle certificate's bound (module
     docstring), at which its maximum phase stops.
@@ -675,50 +687,25 @@ def graph_ekr_report(
     bound = None
     if g.edge_count == 0 and g.vertex_count >= 2 * r:
         bound = _cycle_bound(g.vertex_count, r, sets)
-    size, witness = max_intersecting_family(sets, budget, twin_symmetries(g), bound)
-    return EkrReport(
-        parameters={
-            "kind": "graph",
-            "vertices": g.vertex_count,
-            "edge_count": g.edge_count,
-            "r": r,
-            "min_maximal_independent_size": mu,
-        },
-        max_intersecting=size,
-        best_star=best_star,
-        verdict=_verdict(size <= best_star, 2 * r <= mu),
-        witness=witness,
-        elapsed=time.monotonic() - started,
+    parameters = {
+        "kind": "graph",
+        "vertices": g.vertex_count,
+        "edge_count": g.edge_count,
+        "r": r,
+        "min_maximal_independent_size": mu,
+    }
+    return _report(
+        parameters, sets, best_star, 2 * r <= mu, started, budget, twin_symmetries(g), bound
     )
-
-
-def holroyd_talbot_sweep(
-    g: SimpleGraph,
-    budget: SearchBudget | None = None,
-    max_sets: int = DEFAULT_SET_BUDGET,
-    vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
-    known_min_maximal: int | None = None,
-) -> list[EkrReport]:
-    """One report per r in the conjectured range 1..mu/2 (empty if mu < 2);
-    mu is computed unless ``known_min_maximal`` gives it."""
-    from .graphs import min_maximal_independent_size
-
-    mu = (
-        known_min_maximal
-        if known_min_maximal is not None
-        else min_maximal_independent_size(g, vertex_budget)
-    )
-    return [
-        graph_ekr_report(g, r, budget, max_sets, vertex_budget, known_min_maximal=mu)
-        for r in range(1, mu // 2 + 1)
-    ]
 
 
 class LexCheckResult(NamedTuple):
-    """Premise/conclusion pair for the lexicographic-product implication."""
+    """Premise/conclusion pair for the lexicographic-product implication,
+    with the product G[K_k] the conclusion was searched on."""
 
     premise: EkrReport
     conclusion: EkrReport
+    product: SimpleGraph | None = None
 
     @property
     def violation(self) -> bool:
@@ -743,4 +730,4 @@ def lex_product_check(
     premise = graph_ekr_report(g, r, budget, max_sets, vertex_budget)
     product = lexicographic_product(g, complete_graph(k))
     conclusion = graph_ekr_report(product, r, budget, max_sets, vertex_budget)
-    return LexCheckResult(premise=premise, conclusion=conclusion)
+    return LexCheckResult(premise, conclusion, product)

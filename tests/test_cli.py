@@ -312,6 +312,26 @@ class TestGraphCommands:
         result = json.loads(out)["result"]
         assert result["all_hold"]
         assert len(result["reports"]) == 1
+        assert result["reports"][0]["verdict"] == "EKR_HOLDS"
+
+    def test_ht_on_a_claw_has_an_empty_range(self, tmp_path, capsys):
+        # The centre alone is a maximal independent set, so mu = 1.
+        path = tmp_path / "claw.json"
+        graphs.save_graph(graphs.SimpleGraph(4, [(1, 2), (1, 3), (1, 4)]), str(path))
+        assert main(["ht", "--graph", str(path), "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["min_maximal_independent_size"], result["reports"]) == (1, [])
+        assert result["all_hold"]
+
+    def test_ht_on_the_four_by_four_rook_graph(self, tmp_path, capsys):
+        path = tmp_path / "k4xk4.json"
+        k4 = graphs.complete_graph(4)
+        graphs.save_graph(graphs.cartesian_product(k4, k4), str(path))
+        assert main(["ht", "--graph", str(path), "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)["result"]["reports"]
+        assert [(report["parameters"]["r"], report["verdict"]) for report in reports] == [
+            (1, "EKR_HOLDS"), (2, "EKR_HOLDS"),
+        ]
 
     def test_ht_on_an_edgeless_graph(self, capsys):
         assert main(["ht", "--graph", "E5", "--json"]) == 0
@@ -334,7 +354,9 @@ class TestGraphCommands:
                   for report in result["reports"]}
         assert maxima[4] == 56
 
-    def test_ht_computes_mu_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("graph, reports", [("C5", 1), ("E8", 4)])
+    def test_ht_computes_mu_once(self, monkeypatch, capsys, graph, reports):
+        # One enumeration of the maximal independent sets serves every r.
         calls = []
         original = graphs.maximal_independent_sets
 
@@ -343,7 +365,28 @@ class TestGraphCommands:
             return original(*args)
 
         monkeypatch.setattr(graphs, "maximal_independent_sets", counted)
-        assert main(["ht", "--graph", "C5", "--json"]) == 0
+        assert main(["ht", "--graph", graph, "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["result"]["reports"]) == reports
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, failed", [
+        (["--graph", "E5", "--k", "2", "--r", "3"], "premise"),
+        (["--graph", "E4", "--k", "1", "--r", "3"], "conclusion"),
+    ])
+    def test_a_failing_lex_run_builds_the_product_once(self, monkeypatch, capsys, argv, failed):
+        # A failed conclusion's counterexample is drawn from the product that
+        # the conclusion was searched on.
+        calls = []
+        original = graphs.lexicographic_product
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "lexicographic_product", counted)
+        assert main(["lex", *argv, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["result"][failed]["verdict"].endswith("HOLDS")
         assert len(calls) == 1
 
     def test_lex_holds(self):
@@ -523,6 +566,13 @@ class TestOutputContract:
         code, out, _ = run_cli("verify", "--n", "4", "--m", "4", "--r", "2")
         assert code == 0
         assert ["witness", "<9", "entries>"] in [line.split() for line in out.splitlines()]
+
+    def test_table_rows_have_distinct_keys(self, capsys):
+        # verify's result has its own elapsed_ms, printed as result.elapsed_ms.
+        assert main(["verify", "--n", "4", "--m", "4", "--r", "2"]) == 0
+        keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert len(keys) == len(set(keys))
+        assert keys[-2:] == ["result.elapsed_ms", "elapsed_ms"]
 
     def test_main_is_callable_in_process(self, capsys):
         assert main(["count", "--n", "3", "--m", "3", "--r", "1", "--json"]) == 0

@@ -20,9 +20,10 @@ from ekrcheck import (
     enumerate_independent,
     enumerate_placements,
     graph_ekr_report,
-    holroyd_talbot_sweep,
     lex_product_check,
+    lexicographic_product,
     max_intersecting_family,
+    min_maximal_independent_size,
     pairwise_intersecting,
     path_graph,
     rook_ekr_report,
@@ -282,23 +283,6 @@ class TestGraphVerdicts:
             assert cells == rook.witness
 
 
-class TestHolroydTalbotSweep:
-    def test_claw_has_empty_range(self):
-        claw = SimpleGraph(4, [(1, 2), (1, 3), (1, 4)])
-        assert holroyd_talbot_sweep(claw) == []
-
-    def test_rook_four_by_four(self):
-        g = cartesian_product(complete_graph(4), complete_graph(4))
-        reports = holroyd_talbot_sweep(g)
-        assert [report.parameters["r"] for report in reports] == [1, 2]
-        assert all(report.verdict == "EKR_HOLDS" for report in reports)
-
-    def test_four_cycle(self):
-        reports = holroyd_talbot_sweep(cycle_graph(4))
-        assert len(reports) == 1
-        assert reports[0].verdict == "EKR_HOLDS"
-
-
 class TestLexProductCheck:
     def test_two_disjoint_edges(self):
         outcome = lex_product_check(empty_graph(2), 2, 1)
@@ -315,6 +299,11 @@ class TestLexProductCheck:
         outcome = lex_product_check(path_graph(4), 1, 1)
         assert outcome.premise.max_intersecting == outcome.conclusion.max_intersecting
         assert outcome.premise.best_star == outcome.conclusion.best_star
+
+    def test_returns_the_product_it_searched(self):
+        outcome = lex_product_check(path_graph(3), 2, 1)
+        assert outcome.product == lexicographic_product(path_graph(3), complete_graph(2))
+        assert outcome.conclusion.parameters["vertices"] == 6
 
     def test_witness_certificates(self):
         outcome = lex_product_check(empty_graph(3), 2, 1)
@@ -587,7 +576,10 @@ class TestRenumberedColoring:
     ], ids=["C4xC6", "P4xC5"])
     def test_sweep_max_phase_node_counts(self, g, runs, engines):
         # Deterministic, so an engine change can quote exact before and after.
-        holroyd_talbot_sweep(g)
+        # The reports are those of an ht run: r = 1..mu/2.
+        mu = min_maximal_independent_size(g)
+        for r in range(1, mu // 2 + 1):
+            graph_ekr_report(g, r, known_min_maximal=mu)
         assert engines == runs
 
     @settings(max_examples=300, deadline=None)
@@ -680,3 +672,4 @@ class TestRecords:
         premise, conclusion = self.report(0.0), search.EkrReport({}, 3, 2, "EKR_FAILS", ())
         result = search.LexCheckResult(premise=premise, conclusion=conclusion)
         assert (result.premise, result.conclusion, result.violation) == (premise, conclusion, True)
+        assert result.product is None
