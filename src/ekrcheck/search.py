@@ -43,32 +43,32 @@ equal open or equal closed neighbourhoods) are automorphisms; on the
 edgeless graph E_n all vertices are twins and the check passes, while on a
 graph without twins there is nothing to check and the full search runs.
 
-Cycle certificate.  On the edgeless graph E_n, with n >= 2r, the searched
-family is every r-subset of [n], and Katona's cycle method (*A simple
-proof of the Erdos-Chao Ko-Rado theorem*, JCTB 1972) bounds its
-intersecting subfamilies.  A cyclic order of [n] is an arrangement of the
-n labels around a circle, and its intervals are its runs of r consecutive
-labels.  Let D be the number of distinct intervals of the identity order
-(1, 2, ..., n), k the largest intersecting family among them, P the number
-of r-sets and O the number of cyclic orders.  The permutations of [n] act
-on the labels and the rotations on the positions, so the two actions
-commute, and the first is transitive on the orders and on the r-sets.
-Hence every order has D distinct intervals and a largest intersecting
-family of k of them, and every r-set is an interval of the same number occ
-of orders; counting the (order, interval) pairs both ways gives O*D =
-P*occ.  An intersecting family F meets the intervals of each order in an
-intersecting family of at most k of them, so summing over the orders,
-|F| * occ <= O * k, and |F| <= O*k/occ = k*P/D.  ``graph_ekr_report``
-computes k with the clique engine, D and P by counting, and checks that
-the division is exact; on E_n they come out as k = r and D = n, so the
-bound is r*C(n, r)/n = C(n-1, r-1), the star.  The max phase stops once
-it reaches the bound, so when the star seed meets it no node is searched;
-the witness pass and its certification run as before.
+Orbit bound.  When the check passes, the group G that the permutations
+generate is transitive on the family V and keeps two sets disjoint or not.
+Then for every subfamily S of V, every intersecting F in V has |F| <=
+floor(k_S*|V|/|S|), where k_S is the largest intersecting family in S.
+Proof: by transitivity each v in V lies in gS for exactly |S|*|G|/|V|
+elements g of G, so the sum over g of |F & gS| is |F|*|S|*|G|/|V|; each
+F & gS is intersecting and g^-1 carries it into S, so each term is at most
+k_S.  Katona's cycle method (*A simple proof of the Erdos-Chao Ko-Rado
+theorem*, JCTB 1972) is the case where S is the intervals of a cyclic
+order, and the clique-coclique bound (Godsil-Meagher, *Erdos-Ko-Rado
+Theorems: Algebraic Approaches*, 2016) the case of a disjoint S, k_S = 1.
+``_orbit_bound`` keeps the caller's structures that are members of V as
+S, and the max phase stops once it reaches the bound, so when the star
+seed meets it no node is searched; the witness pass runs as before.
+``graph_ekr_report`` passes the runs of r consecutive labels of the cycle
+1..n: on E_n with n >= 2r they are n r-sets with k_S = r, a bound of
+r*C(n, r)/n = C(n-1, r-1), the star.  ``rook_ekr_report`` passes the
+diagonal intervals of the identity cyclic order, the cells (i+t, j+t) for
+t < r, rows mod n and columns mod m: with 2r <= min(n, m) they are nm
+placements with k_S = r, a bound of r*C(n, r)*C(m, r)*r!/(nm), the star.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -251,9 +251,9 @@ class _CliqueEngine:
     def max_clique_size(self, initial_best: int = 0, upper_bound: int | None = None) -> int:
         """Exact maximum clique size; ``initial_best`` must be attainable.
 
-        ``upper_bound``, when given, is a bound the caller has proved: the
-        search stops once it reaches it, at the root without coloring when
-        ``initial_best`` already does.  A bound below ``initial_best`` is
+        ``upper_bound``, when given, is a proved bound (the orbit bound of
+        the module docstring): the search stops once it reaches it, at the
+        root without coloring when ``initial_best`` already does.  A bound below ``initial_best`` is
         refused, since one of them is wrong.
         """
         if upper_bound is not None and upper_bound < initial_best:
@@ -475,11 +475,27 @@ def _transitive_symmetries(
     return len(reached) == len(unique)
 
 
+def _orbit_bound(unique: Sequence[tuple], structures: Sequence[tuple]) -> int | None:
+    """The orbit bound (module docstring) on the sorted distinct family
+    ``unique``, which the checked symmetries act on transitively, with S
+    the distinct ``structures`` in it; None when there are none."""
+    kept = []
+    for structure in sorted(set(structures)):
+        i = bisect_left(unique, structure)
+        if i < len(unique) and unique[i] == structure:
+            kept.append(structure)
+    if not kept:
+        return None
+    budget = SearchBudget()  # its own, so no exit reports k_S's bounds as the family's
+    adjacency, seed = _compatibility(kept, budget)
+    return _CliqueEngine(adjacency, budget).max_clique_size(seed) * len(unique) // len(kept)
+
+
 def max_intersecting_family(
     sets: Sequence[tuple],
     budget: SearchBudget | None = None,
     symmetries: Sequence[Mapping] | None = None,
-    upper_bound: int | None = None,
+    structures: Sequence[tuple] | None = None,
 ) -> tuple[int, tuple[tuple, ...]]:
     """Exact maximum size of a pairwise-intersecting subfamily, with witness.
 
@@ -489,10 +505,10 @@ def max_intersecting_family(
     expects to be symmetries of the family.  When they pass the check in
     the module docstring, only the sets that meet the first set are
     searched; otherwise, or without them, the whole family is.
-    ``upper_bound`` is a bound on the answer that the caller has proved,
-    such as the cycle certificate in the module docstring; the maximum
-    search stops once it reaches it.  Certified before returning: the
-    witness is pairwise intersecting and has the reported size.
+    When they pass, the orbit bound is taken with S the ``structures``
+    that are members of the family; the maximum search stops at it.
+    Certified before returning: the witness is pairwise intersecting and
+    has the reported size.
     """
     budget = budget or SearchBudget()
     if len(sets) >= SETS_PER_CLOCK_READ:
@@ -503,11 +519,12 @@ def max_intersecting_family(
     if not unique:
         return 0, ()
     if symmetries and _transitive_symmetries(unique, symmetries, budget):
+        bound = _orbit_bound(unique, structures) if structures else None
         first = set(unique[0])
         neighbours = [member for member in unique[1:] if not first.isdisjoint(member)]
-        witness = (unique[0],) + _lex_smallest_maximum(neighbours, budget, 1, upper_bound)
+        witness = (unique[0],) + _lex_smallest_maximum(neighbours, budget, 1, bound)
     else:
-        witness = _lex_smallest_maximum(unique, budget, 0, upper_bound)
+        witness = _lex_smallest_maximum(unique, budget)
 
     if not pairwise_intersecting(witness):
         raise RuntimeError("internal error: witness is not pairwise intersecting")
@@ -597,11 +614,11 @@ def _report(
     started: float,
     budget: SearchBudget | None,
     symmetries: Sequence[Mapping],
-    upper_bound: int | None = None,
+    structures: Sequence[tuple],
 ) -> EkrReport:
     """The verdict on ``sets`` against ``star``: the exact maximum and its
     witness from ``max_intersecting_family``, timed from ``started``."""
-    size, witness = max_intersecting_family(sets, budget, symmetries, upper_bound)
+    size, witness = max_intersecting_family(sets, budget, symmetries, structures)
     holds = size <= star
     if in_range:
         verdict = VERDICT_HOLDS if holds else VERDICT_FAILS
@@ -622,35 +639,19 @@ def rook_ekr_report(
     The comparator is the closed-form star size, the same at every cell by
     vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  The
     search is given the row and column permutations, so it only searches
-    the placements that meet the first one.
+    the placements that meet the first one, and the diagonal intervals of
+    the identity cyclic order (built here, not by ``cycles``) for S of the
+    orbit bound (module docstring).
     """
     require_placement_size(n, m, r)
     started = time.monotonic()
     placements = enumerate_placements(n, m, r, max_sets)
+    diagonals = [tuple(sorted(((i + t) % n + 1, (j + t) % m + 1) for t in range(r)))
+                 for i in range(n) for j in range(m)]
     return _report(
         {"kind": "rook", "n": n, "m": m, "r": r}, placements, rook_star_count(n, m, r),
-        2 * r <= min(n, m), started, budget, rook_symmetries(n, m),
+        2 * r <= min(n, m), started, budget, rook_symmetries(n, m), diagonals,
     )
-
-
-def _cycle_bound(n: int, r: int, sets: Sequence[tuple]) -> int:
-    """The cycle certificate's bound k*P/D for the r-sets ``sets`` of [n],
-    n >= 2r, with its facts computed as the module docstring proves it."""
-    intervals = sorted(
-        {tuple(sorted((start + i) % n + 1 for i in range(r))) for start in range(n)}
-    )
-    # The intervals are few, so their search gets a budget of its own: a
-    # budget exit must never report their bounds as the family's.
-    budget = SearchBudget()
-    adjacency, seed = _compatibility(intervals, budget)
-    k = _CliqueEngine(adjacency, budget).max_clique_size(seed)
-    bound, remainder = divmod(k * len(sets), len(intervals))
-    if remainder:
-        raise RuntimeError(
-            f"internal error: {k} * {len(sets)} sets is not a multiple of "
-            f"{len(intervals)} intervals"
-        )
-    return bound
 
 
 def graph_ekr_report(
@@ -668,9 +669,8 @@ def graph_ekr_report(
     half the smallest maximal independent set size mu, which is computed
     unless ``known_min_maximal`` gives it.  The search is given the
     permutations of each class of twins, which it uses when they act
-    transitively on the independent r-sets.  On an edgeless graph with at
-    least 2r vertices it is also given the cycle certificate's bound (module
-    docstring), at which its maximum phase stops.
+    transitively on the independent r-sets, and the runs of r consecutive
+    labels of the cycle 1..n for S of the orbit bound (module docstring).
     """
     from .graphs import enumerate_independent, min_maximal_independent_size
 
@@ -684,9 +684,8 @@ def graph_ekr_report(
         if known_min_maximal is not None
         else min_maximal_independent_size(g, vertex_budget)
     )
-    bound = None
-    if g.edge_count == 0 and g.vertex_count >= 2 * r:
-        bound = _cycle_bound(g.vertex_count, r, sets)
+    n = g.vertex_count
+    runs = [tuple(sorted((start + t) % n + 1 for t in range(r))) for start in range(n)]
     parameters = {
         "kind": "graph",
         "vertices": g.vertex_count,
@@ -695,7 +694,7 @@ def graph_ekr_report(
         "min_maximal_independent_size": mu,
     }
     return _report(
-        parameters, sets, best_star, 2 * r <= mu, started, budget, twin_symmetries(g), bound
+        parameters, sets, best_star, 2 * r <= mu, started, budget, twin_symmetries(g), runs
     )
 
 

@@ -66,8 +66,8 @@ class TestVerify:
         assert report["parameters"]["n"] == 4
 
     def test_witness_phase_budget_exit_reports_the_exact_maximum(self):
-        # At 5x5 r=2 the max search over the placements that meet the first
-        # one takes 2 nodes; the witness pass needs 15 more.
+        # At 5x5 r=2 the orbit bound closes the max search at its root; the
+        # witness pass needs 15 nodes.
         code, out, _ = run_cli(
             "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "5"
         )
@@ -77,26 +77,40 @@ class TestVerify:
 
     def test_max_phase_budget_exit_keeps_the_open_bounds(self):
         code, out, _ = run_cli(
+            "verify", "--n", "5", "--m", "5", "--r", "4", "--json", "--budget-nodes", "1"
+        )
+        assert code == 3
+        result = json.loads(out)["result"]
+        # At 5x5 r=4 the orbit bound (120) is above the star (96), so the max
+        # search runs.  The bounds count the first placement, which the
+        # search leaves out.
+        assert (result["lower_bound"], result["upper_bound"]) == (96, 99)
+
+    def test_max_phase_closed_by_the_orbit_bound_exits_with_exact_bounds(self):
+        # At 5x5 r=2 the orbit bound is the star, so the max search stops at
+        # its root and the witness probe's first node exceeds the budget.
+        code, out, _ = run_cli(
             "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "1"
         )
         assert code == 3
         result = json.loads(out)["result"]
-        # The bounds count the first placement, which the search leaves out.
-        assert (result["lower_bound"], result["upper_bound"]) == (16, 17)
+        assert (result["lower_bound"], result["upper_bound"]) == (16, 16)
 
     @pytest.mark.parametrize(
-        "n, bounds",
+        "n, r, bounds",
         [
             # The max search stops at the root bound without a node, so the
             # witness probe's first node sees the deadline, with exact bounds.
-            (4, (9, 9)),
+            (4, 2, (9, 9)),
+            (5, 2, (16, 16)),
             # The max search's first node sees it, with the open bounds.
-            (5, (16, 17)),
+            (5, 4, (96, 99)),
         ],
     )
-    def test_zero_seconds_budget_exits_3_on_the_first_node(self, n, bounds):
+    def test_zero_seconds_budget_exits_3_on_the_first_node(self, n, r, bounds):
         code, out, _ = run_cli(
-            "verify", "--n", str(n), "--m", str(n), "--r", "2", "--json", "--budget-seconds", "0"
+            "verify", "--n", str(n), "--m", str(n), "--r", str(r), "--json",
+            "--budget-seconds", "0",
         )
         assert code == 3
         result = json.loads(out)["result"]

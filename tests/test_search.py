@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ekrcheck import (
     SearchBudget,
+    cycles,
     search,
     cartesian_product,
     complete_graph,
@@ -335,6 +336,11 @@ def reduced_vertices(sets, symmetries):
     return sum(1 for member in unique[1:] if set(member) & set(unique[0]))
 
 
+def runs(n, r):
+    """The runs of r consecutive labels of the cycle 1..n."""
+    return [tuple(sorted((start + t) % n + 1 for t in range(r))) for start in range(n)]
+
+
 class TestSymmetryReduction:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("m", range(1, 6))
@@ -383,9 +389,11 @@ class TestSymmetryReduction:
         g = SimpleGraph(k + copies, sorted(edges))
         assert any(original in twins for twins in twin_classes(g))
         sets = enumerate_independent(g, r)
-        assert max_intersecting_family(sets, symmetries=twin_symmetries(g)) == (
-            max_intersecting_family(sets)
-        )
+        full = max_intersecting_family(sets)
+        assert max_intersecting_family(sets, symmetries=twin_symmetries(g)) == full
+        assert max_intersecting_family(
+            sets, symmetries=twin_symmetries(g), structures=runs(g.vertex_count, r)
+        ) == full
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -446,12 +454,23 @@ class TestSymmetryReduction:
         assert (report.max_intersecting, report.witness) == (1, (((1, 1),),))
         report = graph_ekr_report(empty_graph(5), 1)
         assert (report.max_intersecting, report.witness) == (1, ((1,),))
-        # Between them, the cycle certificate's search of E5's 5 intervals.
-        assert [vertices for vertices, _ in engines] == [0, 5, 0]
+        # Each report searches its structures for the orbit bound first.
+        assert [vertices for vertices, _ in engines] == [9, 0, 5, 0]
+        # Without structures, the engine runs are the search's alone.
+        engines.clear()
+        placements, g = enumerate_placements(3, 3, 1), empty_graph(5)
+        assert max_intersecting_family(placements, symmetries=rook_symmetries(3, 3))[0] == 1
+        assert max_intersecting_family(enumerate_independent(g, 1),
+                                       symmetries=twin_symmetries(g))[0] == 1
+        assert [vertices for vertices, _ in engines] == [0, 0]
 
     def test_seven_by_seven_searches_the_first_placements_neighbourhood(self, engines):
         report = rook_ekr_report(7, 7, 3)
         assert report.max_intersecting == report.best_star == 450
+        # The 49 diagonal intervals, then no node on the 1,275 placements.
+        assert engines == [(49, 8), (1275, 0)]
+        engines.clear()
+        max_intersecting_family(enumerate_placements(7, 7, 3), symmetries=rook_symmetries(7, 7))
         assert engines == [(1275, 7)]
 
     def test_full_search_node_counts(self, engines):
@@ -462,41 +481,98 @@ class TestSymmetryReduction:
         report = rook_ekr_report(9, 9, 3)
         assert report.max_intersecting == report.best_star == 1568
         assert report.witness == star_family(9, 9, 3, (1, 1)).sets
+        assert engines == [(81, 0), (4557, 0)]
+        engines.clear()
+        max_intersecting_family(enumerate_placements(9, 9, 3), symmetries=rook_symmetries(9, 9))
         assert engines == [(4557, 9)]
 
 
-class TestCycleCertificate:
+@pytest.fixture
+def bounds(monkeypatch):
+    """(structures, value) of every orbit bound taken."""
+    taken = []
+    original = search._orbit_bound
+
+    def spy(unique, structures):
+        taken.append((structures, original(unique, structures)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(search, "_orbit_bound", spy)
+    return taken
+
+
+class TestOrbitBound:
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_edgeless_reports_match_the_unbounded_search(self, n, monkeypatch):
+    def test_edgeless_reports_match_the_unbounded_search(self, n, bounds, monkeypatch):
         g = empty_graph(n)
-        bounded = [graph_ekr_report(g, r) for r in range(1, n // 2 + 1)]
-        for r in range(1, n // 2 + 1):
-            assert search._cycle_bound(n, r, enumerate_independent(g, r)) == comb(n - 1, r - 1)
-        monkeypatch.setattr(search, "_cycle_bound", lambda n, r, sets: None)
-        assert bounded == [graph_ekr_report(g, r) for r in range(1, n // 2 + 1)]
+        bounded = [graph_ekr_report(g, r) for r in range(1, n + 1)]
+        values = [value for _, value in bounds]
+        assert values[:n // 2] == [comb(n - 1, r - 1) for r in range(1, n // 2 + 1)]
+        assert all(value >= report.max_intersecting for value, report in zip(values, bounded))
+        monkeypatch.setattr(search, "_orbit_bound", lambda unique, structures: None)
+        assert bounded == [graph_ekr_report(g, r) for r in range(1, n + 1)]
+
+    @pytest.mark.parametrize("n, m", [
+        (n, m) for n in range(1, 25) for m in range(1, 25) if n * m <= 24
+    ])
+    def test_rook_grids_agree_with_the_search_without_structures(self, n, m, bounds):
+        order = cycles.reference_order(n, m)
+        for r in range(1, min(n, m) + 1):
+            bounds.clear()
+            report = rook_ekr_report(n, m, r)
+            placements = enumerate_placements(n, m, r)
+            assert (report.max_intersecting, report.witness) == max_intersecting_family(
+                placements, symmetries=rook_symmetries(n, m)
+            )
+            if not rook_symmetries(n, m):  # 1x1: no symmetry to check, so no bound
+                assert bounds == []
+                continue
+            # The diagonals built in search are the intervals of cycles.
+            (structures, value), = bounds
+            assert list(dict.fromkeys(structures)) == list(cycles._distinct_intervals(order, r))
+            assert value >= report.max_intersecting
+            if 2 * r <= min(n, m):
+                assert value == report.best_star
 
     def test_the_max_phase_stops_at_the_root(self, engines):
         report = graph_ekr_report(empty_graph(10), 4)
         assert report.max_intersecting == report.best_star == 84
-        # The 10 intervals of the identity order, then no node on 194 sets.
+        # The 10 runs of the cycle, then no node on 194 sets.
         assert engines[1:] == [(194, 0)]
         assert engines[0][0] == 10
 
     def test_a_bound_below_the_seed_raises(self, monkeypatch):
-        monkeypatch.setattr(search, "_cycle_bound", lambda n, r, sets: comb(n - 1, r - 1) - 1)
+        monkeypatch.setattr(search, "_orbit_bound", lambda unique, structures: comb(7, 2) - 1)
         with pytest.raises(RuntimeError, match="below an attained clique"):
             graph_ekr_report(empty_graph(8), 3)
 
-    @pytest.mark.parametrize("g, r", [
-        (empty_graph(4), 3), (cycle_graph(8), 3), (complete_graph(3), 1),
-    ], ids=["E4 r3", "C8 r3", "K3 r1"])
-    def test_no_bound_without_the_theorem(self, g, r, monkeypatch):
-        # Fewer than 2r vertices, or an edge: the search runs unbounded.
+    def test_no_bound_without_a_checked_symmetry(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the cycle bound was computed")
+            raise AssertionError("the orbit bound was taken")
 
-        monkeypatch.setattr(search, "_cycle_bound", refuse)
-        graph_ekr_report(g, r)
+        monkeypatch.setattr(search, "_orbit_bound", refuse)
+        # C8 has no twins, so there is no symmetry to check.
+        graph_ekr_report(cycle_graph(8), 3)
+        # The map is not a bijection, so the check fails; trusted, the two
+        # disjoint structures would bound the family by 3 // 2 = 1.
+        sets = [(1, 2), (3,), (3, 4)]
+        squeeze = {1: 3, 2: 4, 3: 3, 4: 3}
+        assert max_intersecting_family(
+            sets, symmetries=[squeeze], structures=[(1, 2), (3,)]
+        ) == (2, ((3,), (3, 4)))
+
+    def test_a_structure_outside_the_family_is_dropped(self):
+        unique = sorted(enumerate_independent(empty_graph(8), 3))
+        assert search._orbit_bound(unique, runs(8, 3)) == comb(7, 2)
+        # Trusted, a ninth structure, or a run counted twice, would lower the
+        # bound to 3 * 56 // 9 = 18, below the star of 21.
+        assert search._orbit_bound(unique, runs(8, 3) + [(9, 10, 11)]) == comb(7, 2)
+        assert search._orbit_bound(unique, runs(8, 3) * 2) == comb(7, 2)
+        assert search._orbit_bound(unique, [(9, 10, 11)]) is None
+        g = empty_graph(8)
+        assert max_intersecting_family(
+            unique, symmetries=twin_symmetries(g), structures=runs(8, 3) + [(9, 10, 11)]
+        ) == max_intersecting_family(unique)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -548,12 +624,15 @@ class TestCompleteFamilies:
         assert (report.max_intersecting, report.best_star) == (comb(n, r), comb(n - 1, r - 1))
         assert report.verdict == "OUT_OF_THEOREM_RANGE_FAILS"
         assert report.witness == tuple(combinations(range(1, n + 1), r))
+        engines.clear()
+        g = empty_graph(n)
+        max_intersecting_family(enumerate_independent(g, r), symmetries=twin_symmetries(g))
         assert engines == [(comb(n, r) - 1, 0)]
 
 
 class TestRenumberedColoring:
-    # The edgeless graphs are searched here without the cycle certificate,
-    # which graph_ekr_report gives them, so the counts still pin the engine.
+    # The edgeless graphs are searched here without the structures that
+    # graph_ekr_report gives them, so the counts still pin the engine.
 
     @pytest.mark.parametrize("n, vertices, nodes", [(9, 120, 854), (10, 194, 306)])
     def test_edgeless_graphs_at_n_equal_2r_plus_1(self, n, vertices, nodes, engines):
