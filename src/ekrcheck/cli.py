@@ -84,10 +84,12 @@ def _artifact(out: str | None, result: dict, key: str, document: object) -> dict
     return result
 
 
-# lemma1 and windows compare each of the identity order's n*m intervals with
-# every other at r cells a pair: (n*m)^2 * r steps for each r they evaluate.
-# Grids past this many steps exit 3 before any comparison; every grid of at
-# most 10^6 orders needs at most 14,406 (lemma1 on 7 x 7).
+# lemma1 compares each of the identity order's n*m intervals with every other
+# at r cells a pair: (n*m)^2 * r steps for each r it evaluates.  Grids past
+# this many steps exit 3 before any comparison; every grid of at most 10^6
+# orders needs at most 14,406 (lemma1 on 7 x 7).  windows, which checks one
+# start, needs far fewer steps but keeps this bound unchanged, so every grid
+# that exits 3 on it still does.
 INTERVAL_PAIR_BUDGET = 10**6
 
 

@@ -35,6 +35,19 @@ first order that enumerate_cyclic_orders lists.  Likewise each order's
 distinct intervals are the phi images of the identity order's distinct
 intervals.
 
+Translation.  In the identity order, t(a, b): (p, q) -> (p+a, q+b), with
+p taken mod n and q mod m, is a bijection of cells that sends each row
+onto a row and each column onto a column.  It sends P(i, j) onto
+P(i+a, j+b), and so the order's intervals onto themselves; it sends a row
+projection W onto W+a, and so the windows of row position x (see
+check_interval_windows) onto those of x+a.  It keeps every intersection,
+as phi does.  So checks (a)-(c) pass or fail alike at every start, for
+every r, and with order invariance start (1, 1) of the identity order
+stands for every start of every order.  If any start fails, (1, 1)
+fails, and it comes first in (i, j) order, so first_window_failure
+checks that start alone and reports the failure a sweep of every start
+would report first.
+
 Factored interval tally.  interval_tally counts, for every placement p,
 the canonical orders that realize p as an interval, without listing the
 orders.  Let S hold one start of each distinct interval of the identity
@@ -455,95 +468,54 @@ def check_interval_windows(order: CyclicOrder, start_i: int, start_j: int, r: in
     r = 1 has no windows and passes vacuously.
     """
     _require_half_range(order, r)
-    return _window_check(order, r)(start_i, start_j)
+    start = (start_i, start_j)
+    base = diagonal_interval(order, start_i, start_j, r)
+    if r == 1:
+        return WindowReport(True, order, start, r)
+    n, ring = order.n, order.rows * 2  # any n consecutive positions, read without wrapping
+    firsts = [(start_i - 1 + off) % n for off in range(1, r)]
+    forward = [frozenset(ring[p : p + r]) for p in firsts]
+    backward = [frozenset(ring[p + n - r : p + n]) for p in firsts]
+    windows = set(forward) | set(backward)
+    intervals = all_intervals(order, r)
+    by_projection: dict[frozenset[int], list[Placement]] = {}
+    for iv in intervals:
+        by_projection.setdefault(row_projection(iv), []).append(iv)
+
+    base_cells = set(base)
+    for iv in intervals:
+        if iv != base and not base_cells.isdisjoint(iv) and row_projection(iv) not in windows:
+            return WindowReport(
+                False, order, start, r,
+                failure="interval meets the base but its row projection is not a window",
+                witness=(base, iv),
+            )
+    for off in range(r - 1):
+        for fwd in by_projection.get(forward[off], ()):
+            for bwd in by_projection.get(backward[off], ()):
+                if not set(fwd).isdisjoint(bwd):
+                    return WindowReport(
+                        False, order, start, r,
+                        failure=f"forward and backward window intervals overlap at offset {off + 1}",
+                        witness=(fwd, bwd),
+                    )
+    for window in windows:
+        for a, b in combinations(by_projection.get(window, ()), 2):
+            if not set(a).isdisjoint(b):
+                return WindowReport(
+                    False, order, start, r,
+                    failure="two distinct intervals with the same window projection overlap",
+                    witness=(a, b),
+                )
+    return WindowReport(True, order, start, r)
 
 
 def first_window_failure(order: CyclicOrder, r: int) -> WindowReport | None:
     """The report of the first start, in (i, j) order, that fails
     check_interval_windows, or None when every start passes.
 
-    The work that does not depend on the start is done once for all of
-    them (see _window_check).
+    Every start passes or fails alike, and (1, 1) comes first (module
+    docstring, "Translation"), so only that start is checked.
     """
-    _require_half_range(order, r)
-    check = _window_check(order, r)
-    for i in range(1, order.n + 1):
-        for j in range(1, order.m + 1):
-            report = check(i, j)
-            if not report.passed:
-                return report
-    return None
-
-
-def _window_check(order: CyclicOrder, r: int) -> Callable[[int, int], WindowReport]:
-    """check_interval_windows on one (order, r), as a function of the start.
-
-    The order's intervals, their cell sets and their row projections are
-    built once.  The windows, and so checks (b) and (c), read the start
-    only through its row position x: they run once per x, and every later
-    start with the same x reuses their outcome.  Check (a) runs for each
-    start, and runs first, so each start gets the report it would get
-    alone.
-    """
-    n = order.n
-    intervals = all_intervals(order, r)
-    cells = {iv: frozenset(iv) for iv in intervals}
-    projections = {iv: row_projection(iv) for iv in intervals}
-    by_projection: dict[frozenset[int], list[Placement]] = {}
-    for iv in intervals:
-        by_projection.setdefault(projections[iv], []).append(iv)
-    # x -> (its windows, the failure and witness of (b) or (c), if any)
-    by_row: dict[int, tuple[set[frozenset[int]], tuple[str, tuple[Placement, ...]] | None]] = {}
-
-    def rows_at(first: int) -> frozenset[int]:
-        return frozenset(order.rows[(first - 1 + k) % n] for k in range(r))
-
-    def window_failure(
-        forward: list[frozenset[int]], backward: list[frozenset[int]], windows: set
-    ) -> tuple[str, tuple[Placement, ...]] | None:
-        for off in range(r - 1):
-            for fwd in by_projection.get(forward[off], ()):
-                for bwd in by_projection.get(backward[off], ()):
-                    if not cells[fwd].isdisjoint(bwd):
-                        return (
-                            f"forward and backward window intervals overlap at offset {off + 1}",
-                            (fwd, bwd),
-                        )
-        for window in windows:
-            group = by_projection.get(window, [])
-            for a, b in combinations(group, 2):
-                if not cells[a].isdisjoint(b):
-                    return (
-                        "two distinct intervals with the same window projection overlap",
-                        (a, b),
-                    )
-        return None
-
-    def check(start_i: int, start_j: int) -> WindowReport:
-        start = (start_i, start_j)
-        base = diagonal_interval(order, start_i, start_j, r)
-        if r == 1:
-            return WindowReport(True, order, start, r)
-        x = start_i
-        if x not in by_row:
-            forward = [rows_at(x + off) for off in range(1, r)]
-            backward = [rows_at(x + off - r) for off in range(1, r)]
-            windows = set(forward) | set(backward)
-            by_row[x] = (windows, window_failure(forward, backward, windows))
-        windows, failure = by_row[x]
-
-        base_cells = cells[base]
-        for iv in intervals:
-            if iv == base:
-                continue
-            if not base_cells.isdisjoint(iv) and projections[iv] not in windows:
-                return WindowReport(
-                    False, order, start, r,
-                    failure="interval meets the base but its row projection is not a window",
-                    witness=(base, iv),
-                )
-        if failure is not None:
-            return WindowReport(False, order, start, r, failure=failure[0], witness=failure[1])
-        return WindowReport(True, order, start, r)
-
-    return check
+    report = check_interval_windows(order, 1, 1, r)
+    return None if report.passed else report

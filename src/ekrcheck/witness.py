@@ -118,6 +118,7 @@ def _validate_interval_family(payload: dict) -> tuple[bool, str]:
 
     order = _order(payload)
     r = require_integer(payload, "r", _WHERE)
+    cycles._require_half_range(order, r)
     if payload["kind"] == "interval_tightness_gap":
         found = require_integer(payload, "found_max", _WHERE)
         recomputed = len(cycles.max_intersecting_intervals_witness(order, r))
@@ -127,9 +128,10 @@ def _validate_interval_family(payload: dict) -> tuple[bool, str]:
     members = _placements(payload, order.n, order.m)
     if len(set(members)) != len(members):
         return False, "family contains duplicate members"
+    intervals = set(cycles.all_intervals(order, r))
     for member in members:
-        if cycles.interval_start(order, member) is None:
-            return False, f"{list(member)} is not an interval of the order"
+        if member not in intervals:
+            return False, f"{list(member)} is not an interval of the order with r={r} cells"
     if not rook.pairwise_intersecting(members):
         return False, "family is not pairwise intersecting"
     if len(members) <= r:
@@ -203,16 +205,19 @@ def occurrence_payload(n: int, m: int, placement: tuple, expected: int, found: i
 
 
 def _validate_occurrence(payload: dict) -> tuple[bool, str]:
-    from . import cycles
+    from . import counts, cycles
 
     n, m, expected, found = (
         require_integer(payload, name, _WHERE) for name in ("n", "m", "expected", "found")
     )
     placement = _placement(require_field(payload, "placement", _WHERE), n, m, '"placement"')
     try:
+        closed_form = counts.interval_occurrence_count(n, m, len(placement))
         recomputed = cycles.count_orders_containing(n, m, placement)
     except InputError as exc:
         raise InputError(f'counterexample "placement": {exc}') from None
+    if expected != closed_form:
+        return False, f"expected {expected} is not the closed-form occurrence count {closed_form}"
     if recomputed != expected and recomputed == found:
         return True, f"recomputed occurrence count {recomputed} differs from expected {expected}"
     return False, f"recomputed occurrence count is {recomputed}"

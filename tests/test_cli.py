@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ekrcheck import cycles, enumerate_placements, graphs, load_family, load_graph, search
+from ekrcheck import counts, cycles, enumerate_placements, graphs, load_family, load_graph, search
 from ekrcheck import cli
 from ekrcheck.cli import main
 from ekrcheck.errors import write_json
@@ -1088,15 +1088,46 @@ class TestCheckWitnessFailsClosed:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("found, code", [(1036799, 1), (1036800, 0)])
-    def test_an_eight_by_eight_occurrence_report_is_answered(self, found, code):
+    def test_an_eight_by_eight_occurrence_report_is_answered(self, found, code, monkeypatch):
         # 25,401,600 orders, past the order budget; the count walks row and
         # column orders apart.  The true count is 2! * 6! * 6! = 1,036,800.
-        payload = {**PAYLOADS["occurrence"], "n": 8, "m": 8, "expected": 1036800, "found": found}
+        # A report is confirmed only when the closed form itself is wrong, as
+        # it once was at r = n = m, so the exit-0 case makes it wrong.
+        expected = 1036800
         if code == 0:
-            payload["expected"] = 1036801
+            expected = 1036801
+            monkeypatch.setattr(counts, "interval_occurrence_count", lambda n, m, r: expected)
+        payload = {**PAYLOADS["occurrence"], "n": 8, "m": 8, "expected": expected, "found": found}
         exit_code, out, err = _check_witness_in_process({"counterexample": payload})
         assert (exit_code, err) == (code, "")
         assert json.loads(out)["result"]["detail"].startswith("recomputed occurrence count")
+
+    def test_an_occurrence_report_must_expect_the_closed_form(self):
+        payload = {**PAYLOADS["occurrence"], "expected": 999, "found": 8}
+        code, out, err = _check_witness_in_process({"counterexample": payload})
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"]["detail"] \
+            == "expected 999 is not the closed-form occurrence count 8"
+
+    @pytest.mark.parametrize("r, family", [
+        (2, [[[1, 1]], [[1, 1], [2, 2]], [[4, 4], [1, 1]]]),
+        (1, [[[1, 1]], [[1, 1], [2, 2]]]),
+    ])
+    def test_an_interval_family_with_members_of_the_wrong_size_is_refuted(self, r, family):
+        payload = {**PAYLOADS["exceeds_r"], "r": r, "found_max": len(family), "family": family}
+        code, out, err = _check_witness_in_process({"counterexample": payload})
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"]["detail"].endswith(
+            f"is not an interval of the order with r={r} cells"
+        )
+
+    def test_an_interval_family_past_the_half_range_exits_2(self):
+        # The four 3-intervals on the main diagonal of 4 x 4 pairwise meet.
+        family = [[[(k + d) % 4 + 1] * 2 for d in range(3)] for k in range(4)]
+        payload = {**PAYLOADS["exceeds_r"], "r": 3, "found_max": 4, "family": family}
+        code, out, err = _check_witness_in_process({"counterexample": payload})
+        assert (code, out) == (2, "")
+        assert "r must satisfy 1 <= r <= min(n,m)/2 = 2, got 3" in err
 
     @pytest.mark.parametrize("name", sorted(PAYLOADS))
     def test_well_formed_payloads_keep_their_verdict(self, name):

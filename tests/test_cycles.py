@@ -39,6 +39,15 @@ IDENTITY_33 = CyclicOrder((1, 2, 3), (1, 2, 3))
 IDENTITY_44 = CyclicOrder((1, 2, 3, 4), (1, 2, 3, 4))
 
 
+def _orders_to_cross_check(n: int, m: int) -> list[CyclicOrder]:
+    """The reference order and two random orders of the n-by-m grid."""
+    rng = Random(n * m)
+    return [reference_order(n, m)] + [
+        canonical_order(rng.sample(range(1, n + 1), n), rng.sample(range(1, m + 1), m))
+        for _ in range(2)
+    ]
+
+
 def perm_pairs(n, m):
     perms_n = list(permutations(range(1, n + 1)))
     perms_m = list(permutations(range(1, m + 1)))
@@ -323,28 +332,37 @@ class TestWindows:
             first_window_failure(IDENTITY_44, 3)
 
     @pytest.mark.parametrize("n, m", [(4, 4), (4, 6), (5, 5), (6, 5)])
-    def test_shared_work_gives_each_start_its_own_report(self, n, m, monkeypatch):
+    def test_each_start_matches_the_rebuild_oracle(self, n, m, monkeypatch):
         # Past the half range some starts fail, so the failure reports are
-        # compared too.
+        # compared too, and the one start that first_window_failure checks
+        # is compared with the first failure of a sweep of every start.
         monkeypatch.setattr(cycles, "_require_half_range", lambda order, r: None)
         starts = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
-        rng = Random(n * m)
-        orders = [reference_order(n, m)] + [
-            canonical_order(rng.sample(range(1, n + 1), n), rng.sample(range(1, m + 1), m))
-            for _ in range(2)
-        ]
         failures = 0
-        for order in orders:
+        for order in _orders_to_cross_check(n, m):
             for r in range(1, min(n, m) + 1):
-                shared = cycles._window_check(order, r)
-                reports = [shared(i, j) for i, j in starts]
+                reports = [check_interval_windows(order, i, j, r) for i, j in starts]
                 assert [(report.passed, report.failure, report.witness) for report in reports] \
                     == [window_check_by_rebuild(order, i, j, r) for i, j in starts]
-                assert reports == [check_interval_windows(order, i, j, r) for i, j in starts]
                 failed = [report for report in reports if not report.passed]
                 assert first_window_failure(order, r) == (failed[0] if failed else None)
                 failures += len(failed)
         assert failures
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_start_passes_or_fails_alike(self, n, monkeypatch):
+        # The translation argument in the cycles module docstring, checked
+        # for every r up to min(n, m), past the half range too.
+        monkeypatch.setattr(cycles, "_require_half_range", lambda order, r: None)
+        outcomes = set()
+        for m in range(1, 7):
+            starts = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+            for order in _orders_to_cross_check(n, m):
+                for r in range(1, min(n, m) + 1):
+                    passed = {check_interval_windows(order, i, j, r).passed for i, j in starts}
+                    assert len(passed) == 1, (order, r)
+                    outcomes |= passed
+        assert outcomes == ({True} if n == 1 else {True, False})
 
     def test_every_start_passes_in_the_half_range(self):
         for n, m in [(4, 4), (5, 7), (6, 6)]:
