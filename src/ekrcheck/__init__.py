@@ -88,8 +88,6 @@ _EXPORTS = {
             "lex_product_check",
             "max_intersecting_family",
             "rook_ekr_report",
-            "rook_symmetries",
-            "twin_symmetries",
         ),
         "search",
     ),

@@ -85,20 +85,19 @@ def _artifact(out: str | None, result: dict, key: str, document: object) -> dict
 
 
 # lemma1 compares each of the identity order's n*m intervals with every other
-# at r cells a pair: (n*m)^2 * r steps for each r it evaluates.  Grids past
-# this many steps exit 3 before any comparison; every grid of at most 10^6
-# orders needs at most 14,406 (lemma1 on 7 x 7).  windows, which checks one
-# start, needs far fewer steps but keeps this bound unchanged, so every grid
-# that exits 3 on it still does.
+# at r cells a pair: (n*m)^2 * r steps for each r it evaluates.  windows meets
+# one start's base with the n*m intervals (n*m*r steps), then compares the m
+# intervals of each of its 2(r-1) windows in pairs: (r-1)*m^2 pairs forward
+# against backward and 2(r-1)*C(m, 2) within a window, r steps a pair.  Grids
+# past this many steps exit 3 before any comparison; every grid of at most
+# 10^6 orders needs at most 14,406 (lemma1 on 7 x 7).
 INTERVAL_PAIR_BUDGET = 10**6
 
 
-def _check_interval_pairs(n: int, m: int, r_values: Sequence[int]) -> None:
-    work = (n * m) ** 2 * sum(r_values)
+def _check_cell_steps(work: int, task: str) -> None:
     if work > INTERVAL_PAIR_BUDGET:
         raise ResourceLimitError(
-            f"comparing {n * m} intervals in pairs needs {work} cell steps, "
-            f"over the budget of {INTERVAL_PAIR_BUDGET}"
+            f"{task} needs {work} cell steps, over the budget of {INTERVAL_PAIR_BUDGET}"
         )
 
 
@@ -161,7 +160,8 @@ def _run_lemma1(args, parameters) -> tuple[dict, dict | None, int]:
     half = min(args.n, args.m) // 2
     r_values = [args.r] if args.r is not None else list(range(1, half + 1))
     order_total = counts.cyclic_order_count(args.n, args.m)
-    _check_interval_pairs(args.n, args.m, r_values)
+    intervals = args.n * args.m
+    _check_cell_steps(intervals**2 * sum(r_values), f"comparing {intervals} intervals in pairs")
     # The maximum is the same in every order (cycles module docstring), so the
     # first order stands for all of them, counterexample included.
     order = cycles.reference_order(args.n, args.m)
@@ -268,7 +268,9 @@ def _run_windows(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts, cycles
 
     order_total = counts.cyclic_order_count(args.n, args.m)
-    _check_interval_pairs(args.n, args.m, [args.r])
+    n, m, r = args.n, args.m, args.r
+    steps = r * (n * m + (r - 1) * m * (2 * m - 1))
+    _check_cell_steps(steps, f"checking the windows of one start on the {n} x {m} grid")
     # Each start passes or fails alike in every order (cycles module
     # docstring), so the first order's first failure is the sweep's.
     order = cycles.reference_order(args.n, args.m)

@@ -11,17 +11,17 @@ the lexicographically smallest maximum family, so results are deterministic
 regardless of how work is scheduled.
 Both searches keep their own stack, so a clique of any size fits.
 
-Symmetry reduction.  A caller may pass element permutations it expects to
-be symmetries of the family; ``max_intersecting_family`` checks them before
-it uses them.  Let ``unique`` be the sorted distinct sets and ``v0 =
-unique[0]``.  The check requires each permutation to be a bijection on the
-elements that occur in the family, and one breadth-first pass from ``v0``
-to map every set it reaches to a set of the family and to reach every set
-(and no two sets may sort to the same tuple).  As the pass reaches every
-set, it checks the image of every set, so each permutation maps the family
-onto itself; a bijection on the elements keeps two sets disjoint or not,
-so each one is an automorphism of the compatibility graph, and the group
-they generate is transitive on its vertices.  Then:
+Symmetry reduction.  A caller may pass an orbit ``(label, size)``, having
+proved in its docstring that the sets with one label L form a single orbit
+of ``size(L)`` sets under a group G of element permutations (the label
+None marks a set the proof does not cover).  Let ``unique`` be the sorted
+distinct sets and ``v0 = unique[0]``.  The count check requires the
+elements of every set to increase strictly, so that no element repeats and
+distinct sets differ as sets; every set to carry ``v0``'s label L, which
+is not None; and exactly ``size(L)`` sets.  Then the family V lies in the
+orbit of ``v0`` and is as large as it, so V is that orbit.  A permutation
+of the elements keeps two sets disjoint or not, so G acts on the
+compatibility graph by automorphisms, transitively on its vertices.  Then:
 
 - some maximum family contains ``v0``: an automorphism that carries one
   member of a maximum family to ``v0`` carries the whole family to a
@@ -36,15 +36,31 @@ they generate is transitive on its vertices.  Then:
   families.
 
 So the search runs on the sets that meet ``v0`` alone, and the answer is
-one more than their maximum, with ``v0`` prepended to their witness.  On
-rook grids, row and column permutations act transitively on the
-placements; on a graph, permutations of a class of twins (vertices with
-equal open or equal closed neighbourhoods) are automorphisms; on the
-edgeless graph E_n all vertices are twins and the check passes, while on a
-graph without twins there is nothing to check and the full search runs.
+one more than their maximum, with ``v0`` prepended to their witness.  The
+two orbits the verdicts pass:
 
-Orbit bound.  When the check passes, the group G that the permutations
-generate is transitive on the family V and keeps two sets disjoint or not.
+- rook (``_rook_orbit``): the label says "an r-placement of the n-by-m
+  grid": r cells in r distinct rows and r distinct columns, all in range.
+  G = S_n x S_m acts on the cells by (i, j) -> (sigma(i), tau(j)) and
+  keeps the label.  Given placements {(a_t, b_t)} and {(c_t, d_t)}, t =
+  1..r, the a_t are distinct and so are the c_t, so some sigma sends each
+  a_t to c_t; likewise some tau sends each b_t to d_t, and (sigma, tau)
+  carries the one onto the other.  So the orbit is all C(n, r)*C(m, r)*r!
+  r-placements (``counts.rook_placement_count``).
+- graph (``_twin_orbit``): with the classes C_1..C_k of
+  ``graphs.twin_classes(g)``, which are disjoint, the label is the set's
+  vertices in no class and its count k_i in each class.  G = Sym(C_1) x
+  ... x Sym(C_k) keeps the label, and carries a set A onto any set B with
+  the same label: for each i, a bijection from A & C_i onto B & C_i
+  extends to a permutation of C_i.  So the orbit has C(|C_1|, k_1)*...*
+  C(|C_k|, k_k) sets.  The proof needs the classes to be disjoint, not to
+  be twins; twins, whose exchange is an automorphism of g, are what let
+  the independent r-sets fill an orbit.  On the edgeless graph E_n all
+  vertices are twins and the check passes; on a graph without twins each
+  set has a label of its own, so only a single set passes.
+
+Orbit bound.  When the count check passes, the group G of the caller's
+proof is transitive on the family V and keeps two sets disjoint or not.
 Then for every subfamily S of V, every intersecting F in V has |F| <=
 floor(k_S*|V|/|S|), where k_S is the largest intersecting family in S.
 Proof: by transitivity each v in V lies in gS for exactly |S|*|G|/|V|
@@ -69,10 +85,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from itertools import chain
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from math import comb, prod
+from operator import lt
+from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Sequence
 
-from .counts import require_placement_size, rook_star_count
+from .counts import require_placement_size, rook_placement_count, rook_star_count
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
     ResourceLimitError,
@@ -92,6 +109,10 @@ VERDICT_RANGE_FAILS = "OUT_OF_THEOREM_RANGE_FAILS"
 # compatibility masks.  A family of fewer sets is set up in milliseconds,
 # and the clique engine's first node reads the clock with exact bounds.
 SETS_PER_CLOCK_READ = 1024
+
+# (label, size) of the symmetry reduction (module docstring): a set's label,
+# None when the caller's proof does not cover it, and a label's orbit size.
+Orbit = tuple[Callable[[tuple], Hashable], Callable[[Hashable], int]]
 
 
 class SearchBudget(Record):
@@ -428,56 +449,24 @@ def _lex_smallest_maximum(
     return tuple(members[i] for i in clique)
 
 
-def _transitive_symmetries(
-    unique: Sequence[tuple], symmetries: Sequence[Mapping], budget: SearchBudget
-) -> bool:
-    """True iff the permutations pass the check in the module docstring.
-
-    An element a permutation does not list is fixed by it.  Elements are
-    numbered by their first position in the family, and a set is keyed by
-    the sum of its elements' bits, an integer with as many bits set as the
-    set has elements exactly when none repeats.  A set with a repeated
-    element is refused (its search then runs unreduced), so a key stands
-    for the sorted elements.  A bijection sends distinct elements to
-    distinct bits, so the key of an image is the sum of the image bits.
-    """
-    elements = list(dict.fromkeys(chain.from_iterable(unique)))
-    position = {element: i for i, element in enumerate(elements)}
-    bits = [1 << i for i in range(len(elements))]
-    rows = [[position[element] for element in member] for member in unique]
-    index = {}
-    for i, row in enumerate(rows):
-        key = sum(map(bits.__getitem__, row))
-        if key.bit_count() != len(row):  # a carry: some position repeats
-            return False
-        index[key] = i
-    if len(index) != len(unique):
+def _fills_orbit(unique: Sequence[tuple], orbit: Orbit, budget: SearchBudget) -> bool:
+    """True iff the sorted distinct family ``unique`` passes the count
+    check of the module docstring against ``orbit``."""
+    label, size = orbit
+    first = label(unique[0])
+    if first is None or len(unique) != size(first):
         return False
-    maps = []
-    for perm in symmetries:
-        image = [position.get(perm.get(element, element)) for element in elements]
-        if None in image or len(set(image)) != len(elements):
-            return False
-        maps.append([1 << p for p in image].__getitem__)
-    reached = {0}
-    queue = [0]
-    for count, i in enumerate(queue):  # the queue grows while it is read
+    for count, member in enumerate(unique):
         if count % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
             budget.check_deadline("symmetry check")
-        row = rows[i]
-        for bit in maps:
-            image = index.get(sum(map(bit, row)))
-            if image is None:
-                return False
-            if image not in reached:
-                reached.add(image)
-                queue.append(image)
-    return len(reached) == len(unique)
+        if not all(map(lt, member, member[1:])) or label(member) != first:
+            return False
+    return True
 
 
 def _orbit_bound(unique: Sequence[tuple], structures: Sequence[tuple]) -> int | None:
     """The orbit bound (module docstring) on the sorted distinct family
-    ``unique``, which the checked symmetries act on transitively, with S
+    ``unique``, which fills the checked orbit, with S
     the distinct ``structures`` in it; None when there are none."""
     kept = []
     for structure in sorted(set(structures)):
@@ -494,19 +483,18 @@ def _orbit_bound(unique: Sequence[tuple], structures: Sequence[tuple]) -> int | 
 def max_intersecting_family(
     sets: Sequence[tuple],
     budget: SearchBudget | None = None,
-    symmetries: Sequence[Mapping] | None = None,
+    orbit: Orbit | None = None,
     structures: Sequence[tuple] | None = None,
 ) -> tuple[int, tuple[tuple, ...]]:
     """Exact maximum size of a pairwise-intersecting subfamily, with witness.
 
     The witness is the lexicographically smallest maximum family (members
-    sorted, families compared member-wise).  ``symmetries`` are element
-    permutations (mappings; unlisted elements are fixed) that the caller
-    expects to be symmetries of the family.  When they pass the check in
-    the module docstring, only the sets that meet the first set are
-    searched; otherwise, or without them, the whole family is.
-    When they pass, the orbit bound is taken with S the ``structures``
-    that are members of the family; the maximum search stops at it.
+    sorted, families compared member-wise).  ``orbit`` is the caller's
+    proved orbit ``(label, size)``.  When the family passes the count check
+    against it (module docstring), only the sets that meet the first set
+    are searched; otherwise, or without it, the whole family is.  When it
+    passes, the orbit bound is taken with S the ``structures`` that are
+    members of the family; the maximum search stops at it.
     Certified before returning: the witness is pairwise intersecting and
     has the reported size.
     """
@@ -518,7 +506,7 @@ def max_intersecting_family(
     unique = sorted(dict.fromkeys(sets))
     if not unique:
         return 0, ()
-    if symmetries and _transitive_symmetries(unique, symmetries, budget):
+    if orbit and _fills_orbit(unique, orbit, budget):
         bound = _orbit_bound(unique, structures) if structures else None
         first = set(unique[0])
         neighbours = [member for member in unique[1:] if not first.isdisjoint(member)]
@@ -531,35 +519,39 @@ def max_intersecting_family(
     return len(witness), witness
 
 
-def _transposition_and_cycle(labels: Sequence) -> list[dict]:
-    """A transposition and a cycle through all of ``labels``, which together
-    generate every permutation of them; none for fewer than two labels."""
-    labels = list(labels)
-    if len(labels) < 2:
-        return []
-    transposition = {labels[0]: labels[1], labels[1]: labels[0]}
-    return [transposition, dict(zip(labels, labels[1:] + labels[:1]))]
+def _rook_orbit(n: int, m: int, r: int) -> Orbit:
+    """The orbit of the r-placements of the n-by-m grid (module docstring):
+    the label is True on an r-placement and None on any other set."""
+    cells = frozenset((row, col) for row in range(1, n + 1) for col in range(1, m + 1))
+    placements = rook_placement_count(n, m, r)
+
+    def label(member: tuple) -> bool | None:
+        rows, cols = {row for row, _ in member}, {col for _, col in member}
+        placed = len(rows) == len(cols) == len(member) == r and cells.issuperset(member)
+        return True if placed else None
+
+    return label, lambda _: placements
 
 
-def rook_symmetries(n: int, m: int) -> list[dict]:
-    """Generators of the row and column permutations of the n-by-m grid,
-    acting on its cells."""
-    cells = [(row, col) for row in range(1, n + 1) for col in range(1, m + 1)]
-    return [
-        {(row, col): (sigma.get(row, row), col) for row, col in cells}
-        for sigma in _transposition_and_cycle(range(1, n + 1))
-    ] + [
-        {(row, col): (row, tau.get(col, col)) for row, col in cells}
-        for tau in _transposition_and_cycle(range(1, m + 1))
-    ]
-
-
-def twin_symmetries(g: SimpleGraph) -> list[dict]:
-    """Generators of the permutations within each class of twins of g, all
-    of them automorphisms of g."""
+def _twin_orbit(g: SimpleGraph) -> Orbit:
+    """The orbits of sets of vertices of g under the permutations within
+    each class of twins (module docstring): the label is the set's vertices
+    in no class, and its count in each class."""
     from .graphs import twin_classes
 
-    return [perm for twins in twin_classes(g) for perm in _transposition_and_cycle(twins)]
+    classes = twin_classes(g)
+    class_of = {v: i for i, twins in enumerate(classes) for v in twins}
+
+    def label(member: tuple) -> tuple:
+        alone, counts = [], [0] * len(classes)
+        for v in member:
+            if v in class_of:
+                counts[class_of[v]] += 1
+            else:
+                alone.append(v)
+        return tuple(alone), tuple(counts)
+
+    return label, lambda key: prod(comb(len(twins), k) for twins, k in zip(classes, key[1]))
 
 
 class EkrReport(Record):
@@ -613,12 +605,12 @@ def _report(
     in_range: bool,
     started: float,
     budget: SearchBudget | None,
-    symmetries: Sequence[Mapping],
+    orbit: Orbit,
     structures: Sequence[tuple],
 ) -> EkrReport:
     """The verdict on ``sets`` against ``star``: the exact maximum and its
     witness from ``max_intersecting_family``, timed from ``started``."""
-    size, witness = max_intersecting_family(sets, budget, symmetries, structures)
+    size, witness = max_intersecting_family(sets, budget, orbit, structures)
     holds = size <= star
     if in_range:
         verdict = VERDICT_HOLDS if holds else VERDICT_FAILS
@@ -638,10 +630,10 @@ def rook_ekr_report(
 
     The comparator is the closed-form star size, the same at every cell by
     vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  The
-    search is given the row and column permutations, so it only searches
-    the placements that meet the first one, and the diagonal intervals of
-    the identity cyclic order (built here, not by ``cycles``) for S of the
-    orbit bound (module docstring).
+    search is given the orbit of the r-placements under row and column
+    permutations, so it only searches the placements that meet the first
+    one, and the diagonal intervals of the identity cyclic order (built
+    here, not by ``cycles``) for S of the orbit bound (module docstring).
     """
     require_placement_size(n, m, r)
     started = time.monotonic()
@@ -650,7 +642,7 @@ def rook_ekr_report(
                  for i in range(n) for j in range(m)]
     return _report(
         {"kind": "rook", "n": n, "m": m, "r": r}, placements, rook_star_count(n, m, r),
-        2 * r <= min(n, m), started, budget, rook_symmetries(n, m), diagonals,
+        2 * r <= min(n, m), started, budget, _rook_orbit(n, m, r), diagonals,
     )
 
 
@@ -667,9 +659,9 @@ def graph_ekr_report(
     The comparator is the best star over all vertices (the EKR property
     only asks for one good vertex).  In-theorem-range means r is at most
     half the smallest maximal independent set size mu, which is computed
-    unless ``known_min_maximal`` gives it.  The search is given the
-    permutations of each class of twins, which it uses when they act
-    transitively on the independent r-sets, and the runs of r consecutive
+    unless ``known_min_maximal`` gives it.  The search is given the orbits
+    under the permutations within each class of twins, which it uses when
+    the independent r-sets fill one of them, and the runs of r consecutive
     labels of the cycle 1..n for S of the orbit bound (module docstring).
     """
     from .graphs import enumerate_independent, min_maximal_independent_size
@@ -694,7 +686,7 @@ def graph_ekr_report(
         "min_maximal_independent_size": mu,
     }
     return _report(
-        parameters, sets, best_star, 2 * r <= mu, started, budget, twin_symmetries(g), runs
+        parameters, sets, best_star, 2 * r <= mu, started, budget, _twin_orbit(g), runs
     )
 
 

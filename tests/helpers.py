@@ -21,6 +21,7 @@ from ekrcheck import (
     interval_start,
     reference_order,
     row_projection,
+    twin_classes,
 )
 
 
@@ -76,10 +77,41 @@ def brute_force_max_intersecting(sets) -> int:
     return best
 
 
-def transitive_symmetries_by_sorting(unique, symmetries) -> bool:
-    """The symmetry check of the ``search`` module docstring on the sorted
-    distinct sets ``unique``, keying each set and each image by its sorted
-    elements; a set with a repeated element is refused outright."""
+def transposition_and_cycle(labels) -> list[dict]:
+    """A transposition and a cycle through all of ``labels``, which together
+    generate every permutation of them; none for fewer than two labels."""
+    labels = list(labels)
+    if len(labels) < 2:
+        return []
+    transposition = {labels[0]: labels[1], labels[1]: labels[0]}
+    return [transposition, dict(zip(labels, labels[1:] + labels[:1]))]
+
+
+def rook_symmetries(n: int, m: int) -> list[dict]:
+    """Generators of the row and column permutations of the n-by-m grid,
+    acting on its cells."""
+    cells = [(row, col) for row in range(1, n + 1) for col in range(1, m + 1)]
+    return [
+        {(row, col): (sigma.get(row, row), col) for row, col in cells}
+        for sigma in transposition_and_cycle(range(1, n + 1))
+    ] + [
+        {(row, col): (row, tau.get(col, col)) for row, col in cells}
+        for tau in transposition_and_cycle(range(1, m + 1))
+    ]
+
+
+def twin_symmetries(g) -> list[dict]:
+    """Generators of the permutations within each class of twins of g."""
+    return [perm for twins in twin_classes(g) for perm in transposition_and_cycle(twins)]
+
+
+def one_orbit_by_walk(unique, symmetries) -> bool:
+    """Whether the permutations map the sorted distinct family ``unique``
+    onto itself and carry its first set to every other, by a breadth-first
+    walk from the first set that keys each set and each image by its sorted
+    elements.  Each permutation must be a bijection on the elements that
+    occur; an element it does not list is fixed.  A set with a repeated
+    element, or two sets with the same elements, are refused outright."""
     if any(len(set(member)) != len(member) for member in unique):
         return False
     index = {tuple(sorted(member)): i for i, member in enumerate(unique)}

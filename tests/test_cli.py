@@ -220,15 +220,26 @@ class TestSweeps:
 
     @pytest.mark.parametrize("command, n, m, r, work", [
         ("lemma1", 2, 1600, 1, 10240000),
-        ("windows", 40, 40, 20, 51200000),
+        # 20 * (1600 + 19 * 40 * 79): the base against the 1,600 intervals,
+        # then the 40 intervals of each of the 38 windows in pairs.
+        ("windows", 40, 40, 20, 1232800),
     ])
     def test_interval_pairs_past_the_budget_exit_3(self, command, n, m, r, work):
+        task = {
+            "lemma1": f"comparing {n * m} intervals in pairs",
+            "windows": f"checking the windows of one start on the {n} x {m} grid",
+        }[command]
         code, out, err = run_cli(command, "--n", str(n), "--m", str(m), "--r", str(r), "--json")
         assert (code, err) == (3, "")
         assert json.loads(out)["result"]["reason"] == (
-            f"comparing {n * m} intervals in pairs needs {work} cell steps, "
-            "over the budget of 1000000"
+            f"{task} needs {work} cell steps, over the budget of 1000000"
         )
+
+    @pytest.mark.parametrize("n, r", [(24, 6), (24, 12)])
+    def test_windows_answers_grids_that_lemma1_refuses(self, n, r, capsys):
+        # 37,296 and 155,808 steps; lemma1 would need (24 * 24)^2 * r.
+        assert main(["windows", "--n", str(n), "--m", str(n), "--r", str(r), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
 
     def test_counts_past_4300_digits_are_reported_exactly(self, capsys):
         assert main(["count", "--n", "2", "--m", "1600", "--r", "1", "--json"]) == 0
@@ -746,7 +757,8 @@ BUDGET_EXITS = [
     (["double-count", "--n", "4", "--m", "4", "--r", "2", "--samples", "2"], [],
      (cycles, "TALLY_WORK_BUDGET", 0)),
     (["double-count", "--family", "family.json"], [], (cycles, "TALLY_WORK_BUDGET", 0)),
-    (["windows", "--n", "4", "--m", "4", "--r", "2"], [], (cli, "INTERVAL_PAIR_BUDGET", 0)),
+    # windows 4 x 4 at r = 2 takes 2 * (16 + 4 * 7) = 88 steps, one over this bound.
+    (["windows", "--n", "4", "--m", "4", "--r", "2"], [], (cli, "INTERVAL_PAIR_BUDGET", 87)),
     (["orders", "--n", "3", "--m", "3"], ["--budget-sets", "1"], None),
     (["graph-stats", "--graph", "C5"], ["--vertex-budget", "1"], None),
     (["product", "--kind", "cartesian", "--graph", "K2", "--graph", "K3"],

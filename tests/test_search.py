@@ -29,16 +29,16 @@ from ekrcheck import (
     path_graph,
     rook_ekr_report,
     rook_star_count,
-    rook_symmetries,
     star_family,
     twin_classes,
-    twin_symmetries,
     CyclicOrder,
     Family,
     SimpleGraph,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
-from helpers import brute_force_max_intersecting, transitive_symmetries_by_sorting
+from helpers import (
+    brute_force_max_intersecting, one_orbit_by_walk, rook_symmetries, twin_symmetries,
+)
 
 
 def brute_lex_min_max_family(sets):
@@ -178,8 +178,10 @@ class TestClockBeforeTheFirstNode:
 
     def test_in_the_symmetry_check(self):
         unique = sorted(set(enumerate_placements(6, 6, 3)))
-        with pytest.raises(ResourceLimitError, match="^symmetry check exceeded"):
-            search._transitive_symmetries(unique, rook_symmetries(6, 6), expired_budget())
+        with pytest.raises(ResourceLimitError) as info:
+            search._fills_orbit(unique, search._rook_orbit(6, 6, 3), expired_budget())
+        assert str(info.value) == "symmetry check exceeded 0.0 seconds"
+        assert (info.value.lower_bound, info.value.upper_bound) == (None, None)
 
     def test_while_building_the_masks(self, no_engine):
         members = enumerate_placements(6, 6, 3)
@@ -205,9 +207,9 @@ class TestClockBeforeTheFirstNode:
         assert len(spent) <= 6
 
     def test_a_live_budget_changes_nothing(self):
-        sets = enumerate_placements(6, 6, 3)
-        assert max_intersecting_family(sets, SearchBudget(max_seconds=60), rook_symmetries(6, 6)) \
-            == max_intersecting_family(sets, None, rook_symmetries(6, 6))
+        sets, orbit = enumerate_placements(6, 6, 3), search._rook_orbit(6, 6, 3)
+        assert max_intersecting_family(sets, SearchBudget(max_seconds=60), orbit) \
+            == max_intersecting_family(sets, None, orbit)
 
 
 class TestRookVerdicts:
@@ -327,12 +329,9 @@ def engines(monkeypatch):
     return runs
 
 
-def reduced_vertices(sets, symmetries):
-    """Vertices of the engine that searches only the sets meeting the first;
-    with no permutations the whole family is searched."""
+def reduced_vertices(sets):
+    """Vertices of the engine that searches only the sets meeting the first."""
     unique = sorted(set(sets))
-    if not symmetries:
-        return len(unique)
     return sum(1 for member in unique[1:] if set(member) & set(unique[0]))
 
 
@@ -341,16 +340,54 @@ def runs(n, r):
     return [tuple(sorted((start + t) % n + 1 for t in range(r))) for start in range(n)]
 
 
+def complete_multipartite(parts):
+    """The complete multipartite graph with parts of the given sizes."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return SimpleGraph(len(part), [
+        (u + 1, v + 1) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]
+    ])
+
+
+def small_graphs(max_vertices):
+    return st.integers(1, max_vertices).flatmap(lambda k: st.sets(
+        st.tuples(st.integers(1, k), st.integers(1, k)).filter(lambda e: e[0] < e[1])
+    ).map(lambda edges: SimpleGraph(k, sorted(edges))))
+
+
+def twin_rich_graphs():
+    """Random graphs, and graphs made of twins: E_n, G[K_k] and complete
+    multipartite graphs."""
+    return st.one_of(
+        small_graphs(9),
+        st.integers(1, 10).map(empty_graph),
+        st.tuples(small_graphs(4), st.integers(1, 3)).map(
+            lambda case: lexicographic_product(case[0], complete_graph(case[1]))),
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).map(complete_multipartite),
+    )
+
+
+def assert_the_count_check_agrees_with_the_walk(sets, orbit, symmetries):
+    """On two sets or more, the count check and the walk of the generators
+    decide alike; on a single set, the walk has nothing to walk, and the
+    count check's reduction changes no answer."""
+    unique = sorted(set(sets))
+    if len(unique) >= 2:
+        assert search._fills_orbit(unique, orbit, SearchBudget()) == one_orbit_by_walk(
+            unique, symmetries
+        )
+    else:
+        assert max_intersecting_family(sets, orbit=orbit) == max_intersecting_family(sets)
+
+
 class TestSymmetryReduction:
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("m", range(1, 6))
     def test_rook_grids_agree_with_the_full_search(self, n, m, engines):
         for r in range(1, min(n, m) + 1):
             placements = enumerate_placements(n, m, r)
-            symmetries = rook_symmetries(n, m)
             engines.clear()
-            reduced = max_intersecting_family(placements, symmetries=symmetries)
-            assert engines[0][0] == reduced_vertices(placements, symmetries)
+            reduced = max_intersecting_family(placements, orbit=search._rook_orbit(n, m, r))
+            assert engines[0][0] == reduced_vertices(placements)
             assert reduced == max_intersecting_family(placements)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -358,10 +395,9 @@ class TestSymmetryReduction:
         g = empty_graph(n)
         for r in range(1, n + 1):
             sets = enumerate_independent(g, r)
-            symmetries = twin_symmetries(g)
             engines.clear()
-            reduced = max_intersecting_family(sets, symmetries=symmetries)
-            assert engines[0][0] == reduced_vertices(sets, symmetries)
+            reduced = max_intersecting_family(sets, orbit=search._twin_orbit(g))
+            assert engines[0][0] == reduced_vertices(sets)
             assert reduced == max_intersecting_family(sets)
 
     @settings(max_examples=60, deadline=None)
@@ -390,61 +426,67 @@ class TestSymmetryReduction:
         assert any(original in twins for twins in twin_classes(g))
         sets = enumerate_independent(g, r)
         full = max_intersecting_family(sets)
-        assert max_intersecting_family(sets, symmetries=twin_symmetries(g)) == full
+        assert max_intersecting_family(sets, orbit=search._twin_orbit(g)) == full
         assert max_intersecting_family(
-            sets, symmetries=twin_symmetries(g), structures=runs(g.vertex_count, r)
+            sets, orbit=search._twin_orbit(g), structures=runs(g.vertex_count, r)
         ) == full
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.lists(st.integers(0, 5), max_size=3), min_size=1, max_size=8),
-        st.lists(st.permutations(range(7)), max_size=3),
-        st.lists(st.dictionaries(st.integers(0, 6), st.integers(0, 6), max_size=4), max_size=2),
-        st.booleans(),
-    )
-    def test_the_check_agrees_with_sorted_keys(self, members, perms, maps, close):
-        symmetries = [dict(enumerate(perm)) for perm in perms]
-        family = {tuple(member) for member in members}
-        if close:
-            # The orbit of the first set under bijections, which the check
-            # accepts unless an element repeats.
-            family = {tuple(sorted(members[0]))}
-            frontier = list(family)
-            while frontier:
-                member = frontier.pop()
-                for perm in symmetries:
-                    image = tuple(sorted(perm[element] for element in member))
-                    if image not in family:
-                        family.add(image)
-                        frontier.append(image)
-        else:
-            symmetries += maps
-        unique = sorted(family)
-        assert search._transitive_symmetries(unique, symmetries, SearchBudget()) == (
-            transitive_symmetries_by_sorting(unique, symmetries)
-        )
+    @pytest.mark.parametrize("n, m", [
+        (n, m) for n in range(1, 25) for m in range(1, 25) if n * m <= 24
+    ])
+    def test_the_count_check_agrees_with_the_walk_on_rook_grids(self, n, m):
+        for r in range(1, min(n, m) + 1):
+            placements = enumerate_placements(n, m, r)
+            orbit = search._rook_orbit(n, m, r)
+            assert_the_count_check_agrees_with_the_walk(placements, orbit, rook_symmetries(n, m))
 
-    def test_a_set_with_a_repeated_element_is_searched_unreduced(self, engines):
-        sets = [(1, 1), (2, 2)]
-        swap = {1: 2, 2: 1}
-        assert not search._transitive_symmetries(sets, [swap], SearchBudget())
-        assert max_intersecting_family(sets, symmetries=[swap]) == (1, ((1, 1),))
-        assert engines[0][0] == 2
+    @settings(max_examples=200, deadline=None)
+    @given(twin_rich_graphs(), st.integers(1, 4))
+    def test_the_count_check_agrees_with_the_walk_on_graphs(self, g, r):
+        sets = enumerate_independent(g, r)
+        assert_the_count_check_agrees_with_the_walk(sets, search._twin_orbit(g), twin_symmetries(g))
 
-    def test_a_map_that_is_not_a_bijection_is_refused(self, engines):
-        # It sends every set into the family and reaches all three from the
-        # first, which meets no other set; trusted, it would report 1.
-        sets = [(1, 2), (3,), (3, 4)]
-        squeeze = {1: 3, 2: 4, 3: 3, 4: 3}
-        assert max_intersecting_family(sets, symmetries=[squeeze]) == (2, ((3,), (3, 4)))
+    def test_a_member_whose_elements_do_not_increase_is_searched_unreduced(self, engines):
+        # Every set carries the label of E3's 2-sets and there are C(3, 2)
+        # of them, but (1, 1) repeats an element and so is no 2-set.
+        # Trusted, the check would report 1, as (1, 1) meets no other set.
+        sets = [(1, 1), (2, 2), (2, 3)]
+        orbit = search._twin_orbit(empty_graph(3))
+        assert not search._fills_orbit(sets, orbit, SearchBudget())
+        assert max_intersecting_family(sets, orbit=orbit) == (2, ((2, 2), (2, 3)))
         assert engines[0][0] == 3
+        # (1, 2) and (2, 1) are one set, so three tuples are two 2-sets.
+        assert not search._fills_orbit([(1, 2), (1, 3), (2, 1)], orbit, SearchBudget())
 
-    def test_a_map_out_of_the_family_is_refused(self, engines):
-        # Following only the images inside the family, the two bijections
-        # reach all three sets from (1, 2), which meets no other set.
+    def test_a_set_without_the_first_sets_label_is_refused(self, engines):
+        # Trusted, the check would report 1, as (1, 2) meets no other set.
+        sets = [(1, 2), (3,), (3, 4)]
+        by_size = (len, lambda label: 3)
+        assert max_intersecting_family(sets, orbit=by_size) == (2, ((3,), (3, 4)))
+        assert engines[0][0] == 3
+        # Sets the proof does not cover are refused, though their count is
+        # the orbit's: two attacking pairs, and a cell off the grid.
+        pairs = [((1, 1), (1, 2)), ((2, 1), (2, 2))]
+        assert not search._fills_orbit(pairs, search._rook_orbit(2, 2, 2), SearchBudget())
+        off_grid = [((1, 1),), ((1, 2),), ((2, 1),), ((2, 3),)]
+        assert not search._fills_orbit(off_grid, search._rook_orbit(2, 2, 1), SearchBudget())
+        assert search._fills_orbit(off_grid[:3] + [((2, 2),)], search._rook_orbit(2, 2, 1),
+                                   SearchBudget())
+        # Nine 2-placements of the 3 x 3 grid are not its nine 1-placements.
+        pairs = enumerate_placements(3, 3, 2)[:9]
+        assert not search._fills_orbit(pairs, search._rook_orbit(3, 3, 1), SearchBudget())
+        # Edges 13 and 23, and 4 alone: exchanging the twins 1 and 2 carries
+        # (1, 3) onto (2, 3), but no permutation of a class carries it onto
+        # (2, 4), which has the same count in the class.
+        g = SimpleGraph(4, [(1, 3), (2, 3)])
+        assert twin_classes(g) == [(1, 2)]
+        assert search._fills_orbit([(1, 3), (2, 3)], search._twin_orbit(g), SearchBudget())
+        assert not search._fills_orbit([(1, 3), (2, 4)], search._twin_orbit(g), SearchBudget())
+
+    def test_a_family_short_of_its_orbit_is_refused(self, engines):
+        # Three of the ten 2-sets of E5; trusted, the check would report 1.
         sets = [(1, 2), (3, 4), (3, 5)]
-        swap, shift = {1: 3, 3: 1, 2: 4, 4: 2}, {4: 5, 5: 4}
-        assert max_intersecting_family(sets, symmetries=[swap, shift]) == (
+        assert max_intersecting_family(sets, orbit=search._twin_orbit(empty_graph(5))) == (
             2, ((3, 4), (3, 5))
         )
         assert engines[0][0] == 3
@@ -459,9 +501,9 @@ class TestSymmetryReduction:
         # Without structures, the engine runs are the search's alone.
         engines.clear()
         placements, g = enumerate_placements(3, 3, 1), empty_graph(5)
-        assert max_intersecting_family(placements, symmetries=rook_symmetries(3, 3))[0] == 1
+        assert max_intersecting_family(placements, orbit=search._rook_orbit(3, 3, 1))[0] == 1
         assert max_intersecting_family(enumerate_independent(g, 1),
-                                       symmetries=twin_symmetries(g))[0] == 1
+                                       orbit=search._twin_orbit(g))[0] == 1
         assert [vertices for vertices, _ in engines] == [0, 0]
 
     def test_seven_by_seven_searches_the_first_placements_neighbourhood(self, engines):
@@ -470,7 +512,7 @@ class TestSymmetryReduction:
         # The 49 diagonal intervals, then no node on the 1,275 placements.
         assert engines == [(49, 8), (1275, 0)]
         engines.clear()
-        max_intersecting_family(enumerate_placements(7, 7, 3), symmetries=rook_symmetries(7, 7))
+        max_intersecting_family(enumerate_placements(7, 7, 3), orbit=search._rook_orbit(7, 7, 3))
         assert engines == [(1275, 7)]
 
     def test_full_search_node_counts(self, engines):
@@ -483,7 +525,7 @@ class TestSymmetryReduction:
         assert report.witness == star_family(9, 9, 3, (1, 1)).sets
         assert engines == [(81, 0), (4557, 0)]
         engines.clear()
-        max_intersecting_family(enumerate_placements(9, 9, 3), symmetries=rook_symmetries(9, 9))
+        max_intersecting_family(enumerate_placements(9, 9, 3), orbit=search._rook_orbit(9, 9, 3))
         assert engines == [(4557, 9)]
 
 
@@ -522,11 +564,8 @@ class TestOrbitBound:
             report = rook_ekr_report(n, m, r)
             placements = enumerate_placements(n, m, r)
             assert (report.max_intersecting, report.witness) == max_intersecting_family(
-                placements, symmetries=rook_symmetries(n, m)
+                placements, orbit=search._rook_orbit(n, m, r)
             )
-            if not rook_symmetries(n, m):  # 1x1: no symmetry to check, so no bound
-                assert bounds == []
-                continue
             # The diagonals built in search are the intervals of cycles.
             (structures, value), = bounds
             assert list(dict.fromkeys(structures)) == list(cycles._distinct_intervals(order, r))
@@ -553,12 +592,11 @@ class TestOrbitBound:
         monkeypatch.setattr(search, "_orbit_bound", refuse)
         # C8 has no twins, so there is no symmetry to check.
         graph_ekr_report(cycle_graph(8), 3)
-        # The map is not a bijection, so the check fails; trusted, the two
-        # disjoint structures would bound the family by 3 // 2 = 1.
+        # (3,) lacks the first set's label, so the check fails; trusted, the
+        # two disjoint structures would bound the family by 3 // 2 = 1.
         sets = [(1, 2), (3,), (3, 4)]
-        squeeze = {1: 3, 2: 4, 3: 3, 4: 3}
         assert max_intersecting_family(
-            sets, symmetries=[squeeze], structures=[(1, 2), (3,)]
+            sets, orbit=(len, lambda label: 3), structures=[(1, 2), (3,)]
         ) == (2, ((3,), (3, 4)))
 
     def test_a_structure_outside_the_family_is_dropped(self):
@@ -571,7 +609,7 @@ class TestOrbitBound:
         assert search._orbit_bound(unique, [(9, 10, 11)]) is None
         g = empty_graph(8)
         assert max_intersecting_family(
-            unique, symmetries=twin_symmetries(g), structures=runs(8, 3) + [(9, 10, 11)]
+            unique, orbit=search._twin_orbit(g), structures=runs(8, 3) + [(9, 10, 11)]
         ) == max_intersecting_family(unique)
 
     @settings(max_examples=200, deadline=None)
@@ -626,7 +664,7 @@ class TestCompleteFamilies:
         assert report.witness == tuple(combinations(range(1, n + 1), r))
         engines.clear()
         g = empty_graph(n)
-        max_intersecting_family(enumerate_independent(g, r), symmetries=twin_symmetries(g))
+        max_intersecting_family(enumerate_independent(g, r), orbit=search._twin_orbit(g))
         assert engines == [(comb(n, r) - 1, 0)]
 
 
@@ -639,14 +677,14 @@ class TestRenumberedColoring:
         # The plain greedy bound took 278,557 (E9) and 4,143 (E10) nodes.
         g = empty_graph(n)
         size, _ = max_intersecting_family(enumerate_independent(g, 4),
-                                          symmetries=twin_symmetries(g))
+                                          orbit=search._twin_orbit(g))
         assert size == comb(n - 1, 3)
         assert engines == [(vertices, nodes)]
 
     def test_edgeless_max_phase_node_counts(self, engines):
         g = empty_graph(10)
         for r in range(1, 6):
-            max_intersecting_family(enumerate_independent(g, r), symmetries=twin_symmetries(g))
+            max_intersecting_family(enumerate_independent(g, r), orbit=search._twin_orbit(g))
         assert engines == [(0, 0), (16, 0), (84, 13), (194, 306), (250, 0)]
 
     @pytest.mark.parametrize("g, runs", [
