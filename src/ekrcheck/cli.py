@@ -35,7 +35,7 @@ from typing import NoReturn
 
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError,
-    ResourceLimitError, save_json, write_json,
+    ResourceLimitError, bounds_of, save_json, write_json,
 )
 
 SCHEMA_VERSION = 1
@@ -227,6 +227,8 @@ def _run_double_count(args, parameters) -> tuple[dict, dict | None, int]:
         if args.n is None or args.m is None or args.r is None:
             raise InputError("double-count needs --family, or --n/--m/--r to sample families")
         del parameters["family"]
+        if args.samples:  # refuse the tally before a star is built for each sample
+            cycles.tally_joins(args.n, args.m, args.r)
         families = [
             rook.random_intersecting_family(args.n, args.m, args.r, Random(args.seed + i))
             for i in range(args.samples)
@@ -338,12 +340,12 @@ def _run_ht(args, parameters) -> tuple[dict, dict | None, int]:
     g = _graph_argument(args.graph, args.vertex_budget)
     mu = graphs.min_maximal_independent_size(g, args.vertex_budget)
     # The conjectured range is 1..mu/2, empty when mu < 2.
-    reports = [
-        search.graph_ekr_report(
-            g, r, budget, args.budget_sets, args.vertex_budget, known_min_maximal=mu
-        )
-        for r in range(1, mu // 2 + 1)
-    ]
+    reports = []
+    for r in range(1, mu // 2 + 1):
+        with bounds_of(f"r={r}"):
+            reports.append(search.graph_ekr_report(
+                g, r, budget, args.budget_sets, args.vertex_budget, known_min_maximal=mu
+            ))
     counterexample = None
     for report in reports:
         if not report.holds:

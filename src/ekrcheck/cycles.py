@@ -77,7 +77,7 @@ with the sum of all B_j gives the whole tally.
 
 The tally's work count is (n-1)! * n + (m-1)! * m = n! + m! window steps
 plus, for each join, at most n!/(n-r)! * m!/(m-r)! products, in place of
-(n-1)! * (m-1)! * n * m intervals built one order at a time.  interval_tally
+(n-1)! * (m-1)! * n * m intervals built one order at a time.  tally_joins
 refuses a count over TALLY_WORK_BUDGET before any walk, counting one join
 before it lists the n*m identity intervals that find the others.
 count_orders_containing, which counts one placement's orders, walks the
@@ -90,15 +90,17 @@ r = 6 and r = 7, one join each), while 12 x 12 at r = 1 needs 958,003,344.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations
 from math import factorial, perm
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .counts import (
     cyclic_order_count, interval_occurrence_count, require_grid, require_placement_size,
 )
 from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, require_integers
-from .rook import Family, Placement, canonical_placement, row_projection
+from .rook import Family, Placement, canonical_placement, element_masks, row_projection
 
 TALLY_WORK_BUDGET = 5 * 10**7
 
@@ -241,16 +243,6 @@ def restrict_to_order(family: Family, order: CyclicOrder) -> Family:
     return Family(family.n, family.m, family.r, tuple(s for s in family.sets if s in realized))
 
 
-def _interval_compatibility_masks(intervals: list[Placement]) -> list[int]:
-    masks = [0] * len(intervals)
-    cell_sets = [set(p) for p in intervals]
-    for a, b in combinations(range(len(intervals)), 2):
-        if cell_sets[a] & cell_sets[b]:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-    return masks
-
-
 def _micro_max_clique(masks: list[int]) -> tuple[int, int]:
     """Exact maximum clique over a small vertex set; returns (size, mask).
 
@@ -294,7 +286,12 @@ def max_intersecting_intervals_witness(order: CyclicOrder, r: int) -> tuple[Plac
     """
     _require_half_range(order, r)
     intervals = all_intervals(order, r)
-    _, mask = _micro_max_clique(_interval_compatibility_masks(intervals))
+    holders = element_masks(intervals)
+    # An interval has r >= 1 cells, so it meets itself; XOR clears that bit.
+    masks = [
+        reduce(or_, map(holders.__getitem__, iv)) ^ (1 << v) for v, iv in enumerate(intervals)
+    ]
+    _, mask = _micro_max_clique(masks)
     return tuple(sorted(intervals[v] for v in range(len(intervals)) if mask & (1 << v)))
 
 
@@ -337,14 +334,11 @@ def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) 
 
     row_sets = window_sets(n, set(column), lambda w: tuple(map(column.__getitem__, w)))
     col_sets = window_sets(m, set(column.values()), tuple)
-    holding: dict[tuple[int, ...], list[frozenset]] = {}
-    for col_set in col_sets:
-        for window in col_set:
-            holding.setdefault(window, []).append(col_set)
+    holders, weights = element_masks(col_sets), list(col_sets.values())
     total = 0
     for row_set, count in row_sets.items():
-        met = {col_set for window in row_set for col_set in holding.get(window, ())}
-        total += count * sum(col_sets[col_set] for col_set in met)
+        met = reduce(or_, (holders.get(window, 0) for window in row_set), 0)
+        total += count * sum(weight for i, weight in enumerate(weights) if met >> i & 1)
     return total
 
 
@@ -376,15 +370,11 @@ def _check_tally_work(n: int, m: int, r: int, joins: int, what: str = "interval 
         )
 
 
-def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
-    """For every placement, the number of canonical cyclic orders realizing
-    it as an interval; placements no order realizes are absent.
-
-    Row orders and column orders are walked separately, and their window
-    counts are joined once for each set of columns the identity order's
-    distinct intervals start at (see the module docstring, which also
-    defines the work count checked here before any walk).
-    """
+def tally_joins(n: int, m: int, r: int) -> dict[tuple[int, ...], list[int]]:
+    """The joins of interval_tally (module docstring): each set of columns
+    that the identity order's distinct intervals start at, mapped to the
+    rows with those starts.  Refuses a bad r, then a work count over the
+    budget, before any walk."""
     require_placement_size(n, m, r)
     _check_tally_work(n, m, r, 1)
     cols_by_row: dict[int, list[int]] = {}
@@ -394,7 +384,18 @@ def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
     for i, cols in cols_by_row.items():
         rows_by_cols.setdefault(tuple(cols), []).append(i)
     _check_tally_work(n, m, r, len(rows_by_cols))
+    return rows_by_cols
 
+
+def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
+    """For every placement, the number of canonical cyclic orders realizing
+    it as an interval; placements no order realizes are absent.
+
+    Row orders and column orders are walked separately, and their window
+    counts are joined once for each of tally_joins' sets of columns (see
+    the module docstring).
+    """
+    rows_by_cols = tally_joins(n, m, r)
     row_windows = _window_tallies(n, r)
     col_windows = _window_tallies(m, r)
     tally: Counter[Placement] = Counter()

@@ -5,8 +5,9 @@ the immutable record base."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from itertools import islice
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 # Largest graph the exhaustive graph searches take by default; the command
 # line's --vertex-budget default, read without loading the graph module.
@@ -39,6 +40,16 @@ class ResourceLimitError(RuntimeError):
         super().__init__(message)
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
+
+
+@contextmanager
+def bounds_of(part: str) -> Iterator[None]:
+    """Prefix ``part``, whose bounds it carries, to a budget exit's reason."""
+    try:
+        yield
+    except ResourceLimitError as exc:
+        exc.args = (f"{part}: {exc}",)
+        raise
 
 
 def is_integer(value: object) -> bool:

@@ -8,8 +8,9 @@ they share a row or a column.
 
 from __future__ import annotations
 
-from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 from random import Random
 from typing import Iterable, Iterator
 
@@ -162,38 +163,37 @@ def star_family(n: int, m: int, r: int, center: Iterable[int]) -> Family:
     return family
 
 
+def element_masks(members: Iterable[Iterable]) -> dict[object, int]:
+    """Each element of the given sets, mapped to the mask of the members
+    that hold it (bit i for member i): the one index of which sets meet.
+    Member i meets exactly the members in the union of its elements'
+    masks; an empty set is in no mask."""
+    holders: dict[object, int] = {}
+    for index, member in enumerate(members):
+        bit = 1 << index
+        for element in member:
+            holders[element] = holders.get(element, 0) | bit
+    return holders
+
+
 def pairwise_intersecting(members: Iterable[Iterable]) -> bool:
     """True iff every two of the given sets share an element: the one
     definition of an intersecting family, for placements and vertex sets
-    alike.
-
-    Each element gets the mask of the members that hold it; a member meets
-    exactly the members in the union of its elements' masks, and the check
-    asks that this union, with the member's own bit added, hold every
-    member.  The own bit keeps a lone member intersecting even when it is
-    empty.
-    """
+    alike.  The union of a member's element masks, with its own bit added
+    (so that a lone empty member passes), must hold every member."""
     members = [tuple(member) for member in members]
-    holders: dict[object, int] = {}
-    for index, member in enumerate(members):
-        for element in member:
-            holders[element] = holders.get(element, 0) | (1 << index)
-    everyone = (1 << len(members)) - 1
-    for index, member in enumerate(members):
-        meets = 1 << index
-        for element in member:
-            meets |= holders[element]
-        if meets != everyone:
-            return False
-    return True
+    holders, everyone = element_masks(members), (1 << len(members)) - 1
+    return all(
+        reduce(or_, map(holders.__getitem__, member), 1 << index) == everyone
+        for index, member in enumerate(members)
+    )
 
 
 def largest_star(members: Iterable[Iterable]) -> int:
     """The most of the given sets that hold one element: the largest star
     among them, for placements and vertex sets alike; 0 when no set has an
     element.  A set that repeats an element holds it once."""
-    holders = Counter(element for member in members for element in set(member))
-    return max(holders.values(), default=0)
+    return max((mask.bit_count() for mask in element_masks(members).values()), default=0)
 
 
 def random_placement(n: int, m: int, r: int, rng: Random) -> Placement:

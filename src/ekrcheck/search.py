@@ -85,16 +85,17 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from functools import reduce
 from math import comb, prod
-from operator import lt
+from operator import lt, or_
 from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Sequence
 
 from .counts import require_placement_size, rook_placement_count, rook_star_count
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
-    ResourceLimitError,
+    ResourceLimitError, bounds_of,
 )
-from .rook import enumerate_placements, largest_star, pairwise_intersecting
+from .rook import element_masks, enumerate_placements, largest_star, pairwise_intersecting
 
 if TYPE_CHECKING:  # the graph functions import graphs when they run
     from .graphs import SimpleGraph
@@ -410,23 +411,21 @@ def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> tuple[list
     members i and j differ and meet), and a clique to seed the search with:
     every member when each meets every other, so that no node colours the
     complete graph, and otherwise the largest star among them or a single
-    member (which may be the empty set, with no elements at all)."""
-    element_masks: dict[object, int] = {}
-    for index, member in enumerate(members):
-        for element in member:
-            element_masks[element] = element_masks.get(element, 0) | (1 << index)
+    member (which may be the empty set, with no elements at all).  Both
+    read ``rook.element_masks``: the star is its largest popcount."""
+    holders = element_masks(members)
     adjacency = [0] * len(members)
     for index, member in enumerate(members):
         if index % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
             budget.check_deadline("building the compatibility masks")
-        mask = 0
-        for element in member:
-            mask |= element_masks[element]
-        adjacency[index] = mask & ~(1 << index)
+        # A member with an element meets itself; XOR clears that bit.
+        mask = reduce(or_, map(holders.__getitem__, member), 0)
+        adjacency[index] = mask ^ (1 << index) if mask else 0
     everyone = (1 << len(members)) - 1
     if all(mask | (1 << index) == everyone for index, mask in enumerate(adjacency)):
         return adjacency, len(members)
-    return adjacency, max(largest_star(members), min(len(members), 1))
+    star = max((mask.bit_count() for mask in holders.values()), default=0)
+    return adjacency, max(star, min(len(members), 1))
 
 
 def _lex_smallest_maximum(
@@ -713,12 +712,15 @@ def lex_product_check(
     max_sets: int = DEFAULT_SET_BUDGET,
     vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
 ) -> LexCheckResult:
-    """Check the implication: if G is r-EKR then G[K_k] is r-EKR."""
+    """Check the implication: if G is r-EKR then G[K_k] is r-EKR.  A budget
+    exit in either report names it, "premise: " or "conclusion: "."""
     from .graphs import complete_graph, lexicographic_product
 
     if k < 1:
         raise InputError(f"k must be at least 1, got {k}")
-    premise = graph_ekr_report(g, r, budget, max_sets, vertex_budget)
+    with bounds_of("premise"):
+        premise = graph_ekr_report(g, r, budget, max_sets, vertex_budget)
     product = lexicographic_product(g, complete_graph(k))
-    conclusion = graph_ekr_report(product, r, budget, max_sets, vertex_budget)
+    with bounds_of("conclusion"):
+        conclusion = graph_ekr_report(product, r, budget, max_sets, vertex_budget)
     return LexCheckResult(premise, conclusion, product)

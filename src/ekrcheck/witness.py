@@ -80,6 +80,8 @@ def _validate_family_exceeds_star(payload: dict) -> tuple[bool, str]:
 
         g = graphs.graph_from_json_dict(require_field(context, "graph", where))
         r = require_integer(context, "r", where)
+        if r < 1:  # graph_ekr_report refuses it too, so no report makes this claim
+            raise InputError(f"r must be at least 1, got {r}")
         members = [
             tuple(sorted(require_integers(member, f'counterexample "family"[{index}]')))
             for index, member in enumerate(require_list(payload, "family", _WHERE))

@@ -7,16 +7,17 @@ import subprocess
 import sys
 import tempfile
 import time
-from math import factorial
+from math import factorial, perm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ekrcheck import counts, cycles, enumerate_placements, graphs, load_family, load_graph, search
+from ekrcheck import rook
 from ekrcheck import cli
 from ekrcheck.cli import main
-from ekrcheck.errors import write_json
+from ekrcheck.errors import InputError, write_json
 from helpers import canonical_json_without_elapsed, run_cli
 
 
@@ -488,6 +489,26 @@ class TestDoubleCount:
             "over the budget of 50000000"
         )
 
+    def test_a_tally_past_the_budget_exits_3_before_any_family_is_sampled(
+        self, monkeypatch, capsys
+    ):
+        # Each sample starts from a star, 1,058,400 placements at 11 x 11 r = 5.
+        def unbuilt(*args):
+            raise AssertionError("a family was sampled")
+
+        monkeypatch.setattr(rook, "star_family", unbuilt)
+        argv = ["double-count", "--n", "11", "--m", "11", "--r", "5", "--json"]
+        assert main(argv) == 3
+        work = 2 * factorial(11) + perm(11, 5) ** 2
+        assert json.loads(capsys.readouterr().out)["result"]["reason"] == (
+            f"interval tally needs at least {work} window steps and products, "
+            "over the budget of 50000000"
+        )
+        assert main([*argv, "--samples", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["families"] == 0
+        assert main([*argv[:-2], "12", "--json"]) == 2
+        assert capsys.readouterr().err == "ekrcheck: error: r must be in 1..min(n,m)=11, got 12\n"
+
     def test_needs_family_or_grid(self):
         code, _, err = run_cli("double-count")
         assert code == 2
@@ -766,6 +787,36 @@ BUDGET_EXITS = [
     (["ht", "--graph", "E5"], ["--budget-sets", "0"], None),
     (["lex", "--graph", "E4", "--k", "2", "--r", "2"], ["--budget-sets", "5"], None),
 ]
+
+
+class TestBudgetExitsNameTheirBounds:
+    """An ht budget exit names the r, and a lex exit the report, whose
+    bounds it carries."""
+
+    @pytest.mark.parametrize("argv, reason, bounds", [
+        # E10 answers r = 1 without a node; r = 2 stops at its first.
+        (["ht", "--graph", "E10", "--budget-seconds", "0"],
+         "r=2: clique search exceeded 0.0 seconds", (9, 9)),
+        (["ht", "--graph", "E5", "--budget-sets", "0"],
+         "r=1: more than 0 independent sets; raise the budget to enumerate", (None, None)),
+        (["lex", "--graph", "E4", "--k", "2", "--r", "2", "--budget-nodes", "0"],
+         "premise: clique search exceeded 0 nodes", (3, 3)),
+        (["lex", "--graph", "E4", "--k", "2", "--r", "3", "--budget-nodes", "3"],
+         "conclusion: clique search exceeded 3 nodes", (12, 16)),
+    ], ids=["ht-seconds", "ht-sets", "lex-premise", "lex-conclusion"])
+    def test_the_reason_names_the_report(self, capsys, argv, reason, bounds):
+        assert main([*argv, "--json"]) == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["reason"], result["lower_bound"], result["upper_bound"]) == (reason, *bounds)
+
+    def test_an_exit_before_the_reports_is_not_prefixed(self, tmp_path, capsys):
+        # mu, found before any r, is past the vertex budget.
+        path = tmp_path / "e5.json"
+        path.write_text(json.dumps({"vertices": 5, "edges": []}))
+        assert main(["ht", "--graph", str(path), "--vertex-budget", "1", "--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["result"]["reason"] == (
+            "exhaustive search on 5 vertices exceeds the budget of 1"
+        )
 
 
 class TestParametersOnEveryExitPath:
@@ -1140,6 +1191,20 @@ class TestCheckWitnessFailsClosed:
         code, out, err = _check_witness_in_process({"counterexample": payload})
         assert (code, out) == (2, "")
         assert "r must satisfy 1 <= r <= min(n,m)/2 = 2, got 3" in err
+
+    @pytest.mark.parametrize("context", [
+        {"type": "graph", "graph": {"vertices": 3, "edges": []}, "r": 0},
+        {"type": "rook", "n": 3, "m": 3, "r": 0},
+    ], ids=["graph", "rook"])
+    def test_a_family_at_r_0_exits_2(self, context):
+        # No command reports a family at r = 0: both verdicts refuse r < 1.
+        payload = {**PAYLOADS["graph_star"], "context": context, "family": [[]]}
+        code, out, err = _check_witness_in_process({"counterexample": payload})
+        assert (code, out) == (2, "")
+        with pytest.raises(InputError) as refused:
+            search.graph_ekr_report(graphs.empty_graph(3), 0)
+        assert err.endswith(f": {refused.value}\n")
+        assert str(refused.value) == "r must be at least 1, got 0"
 
     @pytest.mark.parametrize("name", sorted(PAYLOADS))
     def test_well_formed_payloads_keep_their_verdict(self, name):

@@ -204,6 +204,22 @@ class TestIntervalBound:
         with pytest.raises(InputError):
             max_intersecting_intervals_witness(IDENTITY_33, 2)
 
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 7) for m in range(2, 7)])
+    def test_equals_the_graph_of_a_pairwise_scan(self, n, m):
+        # The interval graph read from the element index, against one that
+        # compares every two intervals.
+        for order in _orders_to_cross_check(n, m):
+            for r in range(1, min(n, m) // 2 + 1):
+                intervals = all_intervals(order, r)
+                cells = [set(iv) for iv in intervals]
+                masks = [
+                    sum(1 << b for b, other in enumerate(cells) if b != a and mine & other)
+                    for a, mine in enumerate(cells)
+                ]
+                _, mask = cycles._micro_max_clique(masks)
+                expected = tuple(sorted(iv for v, iv in enumerate(intervals) if mask >> v & 1))
+                assert max_intersecting_intervals_witness(order, r) == expected
+
 
 class TestOccurrences:
     def test_four_by_four_pairs(self):

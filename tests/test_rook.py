@@ -25,7 +25,7 @@ from ekrcheck import (
     star_family,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
-from ekrcheck.rook import largest_star
+from ekrcheck.rook import element_masks, largest_star
 from helpers import placements_by_cell_filter
 
 
@@ -159,6 +159,22 @@ class TestIntersection:
             (sum(element in member for member in members) for element in elements), default=0
         )
         assert largest_star(members) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 6), max_size=4), max_size=8))
+    def test_element_masks_join_the_pairs_that_a_scan_joins(self, members):
+        # Empty sets and repeated elements included.
+        holders = element_masks(members)
+        for member in members:
+            joined = 0
+            for element in member:
+                joined |= holders[element]
+            assert joined == sum(
+                1 << j for j, other in enumerate(members) if set(member) & set(other)
+            )
+        elements = {element for member in members for element in member}
+        per_element = {e: sum(e in member for member in members) for e in elements}
+        assert {e: mask.bit_count() for e, mask in holders.items()} == per_element
 
     def test_row_projection(self):
         assert row_projection(((1, 3), (2, 1))) == {1, 2}

@@ -654,6 +654,22 @@ class TestCompleteFamilies:
     def test_seed(self, members, seed):
         assert search._compatibility(members, SearchBudget())[1] == seed
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 6), max_size=4).map(tuple), max_size=8))
+    def test_rows_and_seed_match_a_pair_scan(self, members):
+        # Empty sets and repeated elements included.
+        adjacency, seed = search._compatibility(members, SearchBudget())
+        for i, member in enumerate(members):
+            assert adjacency[i] == sum(
+                1 << j for j, other in enumerate(members) if j != i and set(member) & set(other)
+            )
+        elements = {element for member in members for element in member}
+        star = max((sum(e in member for member in members) for e in elements), default=0)
+        if all(set(a) & set(b) for a, b in combinations(members, 2)):
+            assert seed == len(members)
+        else:
+            assert seed == max(star, min(len(members), 1))
+
     @pytest.mark.parametrize("n, r", [(10, 6), (12, 7)])
     def test_edgeless_graphs_past_half(self, n, r, engines):
         # Every r-subset of [n] meets every other once 2r > n; the family
