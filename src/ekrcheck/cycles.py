@@ -287,9 +287,8 @@ def max_intersecting_intervals_witness(order: CyclicOrder, r: int) -> tuple[Plac
     _require_half_range(order, r)
     intervals = all_intervals(order, r)
     holders = element_masks(intervals)
-    # An interval has r >= 1 cells, so it meets itself; XOR clears that bit.
     masks = [
-        reduce(or_, map(holders.__getitem__, iv)) ^ (1 << v) for v, iv in enumerate(intervals)
+        reduce(or_, map(holders.__getitem__, iv)) & ~(1 << v) for v, iv in enumerate(intervals)
     ]
     _, mask = _micro_max_clique(masks)
     return tuple(sorted(intervals[v] for v in range(len(intervals)) if mask & (1 << v)))
@@ -334,11 +333,14 @@ def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) 
 
     row_sets = window_sets(n, set(column), lambda w: tuple(map(column.__getitem__, w)))
     col_sets = window_sets(m, set(column.values()), tuple)
-    holders, weights = element_masks(col_sets), list(col_sets.values())
+    holding: dict[tuple[int, ...], list[frozenset]] = {}
+    for col_set in col_sets:
+        for window in col_set:
+            holding.setdefault(window, []).append(col_set)
     total = 0
     for row_set, count in row_sets.items():
-        met = reduce(or_, (holders.get(window, 0) for window in row_set), 0)
-        total += count * sum(weight for i, weight in enumerate(weights) if met >> i & 1)
+        met = {col_set for window in row_set for col_set in holding.get(window, ())}
+        total += count * sum(col_sets[col_set] for col_set in met)
     return total
 
 

@@ -418,9 +418,8 @@ def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> tuple[list
     for index, member in enumerate(members):
         if index % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
             budget.check_deadline("building the compatibility masks")
-        # A member with an element meets itself; XOR clears that bit.
         mask = reduce(or_, map(holders.__getitem__, member), 0)
-        adjacency[index] = mask ^ (1 << index) if mask else 0
+        adjacency[index] = mask & ~(1 << index)
     everyone = (1 << len(members)) - 1
     if all(mask | (1 << index) == everyone for index, mask in enumerate(adjacency)):
         return adjacency, len(members)

@@ -274,6 +274,13 @@ class TestCountOrdersContaining:
         expected = interval_occurrence_count(8, 8, 2)
         assert count_orders_containing(8, 8, ((1, 1), (2, 2))) == expected
 
+    def test_eight_by_eight_at_r_8(self):
+        # r = n = m: 7! row window sets and 7! column window sets, each
+        # window in one of them, so a row set meets at most r column sets.
+        expected = interval_occurrence_count(8, 8, 8)
+        for cols in ((1, 2, 3, 4, 5, 6, 7, 8), (3, 1, 4, 8, 5, 2, 7, 6)):
+            assert count_orders_containing(8, 8, tuple(zip(range(1, 9), cols))) == expected
+
     def test_placement_size_is_checked(self):
         with pytest.raises(InputError, match=r"r must be in 1..min\(n,m\)=2, got 0"):
             count_orders_containing(2, 3, ())
