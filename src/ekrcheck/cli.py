@@ -84,28 +84,18 @@ def _artifact(out: str | None, result: dict, key: str, document: object) -> dict
     return result
 
 
-# lemma1 compares each of the identity order's n*m intervals with every other
-# at r cells a pair: (n*m)^2 * r steps for each r it evaluates.  windows meets
-# one start's base with the n*m intervals (n*m*r steps), then compares the m
-# intervals of each of its 2(r-1) windows in pairs: (r-1)*m^2 pairs forward
-# against backward and 2(r-1)*C(m, 2) within a window, r steps a pair.  Grids
-# past this many steps exit 3 before any comparison; every grid of at most
-# 10^6 orders needs at most 14,406 (lemma1 on 7 x 7).
-INTERVAL_PAIR_BUDGET = 10**6
-
-
-def _check_cell_steps(work: int, task: str) -> None:
-    if work > INTERVAL_PAIR_BUDGET:
-        raise ResourceLimitError(
-            f"{task} needs {work} cell steps, over the budget of {INTERVAL_PAIR_BUDGET}"
-        )
-
-
-# count writes (n-1)! * (m-1)! and its other counts in full, in time
-# quadratic in their digits, so a grid with a side longer than this exits 3
-# before any count is computed.  The largest grid it answers, 10^4 x 10^4,
-# writes about 165,000 digits.
+# count, windows and orders compute (n-1)! * (m-1)!, and count writes it and
+# its other counts in full, in time quadratic in their digits, so a grid with
+# a side longer than this exits 3 before any count is computed.  The largest
+# grid count answers, 10^4 x 10^4, writes about 165,000 digits.
 COUNT_SIDE_BUDGET = 10**4
+
+
+def _check_sides(command: str, n: int, m: int) -> None:
+    if max(n, m) > COUNT_SIDE_BUDGET:
+        raise ResourceLimitError(
+            f"{command} on a {n} x {m} grid: a side exceeds the budget of {COUNT_SIDE_BUDGET}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +107,7 @@ COUNT_SIDE_BUDGET = 10**4
 def _run_count(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts
 
-    if max(args.n, args.m) > COUNT_SIDE_BUDGET:
-        raise ResourceLimitError(
-            f"count on a {args.n} x {args.m} grid: a side exceeds the budget of "
-            f"{COUNT_SIDE_BUDGET}"
-        )
+    _check_sides("count", args.n, args.m)
     result = {
         "placements": counts.rook_placement_count(args.n, args.m, args.r),
         "star": counts.rook_star_count(args.n, args.m, args.r),
@@ -159,21 +145,20 @@ def _run_lemma1(args, parameters) -> tuple[dict, dict | None, int]:
 
     half = min(args.n, args.m) // 2
     r_values = [args.r] if args.r is not None else list(range(1, half + 1))
-    order_total = counts.cyclic_order_count(args.n, args.m)
-    intervals = args.n * args.m
-    _check_cell_steps(intervals**2 * sum(r_values), f"comparing {intervals} intervals in pairs")
     # The maximum is the same in every order (cycles module docstring), so the
     # first order stands for all of them, counterexample included.
     order = cycles.reference_order(args.n, args.m)
     checks = []
     counterexample = None
     for r in r_values:
-        witness = cycles.max_intersecting_intervals_witness(order, r)
+        with bounds_of(f"r={r}"):
+            witness = cycles.max_intersecting_intervals_witness(order, r)
         value = len(witness)
         checks.append(
             {
                 "r": r,
-                "orders": order_total,
+                # Counted after the check's guard, which keeps the sides short.
+                "orders": counts.cyclic_order_count(args.n, args.m),
                 "min_over_orders": value,
                 "max_over_orders": value,
                 "all_equal_r": value == r,
@@ -190,8 +175,9 @@ def _run_lemma1(args, parameters) -> tuple[dict, dict | None, int]:
 def _run_occurrence(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts, cycles, rook
 
-    expected = counts.interval_occurrence_count(args.n, args.m, args.r)
+    cycles.require_tally_work(args.n, args.m, args.r)
     placements = rook.enumerate_placements(args.n, args.m, args.r, args.budget_sets)
+    expected = counts.interval_occurrence_count(args.n, args.m, args.r)
     tally = cycles.interval_tally(args.n, args.m, args.r)
     counterexample = None
     for placement in placements:
@@ -228,7 +214,7 @@ def _run_double_count(args, parameters) -> tuple[dict, dict | None, int]:
             raise InputError("double-count needs --family, or --n/--m/--r to sample families")
         del parameters["family"]
         if args.samples:  # refuse the tally before a star is built for each sample
-            cycles.tally_joins(args.n, args.m, args.r)
+            cycles.require_tally_work(args.n, args.m, args.r)
         families = [
             rook.random_intersecting_family(args.n, args.m, args.r, Random(args.seed + i))
             for i in range(args.samples)
@@ -269,21 +255,18 @@ def _run_double_count(args, parameters) -> tuple[dict, dict | None, int]:
 def _run_windows(args, parameters) -> tuple[dict, dict | None, int]:
     from . import counts, cycles
 
-    order_total = counts.cyclic_order_count(args.n, args.m)
-    n, m, r = args.n, args.m, args.r
-    steps = r * (n * m + (r - 1) * m * (2 * m - 1))
-    _check_cell_steps(steps, f"checking the windows of one start on the {n} x {m} grid")
     # Each start passes or fails alike in every order (cycles module
     # docstring), so the first order's first failure is the sweep's.
     order = cycles.reference_order(args.n, args.m)
     report = cycles.first_window_failure(order, args.r)
+    _check_sides("windows", args.n, args.m)
     counterexample = None
     if report is not None:
         from .witness import window_payload
 
         counterexample = window_payload(report)
     result = {
-        "orders": order_total,
+        "orders": counts.cyclic_order_count(args.n, args.m),
         "starts_per_order": args.n * args.m,
         "all_pass": counterexample is None,
     }
@@ -291,8 +274,10 @@ def _run_windows(args, parameters) -> tuple[dict, dict | None, int]:
 
 
 def _run_orders(args, parameters) -> tuple[dict, dict | None, int]:
-    from . import cycles
+    from . import counts, cycles
 
+    counts.require_grid(args.n, args.m)
+    _check_sides("orders", args.n, args.m)
     order_list = cycles.enumerate_cyclic_orders(args.n, args.m, args.budget_sets)
     payload = [order.to_json_dict() for order in order_list]
     result = _artifact(args.out, {"count": len(order_list)}, "orders", payload)

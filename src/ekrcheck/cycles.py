@@ -50,11 +50,15 @@ would report first.
 
 Factored interval tally.  interval_tally counts, for every placement p,
 the canonical orders that realize p as an interval, without listing the
-orders.  Let S hold one start of each distinct interval of the identity
-order.  By the relations above, the distinct intervals of every order
-(s1, s2) are the images phi(P(s)) for s in S, and they are pairwise
-distinct, so an order realizes p exactly when phi(P(s)) = p for one
-s in S, and
+orders.  The identity order's n*m intervals are pairwise distinct except
+at r = n = m.  If P(i, j) = P(i', j'), their row sets are equal, which
+forces i = i' when r < n, and their column sets, which forces j = j' when
+r < m; the cell in row i (or column j) then forces the other coordinate.
+At r = n = m, P(i, j) = P(i+1, j+1), so the intervals are the n
+diagonals, and the first start of each in (i, j) order lies in row 1.
+So, with S the set of every start, or of row 1's starts at r = n = m,
+the distinct intervals of every order (s1, s2) are the images phi(P(s))
+for s in S, pairwise distinct, and
 
     tally[p] = sum over s in S of #{orders : phi(P(s)) = p}.
 
@@ -64,27 +68,25 @@ For s = (i, j), phi(P(i, j)) is the placement of the pairs (w[k], v[k]),
 where w = (s1[i], ..., s1[i+r-1]) is s1's r-window at i and v is s2's
 r-window at j (positions taken cyclically).  Let A_i[w] count the
 canonical row orders whose window at i is w, and B_j[v] the canonical
-column orders whose window at j is v.  Then
+column orders whose window at j is v.  S is a product of rows and all
+columns, so the sum is bilinear and takes one join: tally[p] is the sum,
+over (w, v) with placement(w, v) = p, of A[w] * B[v], where A sums A_i
+over the rows of S and B sums B_j over every column.
 
-    tally[p] = sum over (i, j) in S of
-               sum over (w, v) with placement(w, v) = p of A_i[w] * B_j[v].
-
-The inner sum is bilinear in (A_i, B_j).  So all rows i whose starts in
-S are {i} x J, for the same set J of columns, contribute a single join:
-of A = the sum of their A_i with B = the sum over j in J of B_j.  For
-2r <= min(n, m) every start is in S, so one join of the sum of all A_i
-with the sum of all B_j gives the whole tally.
-
-The tally's work count is (n-1)! * n + (m-1)! * m = n! + m! window steps
-plus, for each join, at most n!/(n-r)! * m!/(m-r)! products, in place of
-(n-1)! * (m-1)! * n * m intervals built one order at a time.  tally_joins
-refuses a count over TALLY_WORK_BUDGET before any walk, counting one join
-before it lists the n*m identity intervals that find the others.
-count_orders_containing, which counts one placement's orders, walks the
-same n! + m! windows under the same budget, with no join.  The
-budget admits every grid of at most 10^6 orders, the bound the tally had
-when it listed orders: the largest such count is 25,411,680 (7 x 7 at
-r = 6 and r = 7, one join each), while 12 x 12 at r = 1 needs 958,003,344.
+Work guards.  Each check counts its work before any walk, after its
+input checks, and refuses a count over its budget (ResourceLimitError):
+n*m*r cell steps to list an order's intervals, (n*m)^2 * r to build the
+interval graph's masks for one r, and r*(n*m + (r-1)*m*(2m-1)) for the
+window check, each bounded by INTERVAL_WORK_BUDGET.  The tally walks
+(n-1)! * n + (m-1)! * m = n! + m! windows and makes at most
+n!/(n-r)! * m!/(m-r)! products, in place of (n-1)! * (m-1)! * n * m
+intervals built one order at a time; require_tally_work bounds that
+count by TALLY_WORK_BUDGET.  count_orders_containing, which counts one
+placement's orders, walks the same n! + m! windows under the same
+budget, with no join.  The budget admits every grid of at most 10^6
+orders, the bound the tally had when it listed orders: the largest such
+count is 25,411,680 (7 x 7 at r = 6 and r = 7), while 12 x 12 at r = 1
+needs 958,003,344.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ from .counts import (
 from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, require_integers
 from .rook import Family, Placement, canonical_placement, element_masks, row_projection
 
+INTERVAL_WORK_BUDGET = 10**6
 TALLY_WORK_BUDGET = 5 * 10**7
 
 
@@ -175,6 +178,7 @@ def enumerate_cyclic_orders(
 
 def reference_order(n: int, m: int) -> CyclicOrder:
     """The identity order: first in enumeration, with labels equal to positions."""
+    require_grid(n, m)
     return CyclicOrder(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
 
 
@@ -197,9 +201,18 @@ def diagonal_interval(order: CyclicOrder, i: int, j: int, r: int) -> Placement:
     return tuple(sorted(cells))
 
 
+def _require_work(task: str, work: int, budget: int, amount: str = "{} cell steps") -> None:
+    """Refuse ``task`` when its work count (module docstring) exceeds ``budget``."""
+    if work > budget:
+        raise ResourceLimitError(f"{task} needs {amount.format(work)}, over the budget of {budget}")
+
+
 def _distinct_intervals(order: CyclicOrder, r: int) -> dict[Placement, tuple[int, int]]:
     """Each distinct interval of the order, mapped to its first start in
     (i, j) order and listed in that order."""
+    n, m = order.n, order.m
+    require_placement_size(n, m, r)
+    _require_work(f"listing the {n * m} intervals of an order", n * m * r, INTERVAL_WORK_BUDGET)
     first_start: dict[Placement, tuple[int, int]] = {}
     for i in range(1, order.n + 1):
         for j in range(1, order.m + 1):
@@ -285,6 +298,8 @@ def max_intersecting_intervals_witness(order: CyclicOrder, r: int) -> tuple[Plac
     at least r members; the cycle-method bound says it has at most r.
     """
     _require_half_range(order, r)
+    starts = order.n * order.m
+    _require_work(f"comparing {starts} intervals in pairs", starts**2 * r, INTERVAL_WORK_BUDGET)
     intervals = all_intervals(order, r)
     holders = element_masks(intervals)
     masks = [
@@ -316,8 +331,7 @@ def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) 
     require_grid(n, m)
     canon = canonical_placement(placement, n, m)
     r = len(canon)
-    require_placement_size(n, m, r)
-    _check_tally_work(n, m, r, 0, "counting the orders of one placement")
+    require_tally_work(n, m, r, 0, "counting the orders of one placement")
     column = dict(canon)
 
     def window_sets(size: int, labels: set[int], relabel: Callable) -> Counter[frozenset]:
@@ -344,49 +358,30 @@ def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) 
     return total
 
 
-def _window_tallies(size: int, r: int) -> list[Counter[tuple[int, ...]]]:
-    """For each start position (index 0 is position 1), how many canonical
-    cyclic orders of 1..size have each r-window there: the labels at that
-    position and the r-1 after it, wrapping around."""
-    tallies: list[Counter[tuple[int, ...]]] = [Counter() for _ in range(size)]
+def _window_tally(size: int, r: int, starts: int) -> Counter[tuple[int, ...]]:
+    """How many canonical cyclic orders of 1..size have each r-window, the
+    labels at a position and the r-1 after it (wrapping around), summed
+    over the first ``starts`` positions."""
+    tally: Counter[tuple[int, ...]] = Counter()
     for rest in permutations(range(2, size + 1)):
         ring = (1,) + rest
         ring += ring[: r - 1]
-        for start, tally in enumerate(tallies):
+        for start in range(starts):
             tally[ring[start : start + r]] += 1
-    return tallies
+    return tally
 
 
-def _check_tally_work(n: int, m: int, r: int, joins: int, what: str = "interval tally") -> None:
-    """Refuse a tally whose work count (module docstring) exceeds the budget.
+def require_tally_work(n: int, m: int, r: int, joins: int = 1, task: str = "interval tally") -> None:
+    """Refuse a bad r, then a tally whose work count (module docstring)
+    exceeds the budget, before any walk.
 
     12! alone exceeds the budget, so a side past 12 is counted as 12: the
     count stays short, and it is exact wherever it can pass.
     """
+    require_placement_size(n, m, r)
     n, m = min(n, 12), min(m, 12)
     work = factorial(n) + factorial(m) + joins * perm(n, r) * perm(m, r)
-    if work > TALLY_WORK_BUDGET:
-        raise ResourceLimitError(
-            f"{what} needs at least {work} window steps and products, "
-            f"over the budget of {TALLY_WORK_BUDGET}"
-        )
-
-
-def tally_joins(n: int, m: int, r: int) -> dict[tuple[int, ...], list[int]]:
-    """The joins of interval_tally (module docstring): each set of columns
-    that the identity order's distinct intervals start at, mapped to the
-    rows with those starts.  Refuses a bad r, then a work count over the
-    budget, before any walk."""
-    require_placement_size(n, m, r)
-    _check_tally_work(n, m, r, 1)
-    cols_by_row: dict[int, list[int]] = {}
-    for i, j in _distinct_intervals(reference_order(n, m), r).values():
-        cols_by_row.setdefault(i, []).append(j)
-    rows_by_cols: dict[tuple[int, ...], list[int]] = {}
-    for i, cols in cols_by_row.items():
-        rows_by_cols.setdefault(tuple(cols), []).append(i)
-    _check_tally_work(n, m, r, len(rows_by_cols))
-    return rows_by_cols
+    _require_work(task, work, TALLY_WORK_BUDGET, "at least {} window steps and products")
 
 
 def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
@@ -394,18 +389,16 @@ def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
     it as an interval; placements no order realizes are absent.
 
     Row orders and column orders are walked separately, and their window
-    counts are joined once for each of tally_joins' sets of columns (see
-    the module docstring).
+    counts are joined once (module docstring): every row start's with
+    every column start's, or only row 1's at r = n = m.
     """
-    rows_by_cols = tally_joins(n, m, r)
-    row_windows = _window_tallies(n, r)
-    col_windows = _window_tallies(m, r)
+    require_tally_work(n, m, r)
+    rows = _window_tally(n, r, 1 if r == n == m else n)
+    cols = _window_tally(m, r, m)
     tally: Counter[Placement] = Counter()
-    for cols, rows in rows_by_cols.items():
-        col_sum = sum((col_windows[j - 1] for j in cols), Counter())
-        for w, a in sum((row_windows[i - 1] for i in rows), Counter()).items():
-            for v, b in col_sum.items():
-                tally[tuple(sorted(zip(w, v)))] += a * b
+    for w, a in rows.items():
+        for v, b in cols.items():
+            tally[tuple(sorted(zip(w, v)))] += a * b
     return tally
 
 
@@ -473,9 +466,14 @@ def check_interval_windows(order: CyclicOrder, start_i: int, start_j: int, r: in
     _require_half_range(order, r)
     start = (start_i, start_j)
     base = diagonal_interval(order, start_i, start_j, r)
+    n, m = order.n, order.m
+    _require_work(
+        f"checking the windows of one start on the {n} x {m} grid",
+        r * (n * m + (r - 1) * m * (2 * m - 1)), INTERVAL_WORK_BUDGET,
+    )
     if r == 1:
         return WindowReport(True, order, start, r)
-    n, ring = order.n, order.rows * 2  # any n consecutive positions, read without wrapping
+    ring = order.rows * 2  # any n consecutive positions, read without wrapping
     firsts = [(start_i - 1 + off) % n for off in range(1, r)]
     forward = [frozenset(ring[p : p + r]) for p in firsts]
     backward = [frozenset(ring[p + n - r : p + n]) for p in firsts]

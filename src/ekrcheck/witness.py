@@ -214,8 +214,8 @@ def _validate_occurrence(payload: dict) -> tuple[bool, str]:
     )
     placement = _placement(require_field(payload, "placement", _WHERE), n, m, '"placement"')
     try:
+        recomputed = cycles.count_orders_containing(n, m, placement)  # refuses its work first
         closed_form = counts.interval_occurrence_count(n, m, len(placement))
-        recomputed = cycles.count_orders_containing(n, m, placement)
     except InputError as exc:
         raise InputError(f'counterexample "placement": {exc}') from None
     if expected != closed_form:

@@ -227,7 +227,7 @@ class TestSweeps:
     ])
     def test_interval_pairs_past_the_budget_exit_3(self, command, n, m, r, work):
         task = {
-            "lemma1": f"comparing {n * m} intervals in pairs",
+            "lemma1": f"r=1: comparing {n * m} intervals in pairs",
             "windows": f"checking the windows of one start on the {n} x {m} grid",
         }[command]
         code, out, err = run_cli(command, "--n", str(n), "--m", str(m), "--r", str(r), "--json")
@@ -235,6 +235,42 @@ class TestSweeps:
         assert json.loads(out)["result"]["reason"] == (
             f"{task} needs {work} cell steps, over the budget of 1000000"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma1", "--n", "14", "--m", "14", "--r", "100"],
+        ["windows", "--n", "300", "--m", "300", "--r", "400"],
+    ])
+    def test_a_bad_r_exits_2_before_the_work_is_counted(self, argv, capsys):
+        assert main([*argv, "--json"]) == 2
+        assert "r must satisfy 1 <= r <= min(n,m)/2" in capsys.readouterr().err
+
+    def test_lemma1_counts_each_r_apart(self, capsys):
+        # (14 * 14)^2 * r is at most 268,912 for r <= 7; at 20 x 20 every
+        # r up to 6 passes, and r = 7 needs 1,120,000.
+        assert main(["lemma1", "--n", "14", "--m", "14", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["all_pass"] is True
+        assert main(["lemma1", "--n", "20", "--m", "20", "--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["result"]["reason"].startswith("r=7: ")
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["lemma1", "--n", "1000000", "--m", "1000000"],
+         f"r=1: comparing {10**12} intervals in pairs needs {10**24} cell steps"),
+        (["windows", "--n", "1000000", "--m", "1000000", "--r", "1"],
+         f"checking the windows of one start on the 1000000 x 1000000 grid needs {10**12} "
+         "cell steps"),
+        (["occurrence", "--n", "1000000", "--m", "1000000", "--r", "1"],
+         "interval tally needs at least 958003344 window steps and products"),
+        # Each passes its work guard; the number of orders alone is too long.
+        (["windows", "--n", "2", "--m", "500000", "--r", "1"],
+         "windows on a 2 x 500000 grid: a side exceeds"),
+        (["orders", "--n", "1000000", "--m", "1000000"],
+         "orders on a 1000000 x 1000000 grid: a side exceeds"),
+    ], ids=["lemma1", "windows", "occurrence", "windows-sides", "orders"])
+    def test_huge_grids_exit_3_at_once(self, argv, reason, capsys):
+        started = time.monotonic()
+        assert main([*argv, "--json"]) == 3
+        assert time.monotonic() - started < 1
+        assert json.loads(capsys.readouterr().out)["result"]["reason"].startswith(reason)
 
     @pytest.mark.parametrize("n, r", [(24, 6), (24, 12)])
     def test_windows_answers_grids_that_lemma1_refuses(self, n, r, capsys):
@@ -772,14 +808,14 @@ BUDGET_EXITS = [
     (["count", "--n", "3", "--m", "3", "--r", "1"], [], (cli, "COUNT_SIDE_BUDGET", 1)),
     (["enumerate", "--n", "3", "--m", "3", "--r", "1"], ["--budget-sets", "1"], None),
     (["verify", "--n", "5", "--m", "5", "--r", "2"], ["--budget-nodes", "1"], None),
-    (["lemma1", "--n", "4", "--m", "4"], [], (cli, "INTERVAL_PAIR_BUDGET", 0)),
-    (["lemma1", "--n", "4", "--m", "4", "--r", "2"], [], (cli, "INTERVAL_PAIR_BUDGET", 0)),
+    (["lemma1", "--n", "4", "--m", "4"], [], (cycles, "INTERVAL_WORK_BUDGET", 0)),
+    (["lemma1", "--n", "4", "--m", "4", "--r", "2"], [], (cycles, "INTERVAL_WORK_BUDGET", 0)),
     (["occurrence", "--n", "4", "--m", "4", "--r", "2"], ["--budget-sets", "1"], None),
     (["double-count", "--n", "4", "--m", "4", "--r", "2", "--samples", "2"], [],
      (cycles, "TALLY_WORK_BUDGET", 0)),
     (["double-count", "--family", "family.json"], [], (cycles, "TALLY_WORK_BUDGET", 0)),
     # windows 4 x 4 at r = 2 takes 2 * (16 + 4 * 7) = 88 steps, one over this bound.
-    (["windows", "--n", "4", "--m", "4", "--r", "2"], [], (cli, "INTERVAL_PAIR_BUDGET", 87)),
+    (["windows", "--n", "4", "--m", "4", "--r", "2"], [], (cycles, "INTERVAL_WORK_BUDGET", 87)),
     (["orders", "--n", "3", "--m", "3"], ["--budget-sets", "1"], None),
     (["graph-stats", "--graph", "C5"], ["--vertex-budget", "1"], None),
     (["product", "--kind", "cartesian", "--graph", "K2", "--graph", "K3"],
@@ -1164,6 +1200,26 @@ class TestCheckWitnessFailsClosed:
         exit_code, out, err = _check_witness_in_process({"counterexample": payload})
         assert (exit_code, err) == (code, "")
         assert json.loads(out)["result"]["detail"].startswith("recomputed occurrence count")
+
+    @pytest.mark.parametrize("payload, reason", [
+        ({**PAYLOADS["gap"], "sigma1": list(range(1, 41)), "sigma2": list(range(1, 41)),
+          "r": 20, "found_max": 19},
+         "comparing 1600 intervals in pairs needs 51200000 cell steps"),
+        ({**PAYLOADS["window"], "sigma1": list(range(1, 301)), "sigma2": list(range(1, 301)),
+          "r": 150},
+         "checking the windows of one start on the 300 x 300 grid needs 4029795000 cell steps"),
+        ({**PAYLOADS["exceeds_r"], "sigma1": list(range(1, 301)), "sigma2": list(range(1, 301)),
+          "r": 150},
+         "listing the 90000 intervals of an order needs 13500000 cell steps"),
+        ({**PAYLOADS["occurrence"], "n": 2 * 10**6, "m": 2 * 10**6, "placement": [[1, 1]]},
+         "counting the orders of one placement needs at least 958003200 window steps"),
+    ], ids=["gap", "window", "exceeds_r", "occurrence"])
+    def test_a_payload_past_the_work_budget_exits_3_at_once(self, payload, reason):
+        started = time.monotonic()
+        code, out, err = _check_witness_in_process({"counterexample": payload})
+        assert time.monotonic() - started < 1
+        assert (code, err) == (3, "")
+        assert json.loads(out)["result"]["reason"].startswith(reason)
 
     def test_an_occurrence_report_must_expect_the_closed_form(self):
         payload = {**PAYLOADS["occurrence"], "expected": 999, "found": 8}

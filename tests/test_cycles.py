@@ -485,10 +485,10 @@ class TestFactoredTally:
     def test_every_grid_of_at_most_a_million_orders_passes_the_guard(self, monkeypatch):
         # The tally used to refuse more than 10^6 orders; its work guard
         # admits every grid under that bound.  Empty window counts leave only
-        # the guard and the grouping of starts to run.
+        # the guard to run.
         from ekrcheck import cycles
 
-        monkeypatch.setattr(cycles, "_window_tallies", lambda size, r: [Counter()] * size)
+        monkeypatch.setattr(cycles, "_window_tally", lambda size, r, starts: Counter())
         grids = [(n, m) for n in range(1, 14) for m in range(1, 14)]
         for n, m in grids:
             if cyclic_order_count(n, m) <= 10**6:
@@ -498,6 +498,15 @@ class TestFactoredTally:
     def test_a_side_past_12_is_refused_with_a_short_count(self):
         with pytest.raises(ResourceLimitError, match="at least 479001613 window steps"):
             interval_tally(10**6, 1, 1)
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 9) for m in range(1, 9)])
+    def test_the_one_join_covers_the_distinct_identity_intervals(self, n, m):
+        # The tally joins every start, or row 1's alone at r = n = m: the
+        # first starts of the identity order's distinct intervals.
+        for r in range(1, min(n, m) + 1):
+            starts = list(cycles._distinct_intervals(reference_order(n, m), r).values())
+            rows = [1] if r == n == m else range(1, n + 1)
+            assert starts == [(i, j) for i in rows for j in range(1, m + 1)]
 
     def test_families_of_one_context_share_one_tally(self, monkeypatch):
         from ekrcheck import cycles
