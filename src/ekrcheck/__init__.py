@@ -31,15 +31,12 @@ _EXPORTS = {
             "canonical_order",
             "check_interval_windows",
             "count_orders_containing",
-            "diagonal_interval",
             "enumerate_cyclic_orders",
             "first_window_failure",
             "interval_double_counts",
-            "interval_start",
             "interval_tally",
             "max_intersecting_intervals_witness",
             "reference_order",
-            "restrict_to_order",
         ),
         "cycles",
     ),
@@ -68,6 +65,7 @@ _EXPORTS = {
         (
             "Family",
             "canonical_placement",
+            "diagonal_intervals",
             "enumerate_placements",
             "load_family",
             "pairwise_intersecting",

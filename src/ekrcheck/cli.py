@@ -213,6 +213,7 @@ def _run_double_count(args, parameters) -> tuple[dict, dict | None, int]:
         if args.n is None or args.m is None or args.r is None:
             raise InputError("double-count needs --family, or --n/--m/--r to sample families")
         del parameters["family"]
+        counts.require_placement_size(args.n, args.m, args.r)
         if args.samples:  # refuse the tally before a star is built for each sample
             cycles.require_tally_work(args.n, args.m, args.r)
         families = [

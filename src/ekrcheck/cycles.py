@@ -102,7 +102,10 @@ from .counts import (
     cyclic_order_count, interval_occurrence_count, require_grid, require_placement_size,
 )
 from .errors import DEFAULT_SET_BUDGET, InputError, Record, ResourceLimitError, require_integers
-from .rook import Family, Placement, canonical_placement, element_masks, row_projection
+from .rook import (
+    Family, Placement, _cyclic_windows, canonical_placement, diagonal_intervals, element_masks,
+    row_projection,
+)
 
 INTERVAL_WORK_BUDGET = 10**6
 TALLY_WORK_BUDGET = 5 * 10**7
@@ -167,7 +170,11 @@ def enumerate_cyclic_orders(
     """All canonical cyclic orders in lexicographic (rows, cols) order."""
     total = cyclic_order_count(n, m)
     if total > max_orders:
-        raise ResourceLimitError(f"{total} cyclic orders exceed the budget of {max_orders}")
+        try:
+            count = str(total)
+        except ValueError:  # more digits than the interpreter converts to text
+            count = f"{n - 1}! * {m - 1}!"
+        raise ResourceLimitError(f"{count} cyclic orders exceed the budget of {max_orders}")
     out = []
     for row_rest in permutations(range(2, n + 1)):
         rows = (1,) + row_rest
@@ -182,78 +189,27 @@ def reference_order(n: int, m: int) -> CyclicOrder:
     return CyclicOrder(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
 
 
-def diagonal_interval(order: CyclicOrder, i: int, j: int, r: int) -> Placement:
-    """The r cells realized by walking both cycles from positions (i, j).
-
-    Position arithmetic is 1-based and wraps n+1 -> 1 (and m+1 -> 1).  The
-    result is always a valid placement: the r row positions are distinct
-    modulo n when r <= n, and likewise for columns.
-    """
-    n, m = order.n, order.m
-    require_placement_size(n, m, r)
-    if not 1 <= i <= n:
-        raise InputError(f"start position i out of range 1..{n}: {i}")
-    if not 1 <= j <= m:
-        raise InputError(f"start position j out of range 1..{m}: {j}")
-    cells = tuple(
-        (order.rows[(i - 1 + k) % n], order.cols[(j - 1 + k) % m]) for k in range(r)
-    )
-    return tuple(sorted(cells))
-
-
 def _require_work(task: str, work: int, budget: int, amount: str = "{} cell steps") -> None:
     """Refuse ``task`` when its work count (module docstring) exceeds ``budget``."""
     if work > budget:
         raise ResourceLimitError(f"{task} needs {amount.format(work)}, over the budget of {budget}")
 
 
-def _distinct_intervals(order: CyclicOrder, r: int) -> dict[Placement, tuple[int, int]]:
-    """Each distinct interval of the order, mapped to its first start in
-    (i, j) order and listed in that order."""
-    n, m = order.n, order.m
-    require_placement_size(n, m, r)
-    _require_work(f"listing the {n * m} intervals of an order", n * m * r, INTERVAL_WORK_BUDGET)
-    first_start: dict[Placement, tuple[int, int]] = {}
-    for i in range(1, order.n + 1):
-        for j in range(1, order.m + 1):
-            first_start.setdefault(diagonal_interval(order, i, j, r), (i, j))
-    return first_start
-
-
 def all_intervals(order: CyclicOrder, r: int) -> list[Placement]:
-    """Realized interval sets over all n*m start positions, deduplicated.
+    """rook.diagonal_intervals of the order, deduplicated in first-start order.
 
     For r <= min(n, m)/2 all starts realize distinct sets, and that is
     asserted; duplicates can only occur for exploratory larger r.
     """
     n, m = order.n, order.m
-    out = list(_distinct_intervals(order, r))
+    require_placement_size(n, m, r)
+    _require_work(f"listing the {n * m} intervals of an order", n * m * r, INTERVAL_WORK_BUDGET)
+    out = list(dict.fromkeys(diagonal_intervals(order.rows, order.cols, r)))
     if 2 * r <= min(n, m) and len(out) != n * m:
         raise RuntimeError(
             f"internal error: expected {n * m} distinct intervals at r={r}, got {len(out)}"
         )
     return out
-
-
-def interval_start(order: CyclicOrder, placement: Placement) -> tuple[int, int] | None:
-    """The start (i, j) whose interval realizes the placement, or None.
-
-    The first such start in (i, j) order; for r <= min(n, m)/2 the start
-    is unique when it exists.
-    """
-    target = canonical_placement(placement, order.n, order.m)
-    return _distinct_intervals(order, len(target)).get(target)
-
-
-def restrict_to_order(family: Family, order: CyclicOrder) -> Family:
-    """The subfamily of members realized as intervals of this order."""
-    if family.n != order.n or family.m != order.m:
-        raise InputError(
-            f"family context ({family.n}, {family.m}) does not match the order "
-            f"({order.n}, {order.m})"
-        )
-    realized = set(all_intervals(order, family.r))
-    return Family(family.n, family.m, family.r, tuple(s for s in family.sets if s in realized))
 
 
 def _micro_max_clique(masks: list[int]) -> tuple[int, int]:
@@ -339,9 +295,7 @@ def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) 
         relabelled r-windows on ``labels``."""
         sets: Counter[frozenset] = Counter()
         for rest in permutations(range(2, size + 1)):
-            ring = (1,) + rest
-            ring += ring[: r - 1]
-            windows = (ring[start : start + r] for start in range(size))
+            windows = _cyclic_windows((1,) + rest, r)
             sets[frozenset(relabel(w) for w in windows if set(w) == labels)] += 1
         return sets
 
@@ -364,10 +318,7 @@ def _window_tally(size: int, r: int, starts: int) -> Counter[tuple[int, ...]]:
     over the first ``starts`` positions."""
     tally: Counter[tuple[int, ...]] = Counter()
     for rest in permutations(range(2, size + 1)):
-        ring = (1,) + rest
-        ring += ring[: r - 1]
-        for start in range(starts):
-            tally[ring[start : start + r]] += 1
+        tally.update(_cyclic_windows((1,) + rest, r)[:starts])
     return tally
 
 
@@ -465,20 +416,23 @@ def check_interval_windows(order: CyclicOrder, start_i: int, start_j: int, r: in
     """
     _require_half_range(order, r)
     start = (start_i, start_j)
-    base = diagonal_interval(order, start_i, start_j, r)
     n, m = order.n, order.m
+    for name, position, size in (("i", start_i, n), ("j", start_j, m)):
+        if not 1 <= position <= size:
+            raise InputError(f"start position {name} out of range 1..{size}: {position}")
     _require_work(
         f"checking the windows of one start on the {n} x {m} grid",
         r * (n * m + (r - 1) * m * (2 * m - 1)), INTERVAL_WORK_BUDGET,
     )
     if r == 1:
         return WindowReport(True, order, start, r)
-    ring = order.rows * 2  # any n consecutive positions, read without wrapping
-    firsts = [(start_i - 1 + off) % n for off in range(1, r)]
-    forward = [frozenset(ring[p : p + r]) for p in firsts]
-    backward = [frozenset(ring[p + n - r : p + n]) for p in firsts]
+    by_start = diagonal_intervals(order.rows, order.cols, r)
+    base = by_start[(start_i - 1) * m + start_j - 1]
+    row_windows = _cyclic_windows(order.rows, r)
+    forward = [frozenset(row_windows[(start_i - 1 + off) % n]) for off in range(1, r)]
+    backward = [frozenset(row_windows[(start_i - 1 + off - r) % n]) for off in range(1, r)]
     windows = set(forward) | set(backward)
-    intervals = all_intervals(order, r)
+    intervals = list(dict.fromkeys(by_start))
     by_projection: dict[frozenset[int], list[Placement]] = {}
     for iv in intervals:
         by_projection.setdefault(row_projection(iv), []).append(iv)

@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .counts import require_grid, require_placement_size, rook_placement_count, rook_star_count
 from .errors import (
@@ -194,6 +194,24 @@ def largest_star(members: Iterable[Iterable]) -> int:
     among them, for placements and vertex sets alike; 0 when no set has an
     element.  A set that repeats an element holds it once."""
     return max((mask.bit_count() for mask in element_masks(members).values()), default=0)
+
+
+def _cyclic_windows(ring: Sequence, r: int) -> list[tuple]:
+    """The r-window of a cyclic sequence at each start, in order: its item
+    there and the r-1 after it, wrapping around; r is at most its length."""
+    ring = tuple(ring)
+    wrapped = ring + ring[: r - 1]
+    return [wrapped[start : start + r] for start in range(len(ring))]
+
+
+def diagonal_intervals(rows: Sequence[int], cols: Sequence[int], r: int) -> list[Placement]:
+    """The diagonal interval at every start (i, j) of a cyclic row order and
+    a cyclic column order, which list labels by position: the placement
+    that pairs their r-windows at i and at j.  Listed in (i, j) order with
+    duplicates kept, so start (i, j) is at index (i-1)*m + (j-1)."""
+    require_placement_size(len(rows), len(cols), r)
+    col_windows = _cyclic_windows(cols, r)
+    return [tuple(sorted(zip(w, v))) for w in _cyclic_windows(rows, r) for v in col_windows]
 
 
 def random_placement(n: int, m: int, r: int, rng: Random) -> Placement:

@@ -95,7 +95,10 @@ from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
     ResourceLimitError, bounds_of,
 )
-from .rook import element_masks, enumerate_placements, largest_star, pairwise_intersecting
+from .rook import (
+    _cyclic_windows, diagonal_intervals, element_masks, enumerate_placements, largest_star,
+    pairwise_intersecting,
+)
 
 if TYPE_CHECKING:  # the graph functions import graphs when they run
     from .graphs import SimpleGraph
@@ -630,14 +633,14 @@ def rook_ekr_report(
     vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  The
     search is given the orbit of the r-placements under row and column
     permutations, so it only searches the placements that meet the first
-    one, and the diagonal intervals of the identity cyclic order (built
-    here, not by ``cycles``) for S of the orbit bound (module docstring).
+    one, and the diagonal intervals of the identity cyclic order (from
+    ``rook``, not ``cycles``, which ``verify`` does not load) for S of the
+    orbit bound (module docstring).
     """
     require_placement_size(n, m, r)
     started = time.monotonic()
     placements = enumerate_placements(n, m, r, max_sets)
-    diagonals = [tuple(sorted(((i + t) % n + 1, (j + t) % m + 1) for t in range(r)))
-                 for i in range(n) for j in range(m)]
+    diagonals = diagonal_intervals(range(1, n + 1), range(1, m + 1), r)
     return _report(
         {"kind": "rook", "n": n, "m": m, "r": r}, placements, rook_star_count(n, m, r),
         2 * r <= min(n, m), started, budget, _rook_orbit(n, m, r), diagonals,
@@ -675,7 +678,8 @@ def graph_ekr_report(
         else min_maximal_independent_size(g, vertex_budget)
     )
     n = g.vertex_count
-    runs = [tuple(sorted((start + t) % n + 1 for t in range(r))) for start in range(n)]
+    # Past r = n no r-set is independent, so the runs are never read.
+    runs = [tuple(sorted(w)) for w in _cyclic_windows(range(1, n + 1), min(r, n))]
     parameters = {
         "kind": "graph",
         "vertices": g.vertex_count,

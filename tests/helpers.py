@@ -14,11 +14,10 @@ from collections import Counter
 from itertools import combinations
 
 from ekrcheck import (
-    all_intervals,
+    Family,
+    InputError,
     canonical_placement,
-    diagonal_interval,
     enumerate_cyclic_orders,
-    interval_start,
     reference_order,
     row_projection,
     twin_classes,
@@ -137,11 +136,48 @@ def one_orbit_by_walk(unique, symmetries) -> bool:
     return len(reached) == len(unique)
 
 
+def diagonal_interval(order, i: int, j: int, r: int) -> tuple:
+    """The interval of the order at start (i, j), by definition: the cells
+    (rows[(i-1+k) % n], cols[(j-1+k) % m]) for k < r, sorted."""
+    n, m = order.n, order.m
+    return tuple(sorted(
+        (order.rows[(i - 1 + k) % n], order.cols[(j - 1 + k) % m]) for k in range(r)
+    ))
+
+
+def first_starts(order, r: int) -> dict:
+    """Each distinct interval of the order, mapped to its first start in
+    (i, j) order and listed in that order."""
+    first: dict = {}
+    for i in range(1, order.n + 1):
+        for j in range(1, order.m + 1):
+            first.setdefault(diagonal_interval(order, i, j, r), (i, j))
+    return first
+
+
+def interval_start(order, placement):
+    """The start (i, j) whose interval realizes the placement, or None: the
+    first such start in (i, j) order, unique for r <= min(n, m)/2."""
+    target = canonical_placement(placement, order.n, order.m)
+    return first_starts(order, len(target)).get(target)
+
+
+def restrict_to_order(family, order):
+    """The subfamily of members realized as intervals of this order."""
+    if (family.n, family.m) != (order.n, order.m):
+        raise InputError(
+            f"family context ({family.n}, {family.m}) does not match the order "
+            f"({order.n}, {order.m})"
+        )
+    realized = first_starts(order, family.r)
+    return Family(family.n, family.m, family.r, tuple(s for s in family.sets if s in realized))
+
+
 def tally_by_order(n: int, m: int, r: int) -> Counter:
     """For every placement, the number of cyclic orders realizing it as an
     interval, found by relabelling the identity order's distinct intervals
     in every enumerated order, one order at a time."""
-    positions = all_intervals(reference_order(n, m), r)
+    positions = list(first_starts(reference_order(n, m), r))
     tally: Counter = Counter()
     for order in enumerate_cyclic_orders(n, m):
         rows, cols = order.rows, order.cols
@@ -175,7 +211,7 @@ def window_check_by_rebuild(order, start_i: int, start_j: int, r: int):
     forward = [rows_at(start_i + off) for off in range(1, r)]
     backward = [rows_at(start_i + off - r) for off in range(1, r)]
     windows = set(forward) | set(backward)
-    intervals = all_intervals(order, r)
+    intervals = list(first_starts(order, r))
     for iv in intervals:
         if iv != base and set(base) & set(iv) and row_projection(iv) not in windows:
             return False, "interval meets the base but its row projection is not a window", (base, iv)

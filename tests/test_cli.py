@@ -545,6 +545,17 @@ class TestDoubleCount:
         assert main([*argv[:-2], "12", "--json"]) == 2
         assert capsys.readouterr().err == "ekrcheck: error: r must be in 1..min(n,m)=11, got 12\n"
 
+    @pytest.mark.parametrize("grid, message", [
+        (["0", "3", "1"], "grid dimensions must be at least 1, got (0, 3)"),
+        (["3", "3", "4"], "r must be in 1..min(n,m)=3, got 4"),
+    ])
+    @pytest.mark.parametrize("samples", ["0", "2"])
+    def test_a_bad_grid_exits_2_whatever_the_samples(self, capsys, grid, message, samples):
+        n, m, r = grid
+        argv = ["double-count", "--n", n, "--m", m, "--r", r, "--samples", samples, "--json"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"ekrcheck: error: {message}\n")
+
     def test_needs_family_or_grid(self):
         code, _, err = run_cli("double-count")
         assert code == 2
@@ -1247,6 +1258,17 @@ class TestCheckWitnessFailsClosed:
         code, out, err = _check_witness_in_process({"counterexample": payload})
         assert (code, out) == (2, "")
         assert "r must satisfy 1 <= r <= min(n,m)/2 = 2, got 3" in err
+
+    @pytest.mark.parametrize("start, message", [
+        ([6, 1], "start position i out of range 1..5: 6"),
+        ([1, 0], "start position j out of range 1..5: 0"),
+    ])
+    def test_a_window_start_off_the_grid_exits_2(self, start, message):
+        ring = [1, 2, 3, 4, 5]
+        payload = {**PAYLOADS["window"], "sigma1": ring, "sigma2": ring, "start": start}
+        code, out, err = _check_witness_in_process({"counterexample": payload})
+        assert (code, out) == (2, "")
+        assert err.endswith(f".json: {message}\n")
 
     @pytest.mark.parametrize("context", [
         {"type": "graph", "graph": {"vertices": 3, "edges": []}, "r": 0},

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import sys
+import time
 from collections import Counter
 from itertools import permutations
 from random import Random
@@ -17,23 +19,28 @@ from ekrcheck import (
     check_interval_windows,
     count_orders_containing,
     cyclic_order_count,
-    diagonal_interval,
+    diagonal_intervals,
     enumerate_cyclic_orders,
     enumerate_placements,
     first_window_failure,
     interval_double_counts,
     interval_occurrence_count,
-    interval_start,
     interval_tally,
     max_intersecting_intervals_witness,
     random_intersecting_family,
     reference_order,
-    restrict_to_order,
     star_family,
     Family,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
-from helpers import count_orders_by_listing, tally_by_order, window_check_by_rebuild
+from helpers import (
+    count_orders_by_listing,
+    diagonal_interval,
+    interval_start,
+    restrict_to_order,
+    tally_by_order,
+    window_check_by_rebuild,
+)
 
 IDENTITY_33 = CyclicOrder((1, 2, 3), (1, 2, 3))
 IDENTITY_44 = CyclicOrder((1, 2, 3, 4), (1, 2, 3, 4))
@@ -46,6 +53,11 @@ def _orders_to_cross_check(n: int, m: int) -> list[CyclicOrder]:
         canonical_order(rng.sample(range(1, n + 1), n), rng.sample(range(1, m + 1), m))
         for _ in range(2)
     ]
+
+
+def interval_at(order: CyclicOrder, i: int, j: int, r: int):
+    """The builder's interval at start (i, j): index (i-1)*m + (j-1) of its list."""
+    return diagonal_intervals(order.rows, order.cols, r)[(i - 1) * order.m + j - 1]
 
 
 def perm_pairs(n, m):
@@ -113,17 +125,42 @@ class TestEnumerateOrders:
         with pytest.raises(ResourceLimitError):
             enumerate_cyclic_orders(8, 8, max_orders=100)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_a_count_past_the_digit_limit_is_refused_as_a_resource_limit(self):
+        # 99999! has about 456,570 digits, past Python's default limit of
+        # 4,300 for converting an integer to text.  An in-process CLI run
+        # lifts that limit for the whole process, so it is set here.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            started = time.monotonic()
+            with pytest.raises(ResourceLimitError, match=r"^99999! \* 1! cyclic orders exceed"):
+                enumerate_cyclic_orders(100000, 2)
+            assert time.monotonic() - started < 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestIntervals:
     def test_wraparound_substitution(self):
-        assert diagonal_interval(IDENTITY_33, 2, 3, 2) == ((2, 3), (3, 1))
+        assert interval_at(IDENTITY_33, 2, 3, 2) == ((2, 3), (3, 1))
 
     def test_leading_diagonal(self):
-        assert diagonal_interval(IDENTITY_33, 1, 1, 2) == ((1, 1), (2, 2))
+        assert interval_at(IDENTITY_33, 1, 1, 2) == ((1, 1), (2, 2))
 
     def test_r_one_is_a_single_cell(self):
         order = canonical_order((1, 3, 2), (1, 2, 3))
-        assert diagonal_interval(order, 2, 3, 1) == ((3, 3),)
+        assert interval_at(order, 2, 3, 1) == ((3, 3),)
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 7) for m in range(1, 7)])
+    def test_every_start_equals_the_definition(self, n, m):
+        # Every r up to min(n, m), so the repeats at r = n = m too.
+        starts = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+        for order in _orders_to_cross_check(n, m):
+            for r in range(1, min(n, m) + 1):
+                assert diagonal_intervals(order.rows, order.cols, r) == [
+                    diagonal_interval(order, i, j, r) for i, j in starts
+                ]
 
     def test_all_starts_distinct_at_half_range(self):
         assert len(all_intervals(IDENTITY_33, 1)) == 9
@@ -136,9 +173,9 @@ class TestIntervals:
 
     def test_r_out_of_range(self):
         with pytest.raises(InputError):
-            diagonal_interval(IDENTITY_33, 1, 1, 4)
+            diagonal_intervals(IDENTITY_33.rows, IDENTITY_33.cols, 4)
         with pytest.raises(InputError):
-            diagonal_interval(IDENTITY_33, 1, 1, 0)
+            diagonal_intervals(IDENTITY_33.rows, IDENTITY_33.cols, 0)
 
 
 class TestIntervalStart:
@@ -152,7 +189,7 @@ class TestIntervalStart:
     @given(perm_pairs(4, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 2))
     def test_round_trip(self, pair, i, j, r):
         order = canonical_order(*pair)
-        placement = diagonal_interval(order, i, j, r)
+        placement = interval_at(order, i, j, r)
         assert interval_start(order, placement) == (i, j)
 
     def test_membership_agrees_with_all_intervals(self):
@@ -503,10 +540,14 @@ class TestFactoredTally:
     def test_the_one_join_covers_the_distinct_identity_intervals(self, n, m):
         # The tally joins every start, or row 1's alone at r = n = m: the
         # first starts of the identity order's distinct intervals.
+        order = reference_order(n, m)
+        every = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
         for r in range(1, min(n, m) + 1):
-            starts = list(cycles._distinct_intervals(reference_order(n, m), r).values())
+            first: dict = {}
+            for start, interval in zip(every, diagonal_intervals(order.rows, order.cols, r)):
+                first.setdefault(interval, start)
             rows = [1] if r == n == m else range(1, n + 1)
-            assert starts == [(i, j) for i in rows for j in range(1, m + 1)]
+            assert list(first.values()) == [(i, j) for i in rows for j in range(1, m + 1)]
 
     def test_families_of_one_context_share_one_tally(self, monkeypatch):
         from ekrcheck import cycles

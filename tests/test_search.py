@@ -37,7 +37,8 @@ from ekrcheck import (
 )
 from ekrcheck.errors import InputError, ResourceLimitError
 from helpers import (
-    brute_force_max_intersecting, one_orbit_by_walk, rook_symmetries, twin_symmetries,
+    brute_force_max_intersecting, first_starts, one_orbit_by_walk, rook_symmetries,
+    twin_symmetries,
 )
 
 
@@ -554,6 +555,20 @@ class TestOrbitBound:
         monkeypatch.setattr(search, "_orbit_bound", lambda unique, structures: None)
         assert bounded == [graph_ekr_report(g, r) for r in range(1, n + 1)]
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_graph_runs_are_the_runs_of_the_cycle(self, n, monkeypatch):
+        # The search is stubbed out, so only the structures it is given count.
+        given = []
+
+        def stub(sets, budget, orbit, structures):
+            given.append(structures)
+            return 0, ()
+
+        monkeypatch.setattr(search, "max_intersecting_family", stub)
+        for r in range(1, n + 1):
+            graph_ekr_report(empty_graph(n), r)
+        assert given == [runs(n, r) for r in range(1, n + 1)]
+
     @pytest.mark.parametrize("n, m", [
         (n, m) for n in range(1, 25) for m in range(1, 25) if n * m <= 24
     ])
@@ -566,9 +581,9 @@ class TestOrbitBound:
             assert (report.max_intersecting, report.witness) == max_intersecting_family(
                 placements, orbit=search._rook_orbit(n, m, r)
             )
-            # The diagonals built in search are the intervals of cycles.
+            # The diagonals search gives are the identity order's intervals.
             (structures, value), = bounds
-            assert list(dict.fromkeys(structures)) == list(cycles._distinct_intervals(order, r))
+            assert list(dict.fromkeys(structures)) == list(first_starts(order, r))
             assert value >= report.max_intersecting
             if 2 * r <= min(n, m):
                 assert value == report.best_star
