@@ -220,36 +220,30 @@ def _run_double_count(args, parameters) -> tuple[dict, dict | None, int]:
             rook.random_intersecting_family(args.n, args.m, args.r, Random(args.seed + i))
             for i in range(args.samples)
         ]
-    checked = []
     counterexample = None
     double_counts = cycles.interval_double_counts(families)
     bound = None
     if families:  # all on the grid and at the r of the parameters
         bound = parameters["r"] * counts.cyclic_order_count(parameters["n"], parameters["m"])
+    all_equal = all_within_bound = True
     for family, (lhs, rhs) in zip(families, double_counts):
-        intersecting = rook.pairwise_intersecting(family)
-        entry = {
-            "size": len(family),
-            "lhs": lhs,
-            "rhs": rhs,
-            "equal": lhs == rhs,
-            "intersecting": intersecting,
-            "within_bound": (not intersecting) or lhs <= bound,
-        }
-        checked.append(entry)
-        if counterexample is None and not (entry["equal"] and entry["within_bound"]):
+        # Only an intersecting family is held to the bound.
+        within_bound = lhs <= bound or not rook.pairwise_intersecting(family)
+        all_equal &= lhs == rhs
+        all_within_bound &= within_bound
+        if counterexample is None and not (lhs == rhs and within_bound):
             from .witness import double_count_payload
 
             counterexample = double_count_payload(family, lhs, rhs, bound)
     result = {
-        "families": len(checked),
-        "all_equal": all(entry["equal"] for entry in checked),
-        "all_within_bound": all(entry["within_bound"] for entry in checked),
+        "families": len(families),
+        "all_equal": all_equal,
+        "all_within_bound": all_within_bound,
         "bound": bound,
-        "max_lhs": max((entry["lhs"] for entry in checked), default=0),
+        "max_lhs": max((lhs for lhs, _ in double_counts), default=0),
     }
-    if len(checked) == 1:
-        result.update(lhs=checked[0]["lhs"], rhs=checked[0]["rhs"])
+    if len(families) == 1:
+        result.update(lhs=double_counts[0].lhs, rhs=double_counts[0].rhs)
     return result, counterexample, 0 if counterexample is None else 1
 
 
@@ -327,18 +321,17 @@ def _run_ht(args, parameters) -> tuple[dict, dict | None, int]:
     mu = graphs.min_maximal_independent_size(g, args.vertex_budget)
     # The conjectured range is 1..mu/2, empty when mu < 2.
     reports = []
+    counterexample = None
     for r in range(1, mu // 2 + 1):
         with bounds_of(f"r={r}"):
-            reports.append(search.graph_ekr_report(
+            report = search.graph_ekr_report(
                 g, r, budget, args.budget_sets, args.vertex_budget, known_min_maximal=mu
-            ))
-    counterexample = None
-    for report in reports:
-        if not report.holds:
+            )
+        reports.append(report)
+        if counterexample is None and not report.holds:
             from .witness import family_exceeds_star_payload
 
             counterexample = family_exceeds_star_payload(report, g)
-            break
     result = {
         "min_maximal_independent_size": mu,
         "reports": [report.to_json_dict() for report in reports],

@@ -95,9 +95,6 @@ class Family(Record):
     def __iter__(self) -> Iterator[Placement]:
         return iter(self.sets)
 
-    def __contains__(self, placement: object) -> bool:
-        return placement in self.sets
-
 
 def enumerate_placements(
     n: int,

@@ -430,26 +430,6 @@ def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> tuple[list
     return adjacency, max(star, min(len(members), 1))
 
 
-def _lex_smallest_maximum(
-    members: Sequence[tuple],
-    budget: SearchBudget,
-    offset: int = 0,
-    upper_bound: int | None = None,
-) -> tuple[tuple, ...]:
-    """The lexicographically smallest maximum intersecting subfamily of the
-    sorted distinct ``members``; ``offset`` and ``upper_bound`` as in
-    ``_CliqueEngine``, the bound counting the offset's members too."""
-    adjacency, seed = _compatibility(members, budget)
-    engine = _CliqueEngine(adjacency, budget, offset)
-    size = engine.max_clique_size(
-        initial_best=seed, upper_bound=None if upper_bound is None else upper_bound - offset
-    )
-    clique = engine.lex_smallest_clique(size)
-    if len(clique) != size:
-        raise RuntimeError("internal error: witness size does not match the reported maximum")
-    return tuple(members[i] for i in clique)
-
-
 def _fills_orbit(unique: Sequence[tuple], orbit: Orbit, budget: SearchBudget) -> bool:
     """True iff the sorted distinct family ``unique`` passes the count
     check of the module docstring against ``orbit``."""
@@ -507,14 +487,21 @@ def max_intersecting_family(
     unique = sorted(dict.fromkeys(sets))
     if not unique:
         return 0, ()
+    # When the family fills the orbit (module docstring), the first set heads
+    # the witness and only the sets that meet it are searched; the offset
+    # counts it in the bounds of a budget exit.
+    head, members, bound = (), unique, None
     if orbit and _fills_orbit(unique, orbit, budget):
+        head, first = unique[:1], set(unique[0])
+        members = [member for member in unique[1:] if not first.isdisjoint(member)]
         bound = _orbit_bound(unique, structures) if structures else None
-        first = set(unique[0])
-        neighbours = [member for member in unique[1:] if not first.isdisjoint(member)]
-        witness = (unique[0],) + _lex_smallest_maximum(neighbours, budget, 1, bound)
-    else:
-        witness = _lex_smallest_maximum(unique, budget)
-
+    offset = len(head)
+    adjacency, seed = _compatibility(members, budget)
+    engine = _CliqueEngine(adjacency, budget, offset)
+    size = engine.max_clique_size(seed, None if bound is None else bound - offset)
+    witness = (*head, *(members[i] for i in engine.lex_smallest_clique(size)))
+    if len(witness) != offset + size:
+        raise RuntimeError("internal error: witness size does not match the reported maximum")
     if not pairwise_intersecting(witness):
         raise RuntimeError("internal error: witness is not pairwise intersecting")
     return len(witness), witness

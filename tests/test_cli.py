@@ -622,6 +622,102 @@ class TestViolationsAndWitnesses:
         assert "counterexample" in err
 
 
+class TestForcedCounterexamples:
+    """Each sweep's counterexample producer, forced by a faulty stub: the
+    run exits 1 with the payload, and check-witness, whose recomputation
+    is correct, refutes it once the stub is gone."""
+
+    def run(self, monkeypatch, capsys, argv: list[str]) -> dict:
+        assert main([*argv, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()
+        assert _check_witness_in_process(report)[0] == 1
+        return report
+
+    def test_occurrence(self, monkeypatch, capsys):
+        original = cycles.interval_tally
+
+        def off_by_one(*args):
+            tally = original(*args)
+            return {placement: count + 1 for placement, count in tally.items()}
+
+        monkeypatch.setattr(cycles, "interval_tally", off_by_one)
+        report = self.run(monkeypatch, capsys, ["occurrence", "--n", "4", "--m", "4", "--r", "2"])
+        expected = counts.interval_occurrence_count(4, 4, 2)
+        assert report["result"]["all_match"] is False
+        assert report["counterexample"] == {
+            "kind": "occurrence_mismatch", "n": 4, "m": 4, "placement": [[1, 1], [2, 2]],
+            "expected": expected, "found": expected + 1,
+        }
+
+    def test_double_count(self, monkeypatch, capsys):
+        original = cycles.interval_double_counts
+
+        def unequal(families):
+            return [cycles.DoubleCount(lhs, rhs + 1) for lhs, rhs in original(families)]
+
+        monkeypatch.setattr(cycles, "interval_double_counts", unequal)
+        argv = ["double-count", "--n", "4", "--m", "4", "--r", "2", "--samples", "2"]
+        report = self.run(monkeypatch, capsys, argv)
+        payload = report["counterexample"]
+        assert report["result"]["all_equal"] is False
+        assert payload["kind"] == "double_count_violation"
+        assert (payload["family"]["n"], payload["family"]["m"], payload["family"]["r"]) == (4, 4, 2)
+        assert payload["rhs"] == payload["lhs"] + 1
+        assert payload["bound"] == report["result"]["bound"] == 2 * 36
+
+    @pytest.mark.parametrize("lhs, asked", [(72, 0), (73, 1)])
+    def test_only_an_intersecting_family_is_held_to_the_bound(
+        self, monkeypatch, capsys, tmp_path, lhs, asked
+    ):
+        # Two disjoint placements, so an lhs above the bound, r times the
+        # orders, is no fault; whether they meet is asked only then.
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"n": 4, "m": 4, "r": 2, "sets": [
+            [[1, 1], [2, 2]], [[3, 3], [4, 4]],
+        ]}))
+        monkeypatch.setattr(cycles, "interval_double_counts",
+                            lambda families: [cycles.DoubleCount(lhs, lhs)])
+        calls = []
+        original = rook.pairwise_intersecting
+
+        def counted(family):
+            calls.append(family)
+            return original(family)
+
+        monkeypatch.setattr(rook, "pairwise_intersecting", counted)
+        assert main(["double-count", "--family", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counterexample"] is None
+        assert report["result"]["all_within_bound"] is True
+        assert (report["result"]["lhs"], report["result"]["bound"]) == (lhs, 72)
+        assert len(calls) == asked
+
+    def test_ht(self, monkeypatch, capsys):
+        original = search.graph_ekr_report
+
+        def failing_from_r2(g, r, *args, **kwargs):
+            report = original(g, r, *args, **kwargs)
+            if r < 2:
+                return report
+            return search.EkrReport(
+                report.parameters, report.max_intersecting, report.max_intersecting - 1,
+                search.VERDICT_FAILS, report.witness, report.elapsed,
+            )
+
+        monkeypatch.setattr(search, "graph_ekr_report", failing_from_r2)
+        report = self.run(monkeypatch, capsys, ["ht", "--graph", "E8"])
+        result, payload = report["result"], report["counterexample"]
+        # Every r is still reported, and the first failure gives the payload.
+        assert [entry["verdict"] for entry in result["reports"]] == \
+            ["EKR_HOLDS"] + ["EKR_FAILS"] * 3
+        assert result["all_hold"] is False
+        assert payload["kind"] == "intersecting_family_exceeds_star"
+        assert payload["context"]["r"] == 2
+        assert payload["family"] == result["reports"][1]["witness"]
+        assert len(payload["family"]) == 7 and payload["best_star"] == 6
+
+
 class TestOutputContract:
     def test_json_mode_emits_exactly_one_document(self):
         _, out, _ = run_cli("verify", "--n", "3", "--m", "3", "--r", "1", "--json")

@@ -196,6 +196,7 @@ class TestFamily:
     def test_build_deduplicates_and_sorts(self):
         family = Family.build(3, 3, 2, [[[2, 2], [1, 1]], [[1, 1], [2, 2]]])
         assert family.sets == (((1, 1), (2, 2)),)
+        assert ((1, 1), (2, 2)) in family and ((1, 2), (2, 1)) not in family
 
     def test_wrong_size_member_rejected(self):
         with pytest.raises(InputError, match=r"sets\[1\]"):
