@@ -5,10 +5,10 @@ compatibility graph whose vertices are the input sets and whose edges join
 intersecting pairs.  The engine is a branch-and-bound search with a
 coloring upper bound (greedy at the root, re-numbered as in Tomita et al.'s
 MCS below it), branching in the caller's lexicographic vertex order; a
-second, single depth-first pass in the same order (tried first along its
-leftmost path alone) stops at the first maximum clique it reaches, which is
-the lexicographically smallest maximum family, so results are deterministic
-regardless of how work is scheduled.
+second, single depth-first pass in the same order stops at the first
+maximum clique it reaches, which is the lexicographically smallest maximum
+family, so results are deterministic regardless of how work is scheduled.
+The engine runs only when the sorted prefix (below) does not answer.
 Both searches keep their own stack, so a clique of any size fits.
 
 Symmetry reduction.  A caller may pass an orbit ``(label, size)``, having
@@ -71,14 +71,24 @@ theorem*, JCTB 1972) is the case where S is the intervals of a cyclic
 order, and the clique-coclique bound (Godsil-Meagher, *Erdos-Ko-Rado
 Theorems: Algebraic Approaches*, 2016) the case of a disjoint S, k_S = 1.
 ``_orbit_bound`` keeps the caller's structures that are members of V as
-S, and the max phase stops once it reaches the bound, so when the star
-seed meets it no node is searched; the witness pass runs as before.
-``graph_ekr_report`` passes the runs of r consecutive labels of the cycle
-1..n: on E_n with n >= 2r they are n r-sets with k_S = r, a bound of
-r*C(n, r)/n = C(n-1, r-1), the star.  ``rook_ekr_report`` passes the
+S; the bound, less the first set, caps the search of the sets that meet
+it.  ``graph_ekr_report`` passes the runs of r consecutive labels of the
+cycle 1..n: on E_n with n >= 2r they are n r-sets with k_S = r, a bound
+of r*C(n, r)/n = C(n-1, r-1), the star.  ``rook_ekr_report`` passes the
 diagonal intervals of the identity cyclic order, the cells (i+t, j+t) for
 t < r, rows mod n and columns mod m: with 2r <= min(n, m) they are nm
 placements with k_S = r, a bound of r*C(n, r)*C(m, r)*r!/(nm), the star.
+
+Sorted prefix.  The first k of the sorted distinct searched sets are
+their lexicographically smallest k-family: the j-th member of a sorted
+k-family has index at least j, so it is no smaller than the j-th set.
+So when they meet pairwise and k is a proved upper bound, they are the
+lexicographically smallest maximum family.  ``max_intersecting_family``
+tests this before the engine, with k the orbit bound less the offset or,
+without a bound, the number of sets; and before the witness pass, with k
+the exact maximum.  The sets through the least element begin with it, so
+they come first: when the bound is their star, as in both verdicts'
+theorem range, no engine is built on V.
 """
 
 from __future__ import annotations
@@ -273,23 +283,16 @@ class _CliqueEngine:
                 order.append((bit.bit_length() - 1, color))
         return order
 
-    def max_clique_size(self, initial_best: int = 0, upper_bound: int | None = None) -> int:
+    def max_clique_size(self, initial_best: int, stop: int) -> int:
         """Exact maximum clique size; ``initial_best`` must be attainable.
 
-        ``upper_bound``, when given, is a proved bound (the orbit bound of
-        the module docstring): the search stops once it reaches it, at the
-        root without coloring when ``initial_best`` already does.  A bound below ``initial_best`` is
-        refused, since one of them is wrong.
+        ``stop`` is a proved bound, at least ``initial_best`` (the caller
+        refuses a lower one): the search stops once it reaches it, at the
+        root without coloring when ``initial_best`` already does.
         """
-        if upper_bound is not None and upper_bound < initial_best:
-            raise RuntimeError(
-                f"internal error: the proved upper bound {upper_bound} is below "
-                f"an attained clique of {initial_best}"
-            )
         self.best = initial_best
-        stop = self._count if upper_bound is None else upper_bound
         full = self.full_mask()
-        if full and self.best < stop:
+        if self.best < stop:
             colored = self._branch_order(full, 0)
             self.root_bound = min(colored[-1][1], stop)
             if self.root_bound > self.best:
@@ -366,27 +369,9 @@ class _CliqueEngine:
 
         ``stack[k]`` holds the candidates not yet tried after a prefix of k
         vertices, so ``chosen`` is always one shorter than the stack.
-
-        Before that pass, a probe follows the leftmost path alone: it takes
-        the lowest-index candidate and keeps its later neighbours among the
-        candidates, once per level.  The unpruned search enters that path
-        first and goes down it without backtracking, so if the path reaches
-        ``target`` vertices, its first ``target`` vertices are the first
-        clique of that size the search reaches, and the probe returns them
-        without coloring anything.  Otherwise the pass runs as described.
         """
-        if target == 0:
-            return ()
         chosen: list[int] = []
-        full = candidates = self.full_mask()
-        while candidates and len(chosen) < target:
-            self._tick()
-            v = (candidates & -candidates).bit_length() - 1
-            chosen.append(v)
-            candidates &= self._adj[v]
-        if len(chosen) == target:
-            return tuple(chosen)
-        chosen.clear()
+        full = self.full_mask()
         stack = [full] if self._may_hold(full, target) else []
         while stack:
             candidates = stack[-1]
@@ -409,25 +394,17 @@ class _CliqueEngine:
         raise RuntimeError("internal error: failed to rebuild a maximum clique")
 
 
-def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> tuple[list[int], int]:
+def _compatibility(members: Sequence[tuple], holders: dict, budget: SearchBudget) -> list[int]:
     """The compatibility masks of ``members`` (bit j of mask i is set when
-    members i and j differ and meet), and a clique to seed the search with:
-    every member when each meets every other, so that no node colours the
-    complete graph, and otherwise the largest star among them or a single
-    member (which may be the empty set, with no elements at all).  Both
-    read ``rook.element_masks``: the star is its largest popcount."""
-    holders = element_masks(members)
+    members i and j differ and meet), read from their element index
+    ``holders`` (``rook.element_masks``)."""
     adjacency = [0] * len(members)
     for index, member in enumerate(members):
         if index % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
             budget.check_deadline("building the compatibility masks")
         mask = reduce(or_, map(holders.__getitem__, member), 0)
         adjacency[index] = mask & ~(1 << index)
-    everyone = (1 << len(members)) - 1
-    if all(mask | (1 << index) == everyone for index, mask in enumerate(adjacency)):
-        return adjacency, len(members)
-    star = max((mask.bit_count() for mask in holders.values()), default=0)
-    return adjacency, max(star, min(len(members), 1))
+    return adjacency
 
 
 def _fills_orbit(unique: Sequence[tuple], orbit: Orbit, budget: SearchBudget) -> bool:
@@ -456,9 +433,8 @@ def _orbit_bound(unique: Sequence[tuple], structures: Sequence[tuple]) -> int | 
             kept.append(structure)
     if not kept:
         return None
-    budget = SearchBudget()  # its own, so no exit reports k_S's bounds as the family's
-    adjacency, seed = _compatibility(kept, budget)
-    return _CliqueEngine(adjacency, budget).max_clique_size(seed) * len(unique) // len(kept)
+    # Its own budget, so no exit reports k_S's bounds as the family's.
+    return max_intersecting_family(kept, SearchBudget())[0] * len(unique) // len(kept)
 
 
 def max_intersecting_family(
@@ -475,7 +451,8 @@ def max_intersecting_family(
     against it (module docstring), only the sets that meet the first set
     are searched; otherwise, or without it, the whole family is.  When it
     passes, the orbit bound is taken with S the ``structures`` that are
-    members of the family; the maximum search stops at it.
+    members of the family; the maximum search stops at it.  The sorted
+    prefix (module docstring) is tried at the bound and at the maximum.
     Certified before returning: the witness is pairwise intersecting and
     has the reported size.
     """
@@ -496,14 +473,31 @@ def max_intersecting_family(
         members = [member for member in unique[1:] if not first.isdisjoint(member)]
         bound = _orbit_bound(unique, structures) if structures else None
     offset = len(head)
-    adjacency, seed = _compatibility(members, budget)
-    engine = _CliqueEngine(adjacency, budget, offset)
-    size = engine.max_clique_size(seed, None if bound is None else bound - offset)
-    witness = (*head, *(members[i] for i in engine.lex_smallest_clique(size)))
-    if len(witness) != offset + size:
-        raise RuntimeError("internal error: witness size does not match the reported maximum")
+    # One element index serves the seed and the rows.  The seed is the largest
+    # star, or a single member (maybe the empty set, with no elements at all).
+    holders = element_masks(members)
+    seed = max(max((mask.bit_count() for mask in holders.values()), default=0),
+               min(len(members), 1))
+    limit = len(members) if bound is None else min(bound - offset, len(members))
+    if limit < seed:
+        raise RuntimeError(
+            f"internal error: the proved upper bound {offset + limit} is below "
+            f"an attained clique of {offset + seed}"
+        )
+    # The sorted prefix (module docstring) at the bound, then at the maximum.
+    witness = (*head, *members[:limit])
     if not pairwise_intersecting(witness):
-        raise RuntimeError("internal error: witness is not pairwise intersecting")
+        engine = _CliqueEngine(_compatibility(members, holders, budget), budget, offset)
+        size = engine.max_clique_size(seed, limit)
+        witness = (*head, *members[:size])
+        if not pairwise_intersecting(witness):
+            witness = (*head, *(members[i] for i in engine.lex_smallest_clique(size)))
+            if len(witness) != offset + size:
+                raise RuntimeError(
+                    "internal error: witness size does not match the reported maximum"
+                )
+            if not pairwise_intersecting(witness):
+                raise RuntimeError("internal error: witness is not pairwise intersecting")
     return len(witness), witness
 
 

@@ -58,23 +58,25 @@ class TestVerify:
 
     def test_budget_exhaustion_is_inconclusive(self):
         code, out, _ = run_cli(
-            "verify", "--n", "4", "--m", "4", "--r", "2", "--json", "--budget-nodes", "1"
+            "verify", "--n", "5", "--m", "5", "--r", "4", "--json", "--budget-nodes", "1"
         )
         assert code == 3
         report = json.loads(out)
         assert report["result"]["status"] == "inconclusive"
         assert report["result"]["lower_bound"] <= report["result"]["upper_bound"]
-        assert report["parameters"]["n"] == 4
+        assert report["parameters"]["n"] == 5
 
-    def test_witness_phase_budget_exit_reports_the_exact_maximum(self):
-        # At 5x5 r=2 the orbit bound closes the max search at its root; the
-        # witness pass needs 15 nodes.
-        code, out, _ = run_cli(
-            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "5"
-        )
-        assert code == 3
-        result = json.loads(out)["result"]
-        assert result["lower_bound"] == result["upper_bound"] == 16
+    def test_witness_phase_budget_exit_reports_the_exact_maximum(self, tmp_path, capsys):
+        # The max phase on this graph's 2-sets closes at its root, but their
+        # witness is not their sorted prefix, and its pass needs 5 nodes.
+        path = tmp_path / "g5.json"
+        path.write_text(json.dumps({"vertices": 5, "edges": [[1, 4], [1, 5], [3, 4]]}))
+        argv = ["lex", "--graph", str(path), "--k", "1", "--r", "2", "--json"]
+        assert main([*argv, "--budget-nodes", "4"]) == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["reason"] == "premise: clique search exceeded 4 nodes"
+        assert result["lower_bound"] == result["upper_bound"] == 4
+        assert main([*argv, "--budget-nodes", "5"]) == 0
 
     def test_max_phase_budget_exit_keeps_the_open_bounds(self):
         code, out, _ = run_cli(
@@ -87,23 +89,24 @@ class TestVerify:
         # search leaves out.
         assert (result["lower_bound"], result["upper_bound"]) == (96, 99)
 
-    def test_max_phase_closed_by_the_orbit_bound_exits_with_exact_bounds(self):
-        # At 5x5 r=2 the orbit bound is the star, so the max search stops at
-        # its root and the witness probe's first node exceeds the budget.
-        code, out, _ = run_cli(
-            "verify", "--n", "5", "--m", "5", "--r", "2", "--json", "--budget-nodes", "1"
-        )
-        assert code == 3
-        result = json.loads(out)["result"]
-        assert (result["lower_bound"], result["upper_bound"]) == (16, 16)
+    @pytest.mark.parametrize("n, r", [(4, 2), (5, 2)])
+    @pytest.mark.parametrize("budget", [
+        ["--budget-nodes", "1"], ["--budget-nodes", "5"], ["--budget-seconds", "0"],
+    ])
+    def test_max_phase_closed_by_the_orbit_bound_answers_under_any_budget(
+        self, capsys, n, r, budget
+    ):
+        # The orbit bound is the star, which is the sorted prefix, so no
+        # engine is built and the budget is never read.
+        argv = ["verify", "--n", str(n), "--m", str(n), "--r", str(r), "--json"]
+        assert main(argv) == 0
+        full = canonical_json_without_elapsed(capsys.readouterr().out)
+        assert main([*argv, *budget]) == 0
+        assert canonical_json_without_elapsed(capsys.readouterr().out) == full
 
     @pytest.mark.parametrize(
         "n, r, bounds",
         [
-            # The max search stops at the root bound without a node, so the
-            # witness probe's first node sees the deadline, with exact bounds.
-            (4, 2, (9, 9)),
-            (5, 2, (16, 16)),
             # The max search's first node sees it, with the open bounds.
             (5, 4, (96, 99)),
         ],
@@ -792,7 +795,7 @@ class TestOutputContract:
         (["count", "--n", "4", "--m", "4", "--r", "2"], 0),
         (["lex", "--graph", "E5", "--k", "2", "--r", "3", "--json"], 1),
         (["verify", "--n", "4", "--m", "4", "--json"], 2),
-        (["verify", "--n", "5", "--m", "5", "--r", "2", "--budget-nodes", "1", "--json"], 3),
+        (["verify", "--n", "5", "--m", "5", "--r", "4", "--budget-nodes", "1", "--json"], 3),
     ])
     def test_python_m_exits_as_main_returns(self, capsys, argv, code):
         proc_code, proc_out, _ = run_cli(*argv)
@@ -914,7 +917,7 @@ FAMILY = {"n": 3, "m": 3, "r": 1, "sets": [[[1, 1]]]}
 BUDGET_EXITS = [
     (["count", "--n", "3", "--m", "3", "--r", "1"], [], (cli, "COUNT_SIDE_BUDGET", 1)),
     (["enumerate", "--n", "3", "--m", "3", "--r", "1"], ["--budget-sets", "1"], None),
-    (["verify", "--n", "5", "--m", "5", "--r", "2"], ["--budget-nodes", "1"], None),
+    (["verify", "--n", "5", "--m", "5", "--r", "4"], ["--budget-nodes", "1"], None),
     (["lemma1", "--n", "4", "--m", "4"], [], (cycles, "INTERVAL_WORK_BUDGET", 0)),
     (["lemma1", "--n", "4", "--m", "4", "--r", "2"], [], (cycles, "INTERVAL_WORK_BUDGET", 0)),
     (["occurrence", "--n", "4", "--m", "4", "--r", "2"], ["--budget-sets", "1"], None),
@@ -937,13 +940,13 @@ class TestBudgetExitsNameTheirBounds:
     bounds it carries."""
 
     @pytest.mark.parametrize("argv, reason, bounds", [
-        # E10 answers r = 1 without a node; r = 2 stops at its first.
-        (["ht", "--graph", "E10", "--budget-seconds", "0"],
-         "r=2: clique search exceeded 0.0 seconds", (9, 9)),
+        # C10 answers r = 1 without a node; r = 2 stops at its first.
+        (["ht", "--graph", "C10", "--budget-seconds", "0"],
+         "r=2: clique search exceeded 0.0 seconds", (7, 10)),
         (["ht", "--graph", "E5", "--budget-sets", "0"],
          "r=1: more than 0 independent sets; raise the budget to enumerate", (None, None)),
-        (["lex", "--graph", "E4", "--k", "2", "--r", "2", "--budget-nodes", "0"],
-         "premise: clique search exceeded 0 nodes", (3, 3)),
+        (["lex", "--graph", "C10", "--k", "2", "--r", "2", "--budget-nodes", "0"],
+         "premise: clique search exceeded 0 nodes", (7, 10)),
         (["lex", "--graph", "E4", "--k", "2", "--r", "3", "--budget-nodes", "3"],
          "conclusion: clique search exceeded 3 nodes", (12, 16)),
     ], ids=["ht-seconds", "ht-sets", "lex-premise", "lex-conclusion"])
@@ -951,6 +954,18 @@ class TestBudgetExitsNameTheirBounds:
         assert main([*argv, "--json"]) == 3
         result = json.loads(capsys.readouterr().out)["result"]
         assert (result["reason"], result["lower_bound"], result["upper_bound"]) == (reason, *bounds)
+
+    @pytest.mark.parametrize("argv, budget", [
+        (["ht", "--graph", "E10"], ["--budget-seconds", "0"]),
+        (["lex", "--graph", "E4", "--k", "2", "--r", "2"], ["--budget-nodes", "0"]),
+    ])
+    def test_reports_the_sorted_prefix_answers_read_no_budget(self, capsys, argv, budget):
+        # Each report's witness is the sorted prefix of its sets, taken
+        # before any node, so a spent budget gives the unbudgeted report.
+        assert main([*argv, "--json"]) == 0
+        full = canonical_json_without_elapsed(capsys.readouterr().out)
+        assert main([*argv, *budget, "--json"]) == 0
+        assert canonical_json_without_elapsed(capsys.readouterr().out) == full
 
     def test_an_exit_before_the_reports_is_not_prefixed(self, tmp_path, capsys):
         # mu, found before any r, is past the vertex budget.

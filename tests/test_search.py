@@ -36,6 +36,7 @@ from ekrcheck import (
     SimpleGraph,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
+from ekrcheck.rook import element_masks
 from helpers import (
     brute_force_max_intersecting, first_starts, one_orbit_by_walk, rook_symmetries,
     twin_symmetries,
@@ -122,12 +123,33 @@ class TestMaxIntersectingFamily:
         assert max_intersecting_family(shuffled) == expected
 
     def test_node_budget_reports_bounds(self):
+        # At 4x4 r=2 the root's coloring meets the star seed and the star is
+        # the sorted prefix, so no node is searched and any budget answers.
+        assert max_intersecting_family(
+            enumerate_placements(4, 4, 2), SearchBudget(max_nodes=1)
+        )[0] == 9
         with pytest.raises(ResourceLimitError) as info:
             max_intersecting_family(
-                enumerate_placements(4, 4, 2), SearchBudget(max_nodes=1)
+                enumerate_placements(5, 5, 4), SearchBudget(max_nodes=1)
             )
-        assert info.value.lower_bound >= 9
-        assert info.value.upper_bound >= info.value.lower_bound
+        assert (info.value.lower_bound, info.value.upper_bound) == (96, 133)
+
+    def test_a_witness_that_is_not_the_sorted_prefix(self, engines):
+        # The first four sets are not intersecting, (1, 3) and (2, 4) being
+        # disjoint, so the witness pass searches: it is the smallest family
+        # of the four sets through 2.
+        g = SimpleGraph(5, [(1, 4), (1, 5), (3, 4)])
+        sets = enumerate_independent(g, 2)
+        witness = ((1, 2), (2, 3), (2, 4), (2, 5))
+        assert tuple(sets[:4]) != witness == brute_lex_min_max_family(sets)
+        assert max_intersecting_family(sets) == (4, witness)
+        assert graph_ekr_report(g, 2).witness == witness
+        # The max phase closes at its root, and the witness pass needs five
+        # nodes, so a budget of four exits in it with exact bounds.
+        assert engines == [(7, 0), (7, 0)]
+        with pytest.raises(ResourceLimitError) as info:
+            max_intersecting_family(sets, SearchBudget(max_nodes=4))
+        assert (info.value.lower_bound, info.value.upper_bound) == (4, 4)
 
     def test_clique_deeper_than_the_recursion_limit(self):
         sets = [(0, i) for i in range(1, 1101)]
@@ -145,9 +167,9 @@ class TestMaxIntersectingFamily:
         budget = SearchBudget(max_seconds=0.05)
         time.sleep(0.1)
         with pytest.raises(ResourceLimitError, match="0.05 seconds") as info:
-            max_intersecting_family(enumerate_placements(4, 4, 2), budget)
+            max_intersecting_family(enumerate_placements(5, 5, 4), budget)
         # Stopped at the first node: nothing beyond the seed star is known.
-        assert info.value.lower_bound == 9
+        assert info.value.lower_bound == 96
 
 
 def expired_budget() -> SearchBudget:
@@ -168,8 +190,9 @@ def no_engine(monkeypatch):
 
 class TestClockBeforeTheFirstNode:
     """With 1,024 sets or more, an expired budget stops the search before
-    its clique engine is built; smaller families reach the engine's first
-    node, which reports bounds (TestMaxIntersectingFamily)."""
+    its clique engine is built; smaller families that their sorted prefix
+    does not answer reach the engine's first node, which reports bounds
+    (TestMaxIntersectingFamily)."""
 
     def test_after_enumeration(self, no_engine):
         with pytest.raises(ResourceLimitError) as info:
@@ -187,7 +210,7 @@ class TestClockBeforeTheFirstNode:
     def test_while_building_the_masks(self, no_engine):
         members = enumerate_placements(6, 6, 3)
         with pytest.raises(ResourceLimitError, match="^building the compatibility masks exceeded"):
-            search._compatibility(members, expired_budget())
+            search._compatibility(members, element_masks(members), expired_budget())
 
     def test_every_node_reads_the_clock(self, monkeypatch):
         # A clock that moves one second per reading: a 5 s budget runs out
@@ -321,8 +344,8 @@ def engines(monkeypatch):
     runs = []
     original = search._CliqueEngine.max_clique_size
 
-    def spy(self, initial_best=0, upper_bound=None):
-        size = original(self, initial_best, upper_bound)
+    def spy(self, initial_best, stop):
+        size = original(self, initial_best, stop)
         runs.append((self._count, self._nodes))
         return size
 
@@ -330,10 +353,13 @@ def engines(monkeypatch):
     return runs
 
 
-def reduced_vertices(sets):
-    """Vertices of the engine that searches only the sets meeting the first."""
+def reduced_runs(sets):
+    """The vertex counts of the engines that a search of only the sets
+    meeting the first builds: none when those sets all meet, since they are
+    then the witness, and otherwise one on them."""
     unique = sorted(set(sets))
-    return sum(1 for member in unique[1:] if set(member) & set(unique[0]))
+    reduced = [member for member in unique[1:] if set(member) & set(unique[0])]
+    return [] if pairwise_intersecting(reduced) else [len(reduced)]
 
 
 def runs(n, r):
@@ -388,7 +414,7 @@ class TestSymmetryReduction:
             placements = enumerate_placements(n, m, r)
             engines.clear()
             reduced = max_intersecting_family(placements, orbit=search._rook_orbit(n, m, r))
-            assert engines[0][0] == reduced_vertices(placements)
+            assert [vertices for vertices, _ in engines] == reduced_runs(placements)
             assert reduced == max_intersecting_family(placements)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -398,7 +424,7 @@ class TestSymmetryReduction:
             sets = enumerate_independent(g, r)
             engines.clear()
             reduced = max_intersecting_family(sets, orbit=search._twin_orbit(g))
-            assert engines[0][0] == reduced_vertices(sets)
+            assert [vertices for vertices, _ in engines] == reduced_runs(sets)
             assert reduced == max_intersecting_family(sets)
 
     @settings(max_examples=60, deadline=None)
@@ -497,21 +523,22 @@ class TestSymmetryReduction:
         assert (report.max_intersecting, report.witness) == (1, (((1, 1),),))
         report = graph_ekr_report(empty_graph(5), 1)
         assert (report.max_intersecting, report.witness) == (1, ((1,),))
-        # Each report searches its structures for the orbit bound first.
-        assert [vertices for vertices, _ in engines] == [9, 0, 5, 0]
-        # Without structures, the engine runs are the search's alone.
+        # Each report searches its structures for the orbit bound; no set
+        # meets the first, so the empty prefix answers without an engine.
+        assert [vertices for vertices, _ in engines] == [9, 5]
         engines.clear()
         placements, g = enumerate_placements(3, 3, 1), empty_graph(5)
         assert max_intersecting_family(placements, orbit=search._rook_orbit(3, 3, 1))[0] == 1
         assert max_intersecting_family(enumerate_independent(g, 1),
                                        orbit=search._twin_orbit(g))[0] == 1
-        assert [vertices for vertices, _ in engines] == [0, 0]
+        assert engines == []
 
     def test_seven_by_seven_searches_the_first_placements_neighbourhood(self, engines):
         report = rook_ekr_report(7, 7, 3)
         assert report.max_intersecting == report.best_star == 450
-        # The 49 diagonal intervals, then no node on the 1,275 placements.
-        assert engines == [(49, 8), (1275, 0)]
+        # The 49 diagonal intervals alone: the bound is the star, which is
+        # the sorted prefix, so no engine is built on the 1,275 placements.
+        assert engines == [(49, 8)]
         engines.clear()
         max_intersecting_family(enumerate_placements(7, 7, 3), orbit=search._rook_orbit(7, 7, 3))
         assert engines == [(1275, 7)]
@@ -524,7 +551,7 @@ class TestSymmetryReduction:
         report = rook_ekr_report(9, 9, 3)
         assert report.max_intersecting == report.best_star == 1568
         assert report.witness == star_family(9, 9, 3, (1, 1)).sets
-        assert engines == [(81, 0), (4557, 0)]
+        assert engines == [(81, 0)]
         engines.clear()
         max_intersecting_family(enumerate_placements(9, 9, 3), orbit=search._rook_orbit(9, 9, 3))
         assert engines == [(4557, 9)]
@@ -546,9 +573,15 @@ def bounds(monkeypatch):
 
 class TestOrbitBound:
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_edgeless_reports_match_the_unbounded_search(self, n, bounds, monkeypatch):
+    def test_edgeless_reports_match_the_unbounded_search(self, n, bounds, engines, monkeypatch):
         g = empty_graph(n)
-        bounded = [graph_ekr_report(g, r) for r in range(1, n + 1)]
+        bounded = []
+        for r in range(1, n + 1):
+            engines.clear()
+            bounded.append(graph_ekr_report(g, r))
+            # In range, the one engine is k_S's, on the n runs; past half, the
+            # runs meet pairwise and so do the sets, and no engine is built.
+            assert [vertices for vertices, _ in engines] == ([n] if 2 * r <= n else [])
         values = [value for _, value in bounds]
         assert values[:n // 2] == [comb(n - 1, r - 1) for r in range(1, n // 2 + 1)]
         assert all(value >= report.max_intersecting for value, report in zip(values, bounded))
@@ -572,11 +605,16 @@ class TestOrbitBound:
     @pytest.mark.parametrize("n, m", [
         (n, m) for n in range(1, 25) for m in range(1, 25) if n * m <= 24
     ])
-    def test_rook_grids_agree_with_the_search_without_structures(self, n, m, bounds):
+    def test_rook_grids_agree_with_the_search_without_structures(self, n, m, bounds, engines):
         order = cycles.reference_order(n, m)
         for r in range(1, min(n, m) + 1):
             bounds.clear()
+            engines.clear()
             report = rook_ekr_report(n, m, r)
+            if 2 * r <= min(n, m):
+                # The bound is the star, which is the sorted prefix: the one
+                # engine is k_S's, on the n*m diagonal intervals.
+                assert [vertices for vertices, _ in engines] == [n * m]
             placements = enumerate_placements(n, m, r)
             assert (report.max_intersecting, report.witness) == max_intersecting_family(
                 placements, orbit=search._rook_orbit(n, m, r)
@@ -588,12 +626,18 @@ class TestOrbitBound:
             if 2 * r <= min(n, m):
                 assert value == report.best_star
 
-    def test_the_max_phase_stops_at_the_root(self, engines):
-        report = graph_ekr_report(empty_graph(10), 4)
-        assert report.max_intersecting == report.best_star == 84
-        # The 10 runs of the cycle, then no node on 194 sets.
-        assert engines[1:] == [(194, 0)]
-        assert engines[0][0] == 10
+    def test_the_max_phase_stops_at_the_root(self):
+        # Searched directly, E10 at r=4: the 194 sets that meet the first,
+        # with the bound less the first set.  A seed that meets the bound
+        # closes the max phase without a node; the unbounded search takes
+        # 306 (TestRenumberedColoring).
+        unique = sorted(enumerate_independent(empty_graph(10), 4))
+        members = [member for member in unique[1:] if set(member) & set(unique[0])]
+        engine = search._CliqueEngine(
+            search._compatibility(members, element_masks(members), SearchBudget()), SearchBudget()
+        )
+        assert engine.max_clique_size(83, search._orbit_bound(unique, runs(10, 4)) - 1) == 83
+        assert engine._nodes == 0
 
     def test_a_bound_below_the_seed_raises(self, monkeypatch):
         monkeypatch.setattr(search, "_orbit_bound", lambda unique, structures: comb(7, 2) - 1)
@@ -645,7 +689,7 @@ class TestOrbitBound:
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
         exact = search._CliqueEngine(adjacency, SearchBudget())
-        size = exact.max_clique_size(min(k, 1))
+        size = exact.max_clique_size(min(k, 1), k)
         bounded = search._CliqueEngine(adjacency, SearchBudget())
         assert bounded.max_clique_size(min(k, 1), min(size + slack, k)) == size
         assert bounded._nodes <= exact._nodes
@@ -656,51 +700,47 @@ def bits(mask):
 
 
 class TestCompleteFamilies:
-    """A family whose members all meet is seeded with all of them, so its
-    maximum phase colours nothing."""
+    """A family whose searched members all meet is its own witness: the
+    sorted prefix of all of them answers, and no engine is built."""
 
-    @pytest.mark.parametrize("members, seed", [
-        ([()], 1),
-        ([(), (1,)], 1),
-        ([(1, 2), (2, 3), (1, 3)], 3),
-        ([(1, 2), (2, 3), (3, 4)], 2),
-        ([(0, i) for i in range(1, 70)], 69),
+    @pytest.mark.parametrize("members, size, searched", [
+        ([()], 1, []),
+        ([(), (1,)], 1, [2]),
+        ([(1, 2), (2, 3), (1, 3)], 3, []),
+        ([(1, 2), (2, 3), (3, 4)], 2, [3]),
+        ([(0, i) for i in range(1, 70)], 69, []),
     ])
-    def test_seed(self, members, seed):
-        assert search._compatibility(members, SearchBudget())[1] == seed
+    def test_only_a_family_that_does_not_meet_is_searched(self, members, size, searched, engines):
+        assert max_intersecting_family(members) == (size, brute_lex_min_max_family(members))
+        assert [vertices for vertices, _ in engines] == searched
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(1, 6), max_size=4).map(tuple), max_size=8))
-    def test_rows_and_seed_match_a_pair_scan(self, members):
+    def test_rows_match_a_pair_scan(self, members):
         # Empty sets and repeated elements included.
-        adjacency, seed = search._compatibility(members, SearchBudget())
+        adjacency = search._compatibility(members, element_masks(members), SearchBudget())
         for i, member in enumerate(members):
             assert adjacency[i] == sum(
                 1 << j for j, other in enumerate(members) if j != i and set(member) & set(other)
             )
-        elements = {element for member in members for element in member}
-        star = max((sum(e in member for member in members) for e in elements), default=0)
-        if all(set(a) & set(b) for a, b in combinations(members, 2)):
-            assert seed == len(members)
-        else:
-            assert seed == max(star, min(len(members), 1))
 
     @pytest.mark.parametrize("n, r", [(10, 6), (12, 7)])
-    def test_edgeless_graphs_past_half(self, n, r, engines):
+    def test_edgeless_graphs_past_half(self, n, r, no_engine):
         # Every r-subset of [n] meets every other once 2r > n; the family
-        # beats the star.  Only the sets meeting the first are searched.
+        # beats the star.  Neither the report nor the search of the sets
+        # that meet the first builds an engine.
         report = graph_ekr_report(empty_graph(n), r)
         assert (report.max_intersecting, report.best_star) == (comb(n, r), comb(n - 1, r - 1))
         assert report.verdict == "OUT_OF_THEOREM_RANGE_FAILS"
         assert report.witness == tuple(combinations(range(1, n + 1), r))
-        engines.clear()
         g = empty_graph(n)
-        max_intersecting_family(enumerate_independent(g, r), orbit=search._twin_orbit(g))
-        assert engines == [(comb(n, r) - 1, 0)]
+        assert max_intersecting_family(
+            enumerate_independent(g, r), orbit=search._twin_orbit(g)
+        ) == (report.max_intersecting, report.witness)
 
 
 class TestRenumberedColoring:
-    # The edgeless graphs are searched here without the structures that
+    # The graphs are searched here without the structures that
     # graph_ekr_report gives them, so the counts still pin the engine.
 
     @pytest.mark.parametrize("n, vertices, nodes", [(9, 120, 854), (10, 194, 306)])
@@ -716,7 +756,8 @@ class TestRenumberedColoring:
         g = empty_graph(10)
         for r in range(1, 6):
             max_intersecting_family(enumerate_independent(g, r), orbit=search._twin_orbit(g))
-        assert engines == [(0, 0), (16, 0), (84, 13), (194, 306), (250, 0)]
+        # At r=1 no set meets the first, so no engine is built.
+        assert engines == [(16, 0), (84, 13), (194, 306), (250, 0)]
 
     @pytest.mark.parametrize("g, runs", [
         (cartesian_product(cycle_graph(4), cycle_graph(6)), [(24, 0), (228, 30), (1112, 166)]),
@@ -724,10 +765,9 @@ class TestRenumberedColoring:
     ], ids=["C4xC6", "P4xC5"])
     def test_sweep_max_phase_node_counts(self, g, runs, engines):
         # Deterministic, so an engine change can quote exact before and after.
-        # The reports are those of an ht run: r = 1..mu/2.
-        mu = min_maximal_independent_size(g)
-        for r in range(1, mu // 2 + 1):
-            graph_ekr_report(g, r, known_min_maximal=mu)
+        # The sets are those of an ht run: r = 1..mu/2.
+        for r in range(1, min_maximal_independent_size(g) // 2 + 1):
+            max_intersecting_family(enumerate_independent(g, r))
         assert engines == runs
 
     @settings(max_examples=300, deadline=None)
