@@ -80,10 +80,8 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "EkrReport",
-            "LexCheckResult",
             "SearchBudget",
             "graph_ekr_report",
-            "lex_product_check",
             "max_intersecting_family",
             "rook_ekr_report",
         ),

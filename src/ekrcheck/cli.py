@@ -341,26 +341,31 @@ def _run_ht(args, parameters) -> tuple[dict, dict | None, int]:
 
 
 def _run_lex(args, parameters) -> tuple[dict, dict | None, int]:
-    from . import search
+    from . import graphs, search
 
     g = _graph_argument(args.graph, args.vertex_budget)
-    outcome = search.lex_product_check(
-        g, args.k, args.r,
-        budget=_budget(args), max_sets=args.budget_sets, vertex_budget=args.vertex_budget,
-    )
+    if args.k < 1:
+        raise InputError(f"k must be at least 1, got {args.k}")
+    limits = (_budget(args), args.budget_sets, args.vertex_budget)
+    # If G is r-EKR, so is G[K_k]; a budget exit names the report it was in.
+    with bounds_of("premise"):
+        premise = search.graph_ekr_report(g, args.r, *limits)
+    product = graphs.lexicographic_product(g, graphs.complete_graph(args.k))
+    with bounds_of("conclusion"):
+        conclusion = search.graph_ekr_report(product, args.r, *limits)
     # A violation is a failed conclusion, whose family is reported first.
     counterexample = None
-    if not (outcome.premise.holds and outcome.conclusion.holds):
+    if not (premise.holds and conclusion.holds):
         from .witness import family_exceeds_star_payload
 
-        if outcome.conclusion.holds:
-            counterexample = family_exceeds_star_payload(outcome.premise, g)
+        if conclusion.holds:
+            counterexample = family_exceeds_star_payload(premise, g)
         else:
-            counterexample = family_exceeds_star_payload(outcome.conclusion, outcome.product)
+            counterexample = family_exceeds_star_payload(conclusion, product)
     result = {
-        "premise": outcome.premise.to_json_dict(),
-        "conclusion": outcome.conclusion.to_json_dict(),
-        "implication_violated": outcome.violation,
+        "premise": premise.to_json_dict(),
+        "conclusion": conclusion.to_json_dict(),
+        "implication_violated": premise.holds and not conclusion.holds,
     }
     return result, counterexample, 0 if counterexample is None else 1
 

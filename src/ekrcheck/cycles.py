@@ -437,30 +437,28 @@ def check_interval_windows(order: CyclicOrder, start_i: int, start_j: int, r: in
     for iv in intervals:
         by_projection.setdefault(row_projection(iv), []).append(iv)
 
+    def failed(failure: str, *witness: Placement) -> WindowReport:
+        return WindowReport(False, order, start, r, failure=failure, witness=witness)
+
     base_cells = set(base)
     for iv in intervals:
         if iv != base and not base_cells.isdisjoint(iv) and row_projection(iv) not in windows:
-            return WindowReport(
-                False, order, start, r,
-                failure="interval meets the base but its row projection is not a window",
-                witness=(base, iv),
+            return failed(
+                "interval meets the base but its row projection is not a window", base, iv
             )
     for off in range(r - 1):
         for fwd in by_projection.get(forward[off], ()):
             for bwd in by_projection.get(backward[off], ()):
                 if not set(fwd).isdisjoint(bwd):
-                    return WindowReport(
-                        False, order, start, r,
-                        failure=f"forward and backward window intervals overlap at offset {off + 1}",
-                        witness=(fwd, bwd),
+                    return failed(
+                        f"forward and backward window intervals overlap at offset {off + 1}",
+                        fwd, bwd,
                     )
     for window in windows:
         for a, b in combinations(by_projection.get(window, ()), 2):
             if not set(a).isdisjoint(b):
-                return WindowReport(
-                    False, order, start, r,
-                    failure="two distinct intervals with the same window projection overlap",
-                    witness=(a, b),
+                return failed(
+                    "two distinct intervals with the same window projection overlap", a, b
                 )
     return WindowReport(True, order, start, r)
 

@@ -8,8 +8,9 @@ they share a row or a column.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import or_
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -190,7 +191,7 @@ def largest_star(members: Iterable[Iterable]) -> int:
     """The most of the given sets that hold one element: the largest star
     among them, for placements and vertex sets alike; 0 when no set has an
     element.  A set that repeats an element holds it once."""
-    return max((mask.bit_count() for mask in element_masks(members).values()), default=0)
+    return max(Counter(chain.from_iterable(map(set, members))).values(), default=0)
 
 
 def _cyclic_windows(ring: Sequence, r: int) -> list[tuple]:

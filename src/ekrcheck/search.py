@@ -98,12 +98,12 @@ from bisect import bisect_left
 from functools import reduce
 from math import comb, prod
 from operator import lt, or_
-from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from .counts import require_placement_size, rook_placement_count, rook_star_count
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
-    ResourceLimitError, bounds_of,
+    ResourceLimitError,
 )
 from .rook import (
     _cyclic_windows, diagonal_intervals, element_masks, enumerate_placements, largest_star,
@@ -346,12 +346,16 @@ class _CliqueEngine:
                 stack.append([sub, size + 1, sub_colored, len(sub_colored) - 1])
 
     def _may_hold(self, candidates: int, need: int) -> bool:
-        """Count a node; False when the candidates cannot hold a clique of
-        ``need`` vertices because they are fewer, or take fewer greedy
-        colors (a coloring needs at least as many colors as the largest
-        clique it colors)."""
+        """Count a node; False when the candidates take fewer than ``need``
+        greedy colors, so cannot hold a clique of ``need`` vertices (a
+        coloring needs at least as many colors as the largest clique it
+        colors).  The classes are counted only up to ``need``."""
         self._tick()
-        return candidates.bit_count() >= need and len(self._color(candidates)) >= need
+        classes = 0
+        while candidates and classes < need:
+            candidates ^= self._greedy_class(candidates)
+            classes += 1
+        return classes >= need
 
     def lex_smallest_clique(self, target: int) -> tuple[int, ...]:
         """Lexicographically smallest clique of the given size, as sorted
@@ -365,14 +369,14 @@ class _CliqueEngine:
         subtree of the smaller i-th vertex is finished before the larger one
         is entered.  A node is pruned only when ``_may_hold`` shows that its
         subtree holds no clique of the target size.  Hence the first clique
-        reached is the smallest.
+        reached is the smallest.  The root is not checked: the caller has
+        just found a clique of the target size, so it always holds one.
 
         ``stack[k]`` holds the candidates not yet tried after a prefix of k
         vertices, so ``chosen`` is always one shorter than the stack.
         """
         chosen: list[int] = []
-        full = self.full_mask()
-        stack = [full] if self._may_hold(full, target) else []
+        stack = [self.full_mask()]
         while stack:
             candidates = stack[-1]
             if not candidates:
@@ -394,10 +398,11 @@ class _CliqueEngine:
         raise RuntimeError("internal error: failed to rebuild a maximum clique")
 
 
-def _compatibility(members: Sequence[tuple], holders: dict, budget: SearchBudget) -> list[int]:
+def _compatibility(members: Sequence[tuple], budget: SearchBudget) -> list[int]:
     """The compatibility masks of ``members`` (bit j of mask i is set when
     members i and j differ and meet), read from their element index
-    ``holders`` (``rook.element_masks``)."""
+    (``rook.element_masks``)."""
+    holders = element_masks(members)
     adjacency = [0] * len(members)
     for index, member in enumerate(members):
         if index % SETS_PER_CLOCK_READ == SETS_PER_CLOCK_READ - 1:
@@ -473,11 +478,9 @@ def max_intersecting_family(
         members = [member for member in unique[1:] if not first.isdisjoint(member)]
         bound = _orbit_bound(unique, structures) if structures else None
     offset = len(head)
-    # One element index serves the seed and the rows.  The seed is the largest
-    # star, or a single member (maybe the empty set, with no elements at all).
-    holders = element_masks(members)
-    seed = max(max((mask.bit_count() for mask in holders.values()), default=0),
-               min(len(members), 1))
+    # The seed is the largest star, or a single member (maybe the empty set,
+    # with no elements at all).
+    seed = max(largest_star(members), min(len(members), 1))
     limit = len(members) if bound is None else min(bound - offset, len(members))
     if limit < seed:
         raise RuntimeError(
@@ -487,7 +490,7 @@ def max_intersecting_family(
     # The sorted prefix (module docstring) at the bound, then at the maximum.
     witness = (*head, *members[:limit])
     if not pairwise_intersecting(witness):
-        engine = _CliqueEngine(_compatibility(members, holders, budget), budget, offset)
+        engine = _CliqueEngine(_compatibility(members, budget), budget, offset)
         size = engine.max_clique_size(seed, limit)
         witness = (*head, *members[:size])
         if not pairwise_intersecting(witness):
@@ -564,10 +567,6 @@ class EkrReport(Record):
     @property
     def holds(self) -> bool:
         return self.max_intersecting <= self.best_star
-
-    @property
-    def in_theorem_range(self) -> bool:
-        return self.verdict in (VERDICT_HOLDS, VERDICT_FAILS)
 
     def to_json_dict(self) -> dict:
         return {
@@ -671,40 +670,3 @@ def graph_ekr_report(
     return _report(
         parameters, sets, best_star, 2 * r <= mu, started, budget, _twin_orbit(g), runs
     )
-
-
-class LexCheckResult(NamedTuple):
-    """Premise/conclusion pair for the lexicographic-product implication,
-    with the product G[K_k] the conclusion was searched on."""
-
-    premise: EkrReport
-    conclusion: EkrReport
-    product: SimpleGraph | None = None
-
-    @property
-    def violation(self) -> bool:
-        """True if the premise holds but the conclusion fails; the EKR
-        property is known to transfer to G[K_k], so this signals a bug."""
-        return self.premise.holds and not self.conclusion.holds
-
-
-def lex_product_check(
-    g: SimpleGraph,
-    k: int,
-    r: int,
-    budget: SearchBudget | None = None,
-    max_sets: int = DEFAULT_SET_BUDGET,
-    vertex_budget: int = DEFAULT_SEARCH_VERTEX_BUDGET,
-) -> LexCheckResult:
-    """Check the implication: if G is r-EKR then G[K_k] is r-EKR.  A budget
-    exit in either report names it, "premise: " or "conclusion: "."""
-    from .graphs import complete_graph, lexicographic_product
-
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
-    with bounds_of("premise"):
-        premise = graph_ekr_report(g, r, budget, max_sets, vertex_budget)
-    product = lexicographic_product(g, complete_graph(k))
-    with bounds_of("conclusion"):
-        conclusion = graph_ekr_report(product, r, budget, max_sets, vertex_budget)
-    return LexCheckResult(premise, conclusion, product)

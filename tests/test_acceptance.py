@@ -23,7 +23,7 @@ from ekrcheck import (
     graph_ekr_report,
     independence_number,
     interval_double_counts,
-    lex_product_check,
+    lexicographic_product,
     max_intersecting_family,
     maximal_independent_sets,
     min_maximal_independent_size,
@@ -190,11 +190,11 @@ def test_criterion_9_lexicographic_products():
         for g in graph_list:
             mu = min_maximal_independent_size(g)
             for r in range(1, mu // 2 + 1):
-                outcome = lex_product_check(g, 2, r)
-                assert outcome.premise.holds
-                if outcome.premise.holds:
-                    assert outcome.conclusion.holds
-                    assert not outcome.violation
+                premise = graph_ekr_report(g, r)
+                conclusion = graph_ekr_report(lexicographic_product(g, complete_graph(2)), r)
+                assert premise.holds
+                if premise.holds:
+                    assert conclusion.holds
                     checked += 1
         assert checked == 7  # E2, E3, E4 (r=1,2), P4, C4, C5
 

@@ -68,15 +68,15 @@ class TestVerify:
 
     def test_witness_phase_budget_exit_reports_the_exact_maximum(self, tmp_path, capsys):
         # The max phase on this graph's 2-sets closes at its root, but their
-        # witness is not their sorted prefix, and its pass needs 5 nodes.
+        # witness is not their sorted prefix, and its pass needs 4 nodes.
         path = tmp_path / "g5.json"
         path.write_text(json.dumps({"vertices": 5, "edges": [[1, 4], [1, 5], [3, 4]]}))
         argv = ["lex", "--graph", str(path), "--k", "1", "--r", "2", "--json"]
-        assert main([*argv, "--budget-nodes", "4"]) == 3
+        assert main([*argv, "--budget-nodes", "3"]) == 3
         result = json.loads(capsys.readouterr().out)["result"]
-        assert result["reason"] == "premise: clique search exceeded 4 nodes"
+        assert result["reason"] == "premise: clique search exceeded 3 nodes"
         assert result["lower_bound"] == result["upper_bound"] == 4
-        assert main([*argv, "--budget-nodes", "5"]) == 0
+        assert main([*argv, "--budget-nodes", "4"]) == 0
 
     def test_max_phase_budget_exit_keeps_the_open_bounds(self):
         code, out, _ = run_cli(
@@ -1404,6 +1404,64 @@ class TestCheckWitnessFailsClosed:
     def test_graph_star_payload_is_what_lex_reports(self, capsys):
         assert main(["lex", "--graph", "E4", "--k", "1", "--r", "3", "--json"]) == 1
         assert json.loads(capsys.readouterr().out)["counterexample"] == PAYLOADS["graph_star"]
+
+
+class TestValidatorVerdicts:
+    """Each verdict branch of each validator in ``witness.VALIDATORS``."""
+
+    @pytest.mark.parametrize("payload, code, message", [
+        (_with("rook_star", "family", [[[1, 1], [2, 2]], [[1, 1]]]), 1,
+         "family member has the wrong size"),
+        (_with("graph_star", "family", [[1, 2, 3], [1, 2]]), 1,
+         "family member has the wrong size"),
+        ({**_with("graph_star", "context", "graph", {"vertices": 4, "edges": [[1, 2]]}),
+          "family": [[1, 2, 3], [1, 3, 4], [2, 3, 4]]}, 1,
+         "family member [1, 2, 3] is not independent"),
+        (_with("rook_star", "context", "type", "torus"), 1,
+         "unknown counterexample context 'torus'"),
+        (_with("rook_star", "family", [[[1, 1], [2, 2]], [[2, 2], [1, 1]]]), 1,
+         "family contains duplicate members"),
+        (_with("exceeds_r", "family", [[[1, 1], [2, 2]], [[1, 1], [2, 2]]]), 1,
+         "family contains duplicate members"),
+        (_with("exceeds_r", "family", [[[1, 1], [2, 2]], [[1, 1], [4, 4]]]), 1,
+         "family size 2 does not exceed r=2"),
+        (_with("occurrence", "placement", []), 2,
+         'counterexample "placement": r must be in 1..min(n,m)=4, got 0'),
+    ], ids=["rook-size", "graph-size", "not-independent", "unknown-context",
+            "rook-duplicates", "interval-duplicates", "interval-size", "empty-placement"])
+    def test_a_refuted_or_malformed_payload(self, payload, code, message):
+        exit_code, out, err = _check_witness_in_process({"counterexample": payload})
+        if code == 1:
+            assert (exit_code, err) == (1, "")
+            result = json.loads(out)["result"]
+            assert (result["confirmed"], result["detail"]) == (False, message)
+        else:
+            assert (exit_code, out) == (2, "")
+            assert err.endswith(f".json: {message}\n")
+
+    @pytest.mark.parametrize("name, target, replacement, detail", [
+        ("gap", (cycles, "max_intersecting_intervals_witness"), lambda order, r: ((),) * (r - 1),
+         "recomputed interval maximum 1 is below r=2"),
+        ("exceeds_r", (rook, "pairwise_intersecting"), lambda members: True,
+         "intersecting interval family of 3 exceeds r=2"),
+        ("double_count", (cycles, "interval_double_counts"), lambda families: [(1, 2)],
+         "recomputed lhs=1 differs from rhs=2"),
+        ("double_count", (cycles, "interval_double_counts"), lambda families: [(73, 73)],
+         "recomputed lhs=73 exceeds the bound 72"),
+        ("window", (cycles, "check_interval_windows"),
+         lambda order, i, j, r: cycles.WindowReport(False, order, (i, j), r, failure="forged"),
+         "recomputed window check fails: forged"),
+    ], ids=["gap", "exceeds-r", "double-count-differs", "double-count-bound", "window"])
+    def test_a_real_counterexample_is_confirmed(
+        self, monkeypatch, name, target, replacement, detail
+    ):
+        # Each library check is made to find the violation that the payload
+        # claims, so the validator's confirmed branch runs.
+        monkeypatch.setattr(*target, replacement)
+        code, out, err = _check_witness_in_process({"counterexample": PAYLOADS[name]})
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result == {"kind": PAYLOADS[name]["kind"], "confirmed": True, "detail": detail}
 
 
 # Small values only, so that a grid or graph in a fuzzed payload stays tiny

@@ -424,6 +424,34 @@ class TestWindows:
                     outcomes |= passed
         assert outcomes == ({True} if n == 1 else {True, False})
 
+    @pytest.mark.parametrize("index, interval, failure, other", [
+        (1, ((1, 1), (3, 5), (5, 3)),
+         "interval meets the base but its row projection is not a window",
+         ((1, 1), (2, 2), (3, 3))),
+        (7, ((2, 1), (3, 3), (4, 4)),
+         "two distinct intervals with the same window projection overlap",
+         ((2, 1), (3, 2), (4, 3))),
+    ], ids=["a", "c"])
+    def test_a_forged_interval_fails_check_a_or_c(
+        self, monkeypatch, index, interval, failure, other
+    ):
+        # Checks (a) and (c), reached by forging one interval of the identity
+        # 6 x 6 order at r = 3; the witness pairs it with the interval it
+        # meets (the base for (a)).
+        build = cycles.diagonal_intervals
+
+        def forged(rows, cols, r):
+            intervals = build(rows, cols, r)
+            intervals[index] = interval
+            return intervals
+
+        monkeypatch.setattr(cycles, "diagonal_intervals", forged)
+        identity = CyclicOrder(tuple(range(1, 7)), tuple(range(1, 7)))
+        report = check_interval_windows(identity, 1, 1, 3)
+        assert (report.passed, report.failure, report.witness) == (
+            False, failure, (other, interval)
+        )
+
     def test_every_start_passes_in_the_half_range(self):
         for n, m in [(4, 4), (5, 7), (6, 6)]:
             for r in range(1, min(n, m) // 2 + 1):

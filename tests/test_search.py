@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import time
 from itertools import combinations
@@ -21,7 +22,6 @@ from ekrcheck import (
     enumerate_independent,
     enumerate_placements,
     graph_ekr_report,
-    lex_product_check,
     lexicographic_product,
     max_intersecting_family,
     min_maximal_independent_size,
@@ -36,7 +36,7 @@ from ekrcheck import (
     SimpleGraph,
 )
 from ekrcheck.errors import InputError, ResourceLimitError
-from ekrcheck.rook import element_masks
+from ekrcheck.cli import main
 from helpers import (
     brute_force_max_intersecting, first_starts, one_orbit_by_walk, rook_symmetries,
     twin_symmetries,
@@ -144,11 +144,11 @@ class TestMaxIntersectingFamily:
         assert tuple(sets[:4]) != witness == brute_lex_min_max_family(sets)
         assert max_intersecting_family(sets) == (4, witness)
         assert graph_ekr_report(g, 2).witness == witness
-        # The max phase closes at its root, and the witness pass needs five
-        # nodes, so a budget of four exits in it with exact bounds.
+        # The max phase closes at its root, and the witness pass needs four
+        # nodes, so a budget of three exits in it with exact bounds.
         assert engines == [(7, 0), (7, 0)]
         with pytest.raises(ResourceLimitError) as info:
-            max_intersecting_family(sets, SearchBudget(max_nodes=4))
+            max_intersecting_family(sets, SearchBudget(max_nodes=3))
         assert (info.value.lower_bound, info.value.upper_bound) == (4, 4)
 
     def test_clique_deeper_than_the_recursion_limit(self):
@@ -210,7 +210,7 @@ class TestClockBeforeTheFirstNode:
     def test_while_building_the_masks(self, no_engine):
         members = enumerate_placements(6, 6, 3)
         with pytest.raises(ResourceLimitError, match="^building the compatibility masks exceeded"):
-            search._compatibility(members, element_masks(members), expired_budget())
+            search._compatibility(members, expired_budget())
 
     def test_every_node_reads_the_clock(self, monkeypatch):
         # A clock that moves one second per reading: a 5 s budget runs out
@@ -252,7 +252,6 @@ class TestRookVerdicts:
     def test_out_of_range_is_qualified(self):
         report = rook_ekr_report(2, 3, 2)
         assert report.verdict == "OUT_OF_THEOREM_RANGE_HOLDS"
-        assert not report.in_theorem_range
         assert report.holds
 
     def test_maximum_equals_star_throughout_the_half_range(self):
@@ -311,31 +310,43 @@ class TestGraphVerdicts:
 
 
 class TestLexProductCheck:
-    def test_two_disjoint_edges(self):
-        outcome = lex_product_check(empty_graph(2), 2, 1)
-        assert outcome.premise.holds and outcome.conclusion.holds
-        assert not outcome.violation
+    """The ``lex`` command's implication, run in-process."""
 
-    def test_four_disjoint_edges(self):
-        outcome = lex_product_check(empty_graph(4), 2, 2)
-        assert outcome.premise.holds
-        assert outcome.conclusion.holds
-        assert outcome.conclusion.best_star == 6
+    @staticmethod
+    def lex(capsys, graph: str, k: int, r: int) -> dict:
+        assert main(["lex", "--graph", graph, "--k", str(k), "--r", str(r), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["result"]
 
-    def test_k_one_reproduces_the_graph(self):
-        outcome = lex_product_check(path_graph(4), 1, 1)
-        assert outcome.premise.max_intersecting == outcome.conclusion.max_intersecting
-        assert outcome.premise.best_star == outcome.conclusion.best_star
+    def test_two_disjoint_edges(self, capsys):
+        result = self.lex(capsys, "E2", 2, 1)
+        assert result["premise"]["max_intersecting"] <= result["premise"]["best_star"]
+        assert result["conclusion"]["max_intersecting"] <= result["conclusion"]["best_star"]
+        assert result["implication_violated"] is False
 
-    def test_returns_the_product_it_searched(self):
-        outcome = lex_product_check(path_graph(3), 2, 1)
-        assert outcome.product == lexicographic_product(path_graph(3), complete_graph(2))
-        assert outcome.conclusion.parameters["vertices"] == 6
+    def test_four_disjoint_edges(self, capsys):
+        result = self.lex(capsys, "E4", 2, 2)
+        assert result["premise"]["max_intersecting"] <= result["premise"]["best_star"]
+        assert result["conclusion"]["max_intersecting"] <= result["conclusion"]["best_star"]
+        assert result["conclusion"]["best_star"] == 6
 
-    def test_witness_certificates(self):
-        outcome = lex_product_check(empty_graph(3), 2, 1)
-        for report in (outcome.premise, outcome.conclusion):
-            assert len(report.witness) == report.max_intersecting
+    def test_k_one_reproduces_the_graph(self, capsys):
+        result = self.lex(capsys, "P4", 1, 1)
+        premise, conclusion = result["premise"], result["conclusion"]
+        assert premise["max_intersecting"] == conclusion["max_intersecting"]
+        assert premise["best_star"] == conclusion["best_star"]
+
+    def test_returns_the_product_it_searched(self, capsys):
+        parameters = self.lex(capsys, "P3", 2, 1)["conclusion"]["parameters"]
+        product = lexicographic_product(path_graph(3), complete_graph(2))
+        assert (parameters["vertices"], parameters["edge_count"]) == (
+            product.vertex_count, product.edge_count
+        )
+        assert parameters["vertices"] == 6
+
+    def test_witness_certificates(self, capsys):
+        result = self.lex(capsys, "E3", 2, 1)
+        for report in (result["premise"], result["conclusion"]):
+            assert len(report["witness"]) == report["max_intersecting"]
 
 
 @pytest.fixture
@@ -633,9 +644,7 @@ class TestOrbitBound:
         # 306 (TestRenumberedColoring).
         unique = sorted(enumerate_independent(empty_graph(10), 4))
         members = [member for member in unique[1:] if set(member) & set(unique[0])]
-        engine = search._CliqueEngine(
-            search._compatibility(members, element_masks(members), SearchBudget()), SearchBudget()
-        )
+        engine = search._CliqueEngine(search._compatibility(members, SearchBudget()), SearchBudget())
         assert engine.max_clique_size(83, search._orbit_bound(unique, runs(10, 4)) - 1) == 83
         assert engine._nodes == 0
 
@@ -718,7 +727,7 @@ class TestCompleteFamilies:
     @given(st.lists(st.lists(st.integers(1, 6), max_size=4).map(tuple), max_size=8))
     def test_rows_match_a_pair_scan(self, members):
         # Empty sets and repeated elements included.
-        adjacency = search._compatibility(members, element_masks(members), SearchBudget())
+        adjacency = search._compatibility(members, SearchBudget())
         for i, member in enumerate(members):
             assert adjacency[i] == sum(
                 1 << j for j, other in enumerate(members) if j != i and set(member) & set(other)
@@ -862,9 +871,3 @@ class TestRecords:
             budget.max_nodes = 6
         for twin in (copy.copy(budget), pickle.loads(pickle.dumps(budget))):
             assert twin == budget and twin.deadline >= budget.deadline
-
-    def test_lex_result_fields(self):
-        premise, conclusion = self.report(0.0), search.EkrReport({}, 3, 2, "EKR_FAILS", ())
-        result = search.LexCheckResult(premise=premise, conclusion=conclusion)
-        assert (result.premise, result.conclusion, result.violation) == (premise, conclusion, True)
-        assert result.product is None
