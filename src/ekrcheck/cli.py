@@ -351,8 +351,14 @@ def _run_lex(args, parameters) -> tuple[dict, dict | None, int]:
     with bounds_of("premise"):
         premise = search.graph_ekr_report(g, args.r, *limits)
     product = graphs.lexicographic_product(g, graphs.complete_graph(args.k))
+    # mu(G[K_k]) = mu(G): an independent set of G[K_k] takes at most one
+    # copy of each vertex of G, and the copies of a vertex share its
+    # neighbours, so the set projects onto an independent set of G of the
+    # same size, which is maximal exactly when the set is; and every
+    # maximal set of G lifts to one of G[K_k].
+    mu = premise.parameters["min_maximal_independent_size"]
     with bounds_of("conclusion"):
-        conclusion = search.graph_ekr_report(product, args.r, *limits)
+        conclusion = search.graph_ekr_report(product, args.r, *limits, known_min_maximal=mu)
     # A violation is a failed conclusion, whose family is reported first.
     counterexample = None
     if not (premise.holds and conclusion.holds):

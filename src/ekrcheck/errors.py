@@ -4,7 +4,6 @@ the immutable record base."""
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from itertools import islice
 from typing import Callable, Iterator, TextIO
@@ -100,6 +99,8 @@ def load_json(path: str, parse: Callable[[object], object]) -> object:
     text that is not UTF-8, nesting too deep for the parser (which would
     otherwise end the run with a traceback and exit 1) and every InputError
     of ``parse``."""
+    import json  # here, so that a run that reads no file never loads it
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             document = json.load(fh)
@@ -117,12 +118,93 @@ def load_json(path: str, parse: Callable[[object], object]) -> object:
 
 def write_json(document: object, stream: TextIO) -> None:
     """Write ``document`` to ``stream`` as indented JSON ending in a newline,
-    the one writer of reports and files: in batches of the encoder's pieces,
-    neither the whole text at once nor one unbuffered write per piece."""
-    pieces = json.JSONEncoder(indent=2).iterencode(document)
+    the one writer of reports and files: in batches of ``_pieces``, neither
+    the whole text at once nor one unbuffered write per piece.  The text is
+    that of ``json.JSONEncoder(indent=2)``."""
+    pieces = _pieces(document, "\n")
     while batch := "".join(islice(pieces, 8192)):
         stream.write(batch)
     stream.write("\n")
+
+
+# The key type of a dict that _pieces writes itself, and the item type of
+# a list that it joins in one call.
+_STR, _INT = frozenset({str}), frozenset({int})
+
+
+def _pieces(value: object, newline: str) -> Iterator[str]:
+    """The text of ``value`` as ``json.JSONEncoder(indent=2)`` writes it,
+    in pieces, where ``newline`` is a line break and the indent of
+    ``value``'s depth.  Dicts with str keys, lists, tuples, str, int, bool
+    and None are written here; anything else (floats, other keys, strings
+    that need escapes) by ``json``, imported only then."""
+    if value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
+    elif type(value) is int:
+        yield int.__repr__(value)
+    elif type(value) is str:
+        yield _string(value)
+    elif isinstance(value, (list, tuple)):
+        text = _joined(value, newline)
+        if text is not None:
+            yield text
+            return
+        inner, separator = newline + "  ", "["
+        for item in value:
+            yield separator + inner
+            yield from _pieces(item, inner)
+            separator = ","
+        yield newline + "]"
+    elif isinstance(value, dict) and _STR.issuperset(map(type, value)):
+        if not value:
+            yield "{}"
+            return
+        inner, separator = newline + "  ", "{"
+        for key, item in value.items():
+            yield f"{separator}{inner}{_string(key)}: "
+            yield from _pieces(item, inner)
+            separator = ","
+        yield newline + "}"
+    else:
+        import json
+
+        # JSON text holds no raw line break, so each one starts a line.
+        yield json.dumps(value, indent=2).replace("\n", newline)
+
+
+def _string(text: str) -> str:
+    """``text`` as a JSON string: quoted as it is when it is printable
+    ASCII without quotes or backslashes, else escaped by ``json``."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
+
+
+def _joined(value: object, newline: str, depth: int = 2) -> str | None:
+    """The text of ``value`` at the depth of ``newline``, in one join, when
+    it is an empty list, a list of ints or, at ``depth`` 2, a list of such
+    lists (tuples alike); None otherwise."""
+    if not isinstance(value, (list, tuple)):
+        return None
+    inner = newline + "  "
+    if _INT.issuperset(map(type, value)):
+        texts = map(int.__repr__, value)
+    elif depth == 1:
+        return None
+    else:
+        texts = []
+        for item in value:
+            text = _joined(item, inner, 1)
+            if text is None:
+                return None
+            texts.append(text)
+    return f"[{inner}{f',{inner}'.join(texts)}{newline}]" if value else "[]"
 
 
 def save_json(document: object, path: str) -> None:

@@ -206,6 +206,15 @@ def enumerate_independent(
     return out
 
 
+def require_search_size(g: SimpleGraph, max_vertices: int) -> None:
+    """The one vertex budget of the exhaustive searches on g: refuse a
+    graph with more than ``max_vertices`` vertices."""
+    if g.vertex_count > max_vertices:
+        raise ResourceLimitError(
+            f"exhaustive search on {g.vertex_count} vertices exceeds the budget of {max_vertices}"
+        )
+
+
 def maximal_independent_sets(
     g: SimpleGraph,
     max_vertices: int = DEFAULT_SEARCH_VERTEX_BUDGET,
@@ -215,11 +224,8 @@ def maximal_independent_sets(
     Exhaustive branch search with pivoting.  Every reported set is
     re-checked for maximality before being returned.
     """
+    require_search_size(g, max_vertices)
     n = g.vertex_count
-    if n > max_vertices:
-        raise ResourceLimitError(
-            f"exhaustive search on {n} vertices exceeds the budget of {max_vertices}"
-        )
     # Non-adjacency masks: independent sets of g are cliques of its complement.
     all_mask = ((1 << (n + 1)) - 1) & ~1
     adj = g._adj  # the vertices are 1..n, so unchecked

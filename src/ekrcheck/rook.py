@@ -97,6 +97,15 @@ class Family(Record):
         return iter(self.sets)
 
 
+def require_placement_budget(n: int, m: int, r: int, max_sets: int) -> int:
+    """The number of r-placements of the n-by-m grid, the one set budget
+    of the placements: refuse more than ``max_sets`` of them."""
+    total = rook_placement_count(n, m, r)
+    if total > max_sets:
+        raise ResourceLimitError(f"{total} placements exceed the output budget of {max_sets}")
+    return total
+
+
 def enumerate_placements(
     n: int,
     m: int,
@@ -117,11 +126,7 @@ def enumerate_placements(
         return [()]
     if r > min(n, m):
         return []
-    total = rook_placement_count(n, m, r)
-    if total > max_sets:
-        raise ResourceLimitError(
-            f"{total} placements exceed the output budget of {max_sets}"
-        )
+    require_placement_budget(n, m, r, max_sets)
     out: list[Placement] = []
     prefix: list[Cell] = []
 
@@ -177,9 +182,13 @@ def element_masks(members: Iterable[Iterable]) -> dict[object, int]:
 def pairwise_intersecting(members: Iterable[Iterable]) -> bool:
     """True iff every two of the given sets share an element: the one
     definition of an intersecting family, for placements and vertex sets
-    alike.  The union of a member's element masks, with its own bit added
-    (so that a lone empty member passes), must hold every member."""
+    alike.  A family with an element in every member (a star) passes in
+    one linear pass.  Otherwise the union of a member's element masks, with
+    its own bit added (so that a lone empty member passes), must hold every
+    member."""
     members = [tuple(member) for member in members]
+    if members and set(members[0]).intersection(*members[1:]):
+        return True
     holders, everyone = element_masks(members), (1 << len(members)) - 1
     return all(
         reduce(or_, map(holders.__getitem__, member), 1 << index) == everyone

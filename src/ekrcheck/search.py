@@ -70,11 +70,13 @@ k_S.  Katona's cycle method (*A simple proof of the Erdos-Chao Ko-Rado
 theorem*, JCTB 1972) is the case where S is the intervals of a cyclic
 order, and the clique-coclique bound (Godsil-Meagher, *Erdos-Ko-Rado
 Theorems: Algebraic Approaches*, 2016) the case of a disjoint S, k_S = 1.
-``_orbit_bound`` keeps the caller's structures that are members of V as
-S; the bound, less the first set, caps the search of the sets that meet
-it.  ``graph_ekr_report`` passes the runs of r consecutive labels of the
-cycle 1..n: on E_n with n >= 2r they are n r-sets with k_S = r, a bound
-of r*C(n, r)/n = C(n-1, r-1), the star.  ``rook_ekr_report`` passes the
+``_orbit_bound`` takes the bound from S and |V|.
+``max_intersecting_family`` keeps the caller's structures that are members
+of V as S, and the bound, less the first set, caps the search of the sets
+that meet it.  ``graph_ekr_report`` passes the runs of r consecutive
+labels of the cycle 1..n: on E_n with n >= 2r they are n r-sets with
+k_S = r, a bound of r*C(n, r)/n = C(n-1, r-1), the star.
+``rook_ekr_report`` passes the
 diagonal intervals of the identity cyclic order, the cells (i+t, j+t) for
 t < r, rows mod n and columns mod m: with 2r <= min(n, m) they are nm
 placements with k_S = r, a bound of r*C(n, r)*C(m, r)*r!/(nm), the star.
@@ -89,6 +91,18 @@ without a bound, the number of sets; and before the witness pass, with k
 the exact maximum.  The sets through the least element begin with it, so
 they come first: when the bound is their star, as in both verdicts'
 theorem range, no engine is built on V.
+
+Star answer.  ``rook_ekr_report`` takes the orbit bound before it lists V.
+V, all r-placements of the n-by-m grid, is the whole orbit of the
+``_rook_orbit`` proof, and its size is ``counts.rook_placement_count`` in
+closed form; S, the identity order's diagonal intervals that carry the
+orbit's label, lies in V.  So the bound holds without listing V.  When it
+equals the closed-form star, the star is a maximum family.  (1, 1) is the
+least cell, so the first ``star`` placements in sorted order are exactly
+the star at (1, 1); by "Sorted prefix" they are the lexicographically
+smallest maximum family, the witness the search would return.  So the
+report takes ``rook.star_family(n, m, r, (1, 1))`` as its witness, and
+lists and searches V only when the bound exceeds the star.
 """
 
 from __future__ import annotations
@@ -107,7 +121,7 @@ from .errors import (
 )
 from .rook import (
     _cyclic_windows, diagonal_intervals, element_masks, enumerate_placements, largest_star,
-    pairwise_intersecting,
+    pairwise_intersecting, require_placement_budget, star_family,
 )
 
 if TYPE_CHECKING:  # the graph functions import graphs when they run
@@ -427,19 +441,12 @@ def _fills_orbit(unique: Sequence[tuple], orbit: Orbit, budget: SearchBudget) ->
     return True
 
 
-def _orbit_bound(unique: Sequence[tuple], structures: Sequence[tuple]) -> int | None:
-    """The orbit bound (module docstring) on the sorted distinct family
-    ``unique``, which fills the checked orbit, with S
-    the distinct ``structures`` in it; None when there are none."""
-    kept = []
-    for structure in sorted(set(structures)):
-        i = bisect_left(unique, structure)
-        if i < len(unique) and unique[i] == structure:
-            kept.append(structure)
-    if not kept:
-        return None
+def _orbit_bound(structures: Sequence[tuple], size: int) -> int:
+    """The orbit bound (module docstring) on a family of ``size`` sets that
+    fills the checked orbit, with S the distinct ``structures``, each of
+    them a member of that family; there is at least one."""
     # Its own budget, so no exit reports k_S's bounds as the family's.
-    return max_intersecting_family(kept, SearchBudget())[0] * len(unique) // len(kept)
+    return max_intersecting_family(structures, SearchBudget())[0] * size // len(structures)
 
 
 def max_intersecting_family(
@@ -476,7 +483,11 @@ def max_intersecting_family(
     if orbit and _fills_orbit(unique, orbit, budget):
         head, first = unique[:1], set(unique[0])
         members = [member for member in unique[1:] if not first.isdisjoint(member)]
-        bound = _orbit_bound(unique, structures) if structures else None
+        kept = [
+            structure for structure in sorted(set(structures or ()))
+            if (i := bisect_left(unique, structure)) < len(unique) and unique[i] == structure
+        ]
+        bound = _orbit_bound(kept, len(unique)) if kept else None
     offset = len(head)
     # The seed is the largest star, or a single member (maybe the empty set,
     # with no elements at all).
@@ -581,17 +592,14 @@ class EkrReport(Record):
 
 def _report(
     parameters: dict,
-    sets: Sequence[tuple],
+    found: tuple[int, tuple[tuple, ...]],
     star: int,
     in_range: bool,
     started: float,
-    budget: SearchBudget | None,
-    orbit: Orbit,
-    structures: Sequence[tuple],
 ) -> EkrReport:
-    """The verdict on ``sets`` against ``star``: the exact maximum and its
-    witness from ``max_intersecting_family``, timed from ``started``."""
-    size, witness = max_intersecting_family(sets, budget, orbit, structures)
+    """The verdict on the exact maximum and witness ``found`` against
+    ``star``, timed from ``started``."""
+    size, witness = found
     holds = size <= star
     if in_range:
         verdict = VERDICT_HOLDS if holds else VERDICT_FAILS
@@ -610,21 +618,33 @@ def rook_ekr_report(
     """Exact verdict for the n-by-m rook grid at size r.
 
     The comparator is the closed-form star size, the same at every cell by
-    vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  The
-    search is given the orbit of the r-placements under row and column
-    permutations, so it only searches the placements that meet the first
-    one, and the diagonal intervals of the identity cyclic order (from
-    ``rook``, not ``cycles``, which ``verify`` does not load) for S of the
-    orbit bound (module docstring).
+    vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  S of
+    the orbit bound (module docstring) is the diagonal intervals of the
+    identity cyclic order (from ``rook``, not ``cycles``, which ``verify``
+    does not load).  When the bound is the star, the star at (1, 1) is the
+    answer ("Star answer"), and neither the clock nor the node budget is
+    read.  Otherwise the placements are listed and searched, with the orbit
+    of the r-placements under row and column permutations, so only those
+    that meet the first one are searched.  ``max_sets`` bounds the
+    placements either way.
     """
     require_placement_size(n, m, r)
     started = time.monotonic()
-    placements = enumerate_placements(n, m, r, max_sets)
+    parameters = {"kind": "rook", "n": n, "m": m, "r": r}
+    star, in_range = rook_star_count(n, m, r), 2 * r <= min(n, m)
+    # Past the set budget the run is refused, before S is built.
+    size = require_placement_budget(n, m, r, max_sets)
+    orbit = _rook_orbit(n, m, r)
+    label, _ = orbit
     diagonals = diagonal_intervals(range(1, n + 1), range(1, m + 1), r)
-    return _report(
-        {"kind": "rook", "n": n, "m": m, "r": r}, placements, rook_star_count(n, m, r),
-        2 * r <= min(n, m), started, budget, _rook_orbit(n, m, r), diagonals,
-    )
+    if _orbit_bound(sorted({d for d in diagonals if label(d)}), size) == star:
+        witness = star_family(n, m, r, (1, 1)).sets
+        if not pairwise_intersecting(witness):
+            raise RuntimeError("internal error: the star is not pairwise intersecting")
+        return _report(parameters, (len(witness), witness), star, in_range, started)
+    placements = enumerate_placements(n, m, r, max_sets)
+    found = max_intersecting_family(placements, budget, orbit, diagonals)
+    return _report(parameters, found, star, in_range, started)
 
 
 def graph_ekr_report(
@@ -640,23 +660,25 @@ def graph_ekr_report(
     The comparator is the best star over all vertices (the EKR property
     only asks for one good vertex).  In-theorem-range means r is at most
     half the smallest maximal independent set size mu, which is computed
-    unless ``known_min_maximal`` gives it.  The search is given the orbits
-    under the permutations within each class of twins, which it uses when
-    the independent r-sets fill one of them, and the runs of r consecutive
-    labels of the cycle 1..n for S of the orbit bound (module docstring).
+    unless ``known_min_maximal`` gives it; either way a graph past
+    ``vertex_budget`` is refused once its sets are listed.  The search is
+    given the orbits under the permutations within each class of twins,
+    which it uses when the independent r-sets fill one of them, and the
+    runs of r consecutive labels of the cycle 1..n for S of the orbit bound
+    (module docstring).
     """
-    from .graphs import enumerate_independent, min_maximal_independent_size
+    from .graphs import enumerate_independent, min_maximal_independent_size, require_search_size
 
     if r < 1:
         raise InputError(f"r must be at least 1, got {r}")
     started = time.monotonic()
     sets = enumerate_independent(g, r, max_sets)
     best_star = largest_star(sets)
-    mu = (
-        known_min_maximal
-        if known_min_maximal is not None
-        else min_maximal_independent_size(g, vertex_budget)
-    )
+    if known_min_maximal is None:
+        mu = min_maximal_independent_size(g, vertex_budget)
+    else:
+        require_search_size(g, vertex_budget)
+        mu = known_min_maximal
     n = g.vertex_count
     # Past r = n no r-set is independent, so the runs are never read.
     runs = [tuple(sorted(w)) for w in _cyclic_windows(range(1, n + 1), min(r, n))]
@@ -667,6 +689,5 @@ def graph_ekr_report(
         "r": r,
         "min_maximal_independent_size": mu,
     }
-    return _report(
-        parameters, sets, best_star, 2 * r <= mu, started, budget, _twin_orbit(g), runs
-    )
+    found = max_intersecting_family(sets, budget, _twin_orbit(g), runs)
+    return _report(parameters, found, best_star, 2 * r <= mu, started)

@@ -122,14 +122,34 @@ class TestVerify:
         assert (result["lower_bound"], result["upper_bound"]) == bounds
 
     def test_zero_seconds_budget_exits_3_before_a_large_search_is_built(self):
-        # 2,400 placements: the clock is read once enumeration ends.
+        # 5,400 placements, whose orbit bound exceeds the star: the clock is
+        # read once enumeration ends.
         code, out, _ = run_cli(
-            "verify", "--n", "6", "--m", "6", "--r", "3", "--json", "--budget-seconds", "0"
+            "verify", "--n", "6", "--m", "6", "--r", "4", "--json", "--budget-seconds", "0"
         )
         assert code == 3
         result = json.loads(out)["result"]
         assert result["reason"] == "enumerating the sets exceeded 0.0 seconds"
         assert (result["lower_bound"], result["upper_bound"]) == (None, None)
+
+    def test_a_star_sized_answer_lists_no_placement(self, monkeypatch, capsys):
+        # 10x10 r4: 1,058,400 placements, whose orbit bound is the star, so
+        # the star at (1, 1) answers and nothing else is listed.
+        def refuse(*args):
+            raise AssertionError("the placements were listed")
+
+        monkeypatch.setattr(search, "enumerate_placements", refuse)
+        argv = ["verify", "--n", "10", "--m", "10", "--r", "4", "--json"]
+        assert main([*argv, "--budget-sets", "1100000"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["max_intersecting"] == result["best_star"] == 42336
+        assert result["verdict"] == "EKR_HOLDS"
+        assert result["witness"] == json.loads(json.dumps(rook.star_family(10, 10, 4, (1, 1)).sets))
+        # The set budget still bounds the placements, as when they were listed.
+        monkeypatch.undo()
+        assert main(argv) == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["reason"] == "1058400 placements exceed the output budget of 1000000"
 
     def test_enumeration_budgets_exit_3(self):
         code, out, _ = run_cli("orders", "--n", "8", "--m", "8", "--json")
@@ -823,6 +843,64 @@ class TestOutputContract:
         assert proc.stderr == b""
 
 
+def json_values():
+    """Nested JSON-like values, with what the writer leaves to ``json``:
+    floats (nan and inf too), keys that are not str, and strings that need
+    escapes (quotes, backslashes, control, non-ASCII and astral
+    characters)."""
+    strings = st.text() | st.text(st.sampled_from('a "\\\x00\x1f\x7f\né\u20ac\U0001f600\ud800'))
+    leaves = (st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+              | st.floats() | strings)
+    keys = strings | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
+    return st.recursive(leaves, lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(strings, inner)
+        | st.dictionaries(keys, inner) | st.lists(st.lists(st.integers()))
+    ), max_leaves=40)
+
+
+class Batches:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class TestJsonWriter:
+    """``write_json`` writes the text of ``json.JSONEncoder(indent=2)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values())
+    def test_the_text_is_that_of_the_json_encoder(self, document):
+        stream = io.StringIO()
+        write_json(document, stream)
+        assert stream.getvalue() == json.dumps(document, indent=2) + "\n"
+
+    @pytest.mark.parametrize("workload", ["cycle-sweep", "graph-sweep", "rook-verify"])
+    def test_every_expected_benchmark_report_reencodes(self, workload):
+        bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+        with open(os.path.join(bench, "expected", f"{workload}.json"), encoding="utf-8") as fh:
+            expected = json.load(fh)
+        assert expected
+        for entry in expected.values():
+            stream = io.StringIO()
+            write_json(entry["report"], stream)
+            assert stream.getvalue() == json.dumps(entry["report"], indent=2) + "\n"
+
+    @pytest.mark.parametrize("document", [
+        {"orders": [{"sigma1": [1, 2, i], "sigma2": (i, "x")} for i in range(5000)]},
+        # A witness: each placement is one piece, not the whole list.
+        {"witness": [((1, 1), (2, i)) for i in range(10000)]},
+    ], ids=["orders", "witness"])
+    def test_a_large_document_is_written_in_batches(self, document):
+        stream = Batches()
+        write_json(document, stream)
+        assert len(stream.writes) > 2
+        assert "".join(stream.writes) == json.dumps(document, indent=2) + "\n"
+
+
 # A minimal run of each command, and the flags it reads among those that
 # every command used to take; all of them also take --json and --threads.
 COMMAND_RUNS = {
@@ -949,7 +1027,11 @@ class TestBudgetExitsNameTheirBounds:
          "premise: clique search exceeded 0 nodes", (7, 10)),
         (["lex", "--graph", "E4", "--k", "2", "--r", "3", "--budget-nodes", "3"],
          "conclusion: clique search exceeded 3 nodes", (12, 16)),
-    ], ids=["ht-seconds", "ht-sets", "lex-premise", "lex-conclusion"])
+        # The conclusion takes mu from the premise, and still refuses G[K_3]
+        # on 36 vertices once its sets are listed.
+        (["lex", "--graph", "E12", "--k", "3", "--r", "2"],
+         "conclusion: exhaustive search on 36 vertices exceeds the budget of 24", (None, None)),
+    ], ids=["ht-seconds", "ht-sets", "lex-premise", "lex-conclusion", "lex-conclusion-vertices"])
     def test_the_reason_names_the_report(self, capsys, argv, reason, bounds):
         assert main([*argv, "--json"]) == 3
         result = json.loads(capsys.readouterr().out)["result"]

@@ -10,11 +10,12 @@ import pytest
 import ekrcheck
 
 # Runs ``python -m ekrcheck`` in-process, then writes to stderr the exit
-# code, the ekrcheck modules loaded and whether dataclasses was loaded.
-# ``cli.run`` leaves through ``os._exit``, which the probe turns into
-# SystemExit so that it can report after the run.
+# code, the ekrcheck modules loaded and whether dataclasses and json were
+# loaded; the probe imports json only after the run.  ``cli.run`` leaves
+# through ``os._exit``, which the probe turns into SystemExit so that it
+# can report after the run.
 PROBE = """
-import json, os, runpy, sys
+import os, runpy, sys
 
 def leave(code):
     raise SystemExit(code)
@@ -24,11 +25,14 @@ try:
     runpy.run_module("ekrcheck", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({
+outcome = {
     "exit": code,
     "modules": sorted(name for name in sys.modules if name.startswith("ekrcheck")),
     "dataclasses": "dataclasses" in sys.modules,
-}), file=sys.stderr)
+    "json": "json" in sys.modules,
+}
+import json
+print(json.dumps(outcome), file=sys.stderr)
 """
 
 BASE = ["ekrcheck", "ekrcheck.cli", "ekrcheck.errors"]
@@ -54,8 +58,17 @@ def probe(*argv: str) -> dict:
     (["graph-stats", "--graph", "C5"], BASE + ["ekrcheck.graphs"]),
 ])
 def test_each_command_loads_only_what_it_runs(argv, modules):
+    # A run that reads no JSON file writes its report without json.
     outcome = probe(*argv, "--json")
-    assert outcome == {"exit": 0, "modules": sorted(modules), "dataclasses": False}
+    assert outcome == {"exit": 0, "modules": sorted(modules), "dataclasses": False, "json": False}
+
+
+def test_a_graph_file_loads_json(tmp_path):
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps({"vertices": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}))
+    outcome = probe("graph-stats", "--graph", str(path), "--json")
+    modules = BASE + ["ekrcheck.graphs"]
+    assert outcome == {"exit": 0, "modules": sorted(modules), "dataclasses": False, "json": True}
 
 
 def test_check_witness_loads_the_validators_but_not_the_search(tmp_path):
@@ -67,7 +80,7 @@ def test_check_witness_loads_the_validators_but_not_the_search(tmp_path):
     path.write_text(json.dumps({"counterexample": payload}))
     outcome = probe("check-witness", "--report", str(path), "--json")
     modules = CYCLE + ["ekrcheck.witness"]
-    assert outcome == {"exit": 1, "modules": sorted(modules), "dataclasses": False}
+    assert outcome == {"exit": 1, "modules": sorted(modules), "dataclasses": False, "json": True}
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -194,11 +194,15 @@ class TestClockBeforeTheFirstNode:
     does not answer reach the engine's first node, which reports bounds
     (TestMaxIntersectingFamily)."""
 
-    def test_after_enumeration(self, no_engine):
+    def test_after_enumeration(self, engines):
+        # 6x6 r4: the orbit bound exceeds the star, so its 5,400 placements
+        # are listed and searched.  The one engine is k_S's, on the 36
+        # diagonal intervals, with a budget of its own.
         with pytest.raises(ResourceLimitError) as info:
-            rook_ekr_report(6, 6, 3, expired_budget())
+            rook_ekr_report(6, 6, 4, expired_budget())
         assert str(info.value) == "enumerating the sets exceeded 0.0 seconds"
         assert (info.value.lower_bound, info.value.upper_bound) == (None, None)
+        assert [vertices for vertices, _ in engines] == [36]
 
     def test_in_the_symmetry_check(self):
         unique = sorted(set(enumerate_placements(6, 6, 3)))
@@ -570,12 +574,12 @@ class TestSymmetryReduction:
 
 @pytest.fixture
 def bounds(monkeypatch):
-    """(structures, value) of every orbit bound taken."""
+    """(S, value) of every orbit bound taken."""
     taken = []
     original = search._orbit_bound
 
-    def spy(unique, structures):
-        taken.append((structures, original(unique, structures)))
+    def spy(structures, size):
+        taken.append((structures, original(structures, size)))
         return taken[-1][1]
 
     monkeypatch.setattr(search, "_orbit_bound", spy)
@@ -596,7 +600,7 @@ class TestOrbitBound:
         values = [value for _, value in bounds]
         assert values[:n // 2] == [comb(n - 1, r - 1) for r in range(1, n // 2 + 1)]
         assert all(value >= report.max_intersecting for value, report in zip(values, bounded))
-        monkeypatch.setattr(search, "_orbit_bound", lambda unique, structures: None)
+        monkeypatch.setattr(search, "_orbit_bound", lambda structures, size: None)
         assert bounded == [graph_ekr_report(g, r) for r in range(1, n + 1)]
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -630,9 +634,11 @@ class TestOrbitBound:
             assert (report.max_intersecting, report.witness) == max_intersecting_family(
                 placements, orbit=search._rook_orbit(n, m, r)
             )
-            # The diagonals search gives are the identity order's intervals.
-            (structures, value), = bounds
-            assert list(dict.fromkeys(structures)) == list(first_starts(order, r))
+            # S is the identity order's intervals: one bound when it is the
+            # star, and the search's own again when it exceeds the star.
+            (structures, value), *again = bounds
+            assert again == ([] if value == report.best_star else [(structures, value)])
+            assert structures == sorted(first_starts(order, r))
             assert value >= report.max_intersecting
             if 2 * r <= min(n, m):
                 assert value == report.best_star
@@ -645,11 +651,15 @@ class TestOrbitBound:
         unique = sorted(enumerate_independent(empty_graph(10), 4))
         members = [member for member in unique[1:] if set(member) & set(unique[0])]
         engine = search._CliqueEngine(search._compatibility(members, SearchBudget()), SearchBudget())
-        assert engine.max_clique_size(83, search._orbit_bound(unique, runs(10, 4)) - 1) == 83
+        assert engine.max_clique_size(83, search._orbit_bound(runs(10, 4), len(unique)) - 1) == 83
         assert engine._nodes == 0
 
+    def test_the_bound_is_rounded_down(self):
+        # Three disjoint sets, k_S = 1, in an orbit of 10: 10/3 rounds to 3.
+        assert search._orbit_bound([(1, 2), (3, 4), (5, 6)], 10) == 3
+
     def test_a_bound_below_the_seed_raises(self, monkeypatch):
-        monkeypatch.setattr(search, "_orbit_bound", lambda unique, structures: comb(7, 2) - 1)
+        monkeypatch.setattr(search, "_orbit_bound", lambda structures, size: comb(7, 2) - 1)
         with pytest.raises(RuntimeError, match="below an attained clique"):
             graph_ekr_report(empty_graph(8), 3)
 
@@ -667,18 +677,20 @@ class TestOrbitBound:
             sets, orbit=(len, lambda label: 3), structures=[(1, 2), (3,)]
         ) == (2, ((3,), (3, 4)))
 
-    def test_a_structure_outside_the_family_is_dropped(self):
+    def test_a_structure_outside_the_family_is_dropped(self, bounds):
         unique = sorted(enumerate_independent(empty_graph(8), 3))
-        assert search._orbit_bound(unique, runs(8, 3)) == comb(7, 2)
+        assert search._orbit_bound(runs(8, 3), len(unique)) == comb(7, 2)
         # Trusted, a ninth structure, or a run counted twice, would lower the
         # bound to 3 * 56 // 9 = 18, below the star of 21.
-        assert search._orbit_bound(unique, runs(8, 3) + [(9, 10, 11)]) == comb(7, 2)
-        assert search._orbit_bound(unique, runs(8, 3) * 2) == comb(7, 2)
-        assert search._orbit_bound(unique, [(9, 10, 11)]) is None
-        g = empty_graph(8)
-        assert max_intersecting_family(
-            unique, orbit=search._twin_orbit(g), structures=runs(8, 3) + [(9, 10, 11)]
-        ) == max_intersecting_family(unique)
+        orbit = search._twin_orbit(empty_graph(8))
+        for structures in (runs(8, 3) + [(9, 10, 11)], runs(8, 3) * 2):
+            bounds.clear()
+            assert max_intersecting_family(unique, orbit=orbit, structures=structures) \
+                == max_intersecting_family(unique)
+            assert bounds == [(sorted(runs(8, 3)), comb(7, 2))]
+        bounds.clear()
+        max_intersecting_family(unique, orbit=orbit, structures=[(9, 10, 11)])
+        assert bounds == []
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -702,6 +714,31 @@ class TestOrbitBound:
         bounded = search._CliqueEngine(adjacency, SearchBudget())
         assert bounded.max_clique_size(min(k, 1), min(size + slack, k)) == size
         assert bounded._nodes <= exact._nodes
+
+
+class TestStarAnswer:
+    @pytest.mark.parametrize("n, m", [
+        (n, m) for n in range(1, 25) for m in range(1, 25) if n * m <= 24
+    ])
+    def test_reports_equal_the_unreduced_search(self, n, m, bounds, monkeypatch):
+        # The search of every placement, with no orbit and no structures;
+        # the report lists them only when the orbit bound exceeds the star.
+        listed = []
+        original = search.enumerate_placements
+
+        def counted(*args):
+            listed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(search, "enumerate_placements", counted)
+        for r in range(1, min(n, m) + 1):
+            bounds.clear()
+            listed.clear()
+            report = rook_ekr_report(n, m, r)
+            full = max_intersecting_family(enumerate_placements(n, m, r))
+            assert (report.max_intersecting, report.witness) == full
+            assert report.best_star == rook_star_count(n, m, r)
+            assert len(listed) == (bounds[0][1] > report.best_star)
 
 
 def bits(mask):
