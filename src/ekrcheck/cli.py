@@ -129,9 +129,8 @@ def _run_enumerate(args, parameters) -> tuple[dict, dict | None, int]:
 def _run_verify(args, parameters) -> tuple[dict, dict | None, int]:
     from . import search
 
-    report = search.rook_ekr_report(
-        args.n, args.m, args.r, budget=_budget(args), max_sets=args.budget_sets
-    )
+    budget = search.SearchBudget(max_seconds=args.budget_seconds)
+    report = search.rook_ekr_report(args.n, args.m, args.r, budget, args.budget_sets)
     counterexample = None
     if not report.holds:
         from .witness import family_exceeds_star_payload
@@ -416,12 +415,12 @@ _GRID = (
 _R = (("--r", {"type": int, "required": True, "help": "placement size"}),)
 _GRAPH = (("--graph", {"required": True, "help": "graph file or K/E/P/C shorthand"}),)
 _OUT = (("--out", {"help": "write the produced artifact to this file"}),)
+_SECONDS_BUDGET = (("--budget-seconds", {"type": _nonnegative(float), "default": None,
+                                         "help": "wall-clock budget for searches"}),)
 _SEARCH_BUDGETS = (
     ("--budget-nodes", {"type": _nonnegative(int), "default": DEFAULT_NODE_BUDGET,
                         "help": "search node budget (default %(default)s)"}),
-    ("--budget-seconds", {"type": _nonnegative(float), "default": None,
-                          "help": "wall-clock budget for searches"}),
-)
+) + _SECONDS_BUDGET
 _SET_BUDGET = (
     ("--budget-sets", {"type": _nonnegative(int), "default": DEFAULT_SET_BUDGET,
                        "help": "output-size budget for enumerations (default %(default)s)"}),
@@ -449,7 +448,7 @@ _COMMANDS = {
     "enumerate": ("enumerate rook placements to a family file", _run_enumerate,
                   (_GRID, _R, _OUT, _SET_BUDGET)),
     "verify": ("exact EKR verdict for the rook grid", _run_verify,
-               (_GRID, _R, _SEARCH_BUDGETS, _SET_BUDGET)),
+               (_GRID, _R, _SECONDS_BUDGET, _SET_BUDGET)),
     "lemma1": ("per-order interval bound sweep", _run_lemma1,
                (_GRID, (("--r", {"type": int, "default": None, "help": "placement size"}),))),
     "occurrence": ("per-placement order occurrence sweep", _run_occurrence,

@@ -37,16 +37,16 @@ compatibility graph by automorphisms, transitively on its vertices.  Then:
 
 So the search runs on the sets that meet ``v0`` alone, and the answer is
 one more than their maximum, with ``v0`` prepended to their witness.  The
-two orbits the verdicts pass:
+graph verdict passes an orbit; the rook verdict needs only its group's
+transitivity, for the orbit bound ("Union bound"):
 
-- rook (``_rook_orbit``): the label says "an r-placement of the n-by-m
-  grid": r cells in r distinct rows and r distinct columns, all in range.
-  G = S_n x S_m acts on the cells by (i, j) -> (sigma(i), tau(j)) and
-  keeps the label.  Given placements {(a_t, b_t)} and {(c_t, d_t)}, t =
-  1..r, the a_t are distinct and so are the c_t, so some sigma sends each
-  a_t to c_t; likewise some tau sends each b_t to d_t, and (sigma, tau)
-  carries the one onto the other.  So the orbit is all C(n, r)*C(m, r)*r!
-  r-placements (``counts.rook_placement_count``).
+- rook: an r-placement of the n-by-m grid is r cells in r distinct rows
+  and r distinct columns.  G = S_n x S_m acts on the cells by (i, j) ->
+  (sigma(i), tau(j)) and keeps the placements.  Given {(a_t, b_t)} and
+  {(c_t, d_t)}, t = 1..r, the a_t are distinct and so are the c_t, so some
+  sigma sends each a_t to c_t; likewise some tau sends each b_t to d_t,
+  and (sigma, tau) carries the one onto the other.  So the placements are
+  one orbit V of C(n, r)*C(m, r)*r! (``counts.rook_placement_count``).
 - graph (``_twin_orbit``): with the classes C_1..C_k of
   ``graphs.twin_classes(g)``, which are disjoint, the label is the set's
   vertices in no class and its count k_i in each class.  G = Sym(C_1) x
@@ -59,9 +59,9 @@ two orbits the verdicts pass:
   vertices are twins and the check passes; on a graph without twins each
   set has a label of its own, so only a single set passes.
 
-Orbit bound.  When the count check passes, the group G of the caller's
-proof is transitive on the family V and keeps two sets disjoint or not.
-Then for every subfamily S of V, every intersecting F in V has |F| <=
+Orbit bound.  Let a group G be transitive on the family V and keep two
+sets disjoint or not, as when the count check passes.  Then for every
+subfamily S of V, every intersecting F in V has |F| <=
 floor(k_S*|V|/|S|), where k_S is the largest intersecting family in S.
 Proof: by transitivity each v in V lies in gS for exactly |S|*|G|/|V|
 elements g of G, so the sum over g of |F & gS| is |F|*|S|*|G|/|V|; each
@@ -76,10 +76,6 @@ of V as S, and the bound, less the first set, caps the search of the sets
 that meet it.  ``graph_ekr_report`` passes the runs of r consecutive
 labels of the cycle 1..n: on E_n with n >= 2r they are n r-sets with
 k_S = r, a bound of r*C(n, r)/n = C(n-1, r-1), the star.
-``rook_ekr_report`` passes the
-diagonal intervals of the identity cyclic order, the cells (i+t, j+t) for
-t < r, rows mod n and columns mod m: with 2r <= min(n, m) they are nm
-placements with k_S = r, a bound of r*C(n, r)*C(m, r)*r!/(nm), the star.
 
 Sorted prefix.  The first k of the sorted distinct searched sets are
 their lexicographically smallest k-family: the j-th member of a sorted
@@ -89,20 +85,24 @@ lexicographically smallest maximum family.  ``max_intersecting_family``
 tests this before the engine, with k the orbit bound less the offset or,
 without a bound, the number of sets; and before the witness pass, with k
 the exact maximum.  The sets through the least element begin with it, so
-they come first: when the bound is their star, as in both verdicts'
-theorem range, no engine is built on V.
+they come first: when the bound is their star, no engine is built on V.
 
-Star answer.  ``rook_ekr_report`` takes the orbit bound before it lists V.
-V, all r-placements of the n-by-m grid, is the whole orbit of the
-``_rook_orbit`` proof, and its size is ``counts.rook_placement_count`` in
-closed form; S, the identity order's diagonal intervals that carry the
-orbit's label, lies in V.  So the bound holds without listing V.  When it
-equals the closed-form star, the star is a maximum family.  (1, 1) is the
-least cell, so the first ``star`` placements in sorted order are exactly
-the star at (1, 1); by "Sorted prefix" they are the lexicographically
-smallest maximum family, the witness the search would return.  So the
-report takes ``rook.star_family(n, m, r, (1, 1))`` as its witness, and
-lists and searches V only when the bound exceeds the star.
+Union bound.  ``rook_ekr_report`` answers from the orbit bound alone, with
+|V| in closed form.  S is the union of the diagonal intervals of a few
+cyclic orders of the rows and of the columns, the cells (rows[i+t],
+cols[j+t]) for t < r, indices mod n and mod m.  Each is an r-placement, so
+S lies in V and the bound holds without listing V.  With 2r <= min(n, m),
+the identity order's nm intervals have k_S = r, a bound of
+r*C(n, r)*C(m, r)*r!/(nm), the star.  ``_union_orders`` fixes the rule:
+the identity order, then the identity and t-1 orders whose rows and
+columns ``random.Random(0)`` draws with first label 1, ``DRAWS_PER_UNION``
+times for each t = 2..``MAX_UNION_ORDERS``.  The verdict depends on the
+orders the rule returns, never on the rule.  Once a bound is the
+closed-form star, the star is a maximum family; the star at (1, 1), the
+least cell, is the first ``star`` placements in sorted order, so by
+"Sorted prefix" it is the lexicographically smallest maximum family, and
+the witness.  When no union meets the star, the run stops with the exact
+bounds the star and the least union bound.
 """
 
 from __future__ import annotations
@@ -112,16 +112,17 @@ from bisect import bisect_left
 from functools import reduce
 from math import comb, prod
 from operator import lt, or_
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from random import Random
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
 
-from .counts import require_placement_size, rook_placement_count, rook_star_count
+from .counts import require_placement_size, rook_star_count
 from .errors import (
     DEFAULT_NODE_BUDGET, DEFAULT_SEARCH_VERTEX_BUDGET, DEFAULT_SET_BUDGET, InputError, Record,
     ResourceLimitError,
 )
 from .rook import (
-    _cyclic_windows, diagonal_intervals, element_masks, enumerate_placements, largest_star,
-    pairwise_intersecting, require_placement_budget, star_family,
+    _cyclic_windows, diagonal_intervals, element_masks, largest_star, pairwise_intersecting,
+    require_placement_budget, star_family,
 )
 
 if TYPE_CHECKING:  # the graph functions import graphs when they run
@@ -141,6 +142,11 @@ SETS_PER_CLOCK_READ = 1024
 # (label, size) of the symmetry reduction (module docstring): a set's label,
 # None when the caller's proof does not cover it, and a label's orbit size.
 Orbit = tuple[Callable[[tuple], Hashable], Callable[[Hashable], int]]
+
+# The union rule of "Union bound": the most orders in a union, and the
+# unions drawn for each number of orders.
+MAX_UNION_ORDERS = 8
+DRAWS_PER_UNION = 10
 
 
 class SearchBudget(Record):
@@ -515,20 +521,6 @@ def max_intersecting_family(
     return len(witness), witness
 
 
-def _rook_orbit(n: int, m: int, r: int) -> Orbit:
-    """The orbit of the r-placements of the n-by-m grid (module docstring):
-    the label is True on an r-placement and None on any other set."""
-    cells = frozenset((row, col) for row in range(1, n + 1) for col in range(1, m + 1))
-    placements = rook_placement_count(n, m, r)
-
-    def label(member: tuple) -> bool | None:
-        rows, cols = {row for row, _ in member}, {col for _, col in member}
-        placed = len(rows) == len(cols) == len(member) == r and cells.issuperset(member)
-        return True if placed else None
-
-    return label, lambda _: placements
-
-
 def _twin_orbit(g: SimpleGraph) -> Orbit:
     """The orbits of sets of vertices of g under the permutations within
     each class of twins (module docstring): the label is the set's vertices
@@ -608,6 +600,17 @@ def _report(
     return EkrReport(parameters, size, star, verdict, witness, time.monotonic() - started)
 
 
+def _union_orders(n: int, m: int) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The (rows, cols) orders of each union the rule tries ("Union bound")."""
+    rng, identity = Random(0), (tuple(range(1, n + 1)), tuple(range(1, m + 1)))
+    yield [identity]
+    for t in range(2, MAX_UNION_ORDERS + 1):
+        for _ in range(DRAWS_PER_UNION):
+            draws = [(rng.sample(range(2, n + 1), n - 1), rng.sample(range(2, m + 1), m - 1))
+                     for _ in range(t - 1)]
+            yield [identity, *(((1, *rows), (1, *cols)) for rows, cols in draws)]
+
+
 def rook_ekr_report(
     n: int,
     m: int,
@@ -615,18 +618,11 @@ def rook_ekr_report(
     budget: SearchBudget | None = None,
     max_sets: int = DEFAULT_SET_BUDGET,
 ) -> EkrReport:
-    """Exact verdict for the n-by-m rook grid at size r.
-
-    The comparator is the closed-form star size, the same at every cell by
-    vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  S of
-    the orbit bound (module docstring) is the diagonal intervals of the
-    identity cyclic order (from ``rook``, not ``cycles``, which ``verify``
-    does not load).  When the bound is the star, the star at (1, 1) is the
-    answer ("Star answer"), and neither the clock nor the node budget is
-    read.  Otherwise the placements are listed and searched, with the orbit
-    of the r-placements under row and column permutations, so only those
-    that meet the first one are searched.  ``max_sets`` bounds the
-    placements either way.
+    """Exact verdict for the n-by-m rook grid at size r, by the union bound
+    (module docstring) against the closed-form star, the same at every cell
+    by vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  The
+    clock is read before each union after the identity order's, and
+    ``max_sets`` bounds the placements, though none is listed.
     """
     require_placement_size(n, m, r)
     started = time.monotonic()
@@ -634,17 +630,22 @@ def rook_ekr_report(
     star, in_range = rook_star_count(n, m, r), 2 * r <= min(n, m)
     # Past the set budget the run is refused, before S is built.
     size = require_placement_budget(n, m, r, max_sets)
-    orbit = _rook_orbit(n, m, r)
-    label, _ = orbit
-    diagonals = diagonal_intervals(range(1, n + 1), range(1, m + 1), r)
-    if _orbit_bound(sorted({d for d in diagonals if label(d)}), size) == star:
-        witness = star_family(n, m, r, (1, 1)).sets
-        if not pairwise_intersecting(witness):
-            raise RuntimeError("internal error: the star is not pairwise intersecting")
-        return _report(parameters, (len(witness), witness), star, in_range, started)
-    placements = enumerate_placements(n, m, r, max_sets)
-    found = max_intersecting_family(placements, budget, orbit, diagonals)
-    return _report(parameters, found, star, in_range, started)
+    bounds: list[int] = []
+    for orders in _union_orders(n, m):
+        if bounds and budget is not None:
+            budget.check_deadline("the union bound", lower_bound=star, upper_bound=min(bounds))
+        # From rook, not cycles, which verify does not load.
+        union = {d for rows, cols in orders for d in diagonal_intervals(rows, cols, r)}
+        bounds.append(_orbit_bound(sorted(union), size))
+        if bounds[-1] < star:
+            raise RuntimeError(f"internal error: the union bound {bounds[-1]} is below the star")
+        if bounds[-1] == star:
+            witness = star_family(n, m, r, (1, 1)).sets
+            if not pairwise_intersecting(witness):
+                raise RuntimeError("internal error: the star is not pairwise intersecting")
+            return _report(parameters, (len(witness), witness), star, in_range, started)
+    reason = f"the union bound stays above the star through {MAX_UNION_ORDERS}-order unions"
+    raise ResourceLimitError(reason, lower_bound=star, upper_bound=min(bounds))
 
 
 def graph_ekr_report(

@@ -19,6 +19,7 @@ from ekrcheck import (
     canonical_placement,
     enumerate_cyclic_orders,
     reference_order,
+    rook_placement_count,
     row_projection,
     twin_classes,
 )
@@ -97,6 +98,22 @@ def rook_symmetries(n: int, m: int) -> list[dict]:
         {(row, col): (row, tau.get(col, col)) for row, col in cells}
         for tau in transposition_and_cycle(range(1, m + 1))
     ]
+
+
+def rook_orbit(n: int, m: int, r: int):
+    """The orbit of the r-placements of the n-by-m grid under row and
+    column permutations (``search``'s module docstring), as the ``(label,
+    size)`` that ``max_intersecting_family`` takes: the label is True on an
+    r-placement and None on any other set."""
+    cells = frozenset((row, col) for row in range(1, n + 1) for col in range(1, m + 1))
+    placements = rook_placement_count(n, m, r)
+
+    def label(member: tuple) -> bool | None:
+        rows, cols = {row for row, _ in member}, {col for _, col in member}
+        placed = len(rows) == len(cols) == len(member) == r and cells.issuperset(member)
+        return True if placed else None
+
+    return label, lambda _: placements
 
 
 def twin_symmetries(g) -> list[dict]:

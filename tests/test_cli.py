@@ -17,8 +17,8 @@ from ekrcheck import counts, cycles, enumerate_placements, graphs, load_family, 
 from ekrcheck import rook
 from ekrcheck import cli
 from ekrcheck.cli import main
-from ekrcheck.errors import InputError, write_json
-from helpers import canonical_json_without_elapsed, run_cli
+from ekrcheck.errors import InputError, ResourceLimitError, write_json
+from helpers import canonical_json_without_elapsed, rook_orbit, run_cli
 
 
 class TestCount:
@@ -58,12 +58,13 @@ class TestVerify:
 
     def test_budget_exhaustion_is_inconclusive(self):
         code, out, _ = run_cli(
-            "verify", "--n", "5", "--m", "5", "--r", "4", "--json", "--budget-nodes", "1"
+            "verify", "--n", "5", "--m", "5", "--r", "4", "--json", "--budget-seconds", "0"
         )
         assert code == 3
         report = json.loads(out)
         assert report["result"]["status"] == "inconclusive"
-        assert report["result"]["lower_bound"] <= report["result"]["upper_bound"]
+        # The star, and the identity order's bound.
+        assert (report["result"]["lower_bound"], report["result"]["upper_bound"]) == (96, 120)
         assert report["parameters"]["n"] == 5
 
     def test_witness_phase_budget_exit_reports_the_exact_maximum(self, tmp_path, capsys):
@@ -79,25 +80,29 @@ class TestVerify:
         assert main([*argv, "--budget-nodes", "4"]) == 0
 
     def test_max_phase_budget_exit_keeps_the_open_bounds(self):
-        code, out, _ = run_cli(
-            "verify", "--n", "5", "--m", "5", "--r", "4", "--json", "--budget-nodes", "1"
-        )
-        assert code == 3
-        result = json.loads(out)["result"]
-        # At 5x5 r=4 the orbit bound (120) is above the star (96), so the max
+        # 5x5 r=4 searched with its orbit and the identity order's diagonal
+        # intervals: the orbit bound (120) is above the star (96), so the max
         # search runs.  The bounds count the first placement, which the
         # search leaves out.
-        assert (result["lower_bound"], result["upper_bound"]) == (96, 99)
+        diagonals = rook.diagonal_intervals(range(1, 6), range(1, 6), 4)
+        with pytest.raises(ResourceLimitError) as info:
+            search.max_intersecting_family(
+                enumerate_placements(5, 5, 4), search.SearchBudget(max_nodes=1),
+                rook_orbit(5, 5, 4), diagonals,
+            )
+        assert str(info.value) == "clique search exceeded 1 nodes"
+        assert (info.value.lower_bound, info.value.upper_bound) == (96, 99)
 
     @pytest.mark.parametrize("n, r", [(4, 2), (5, 2)])
     @pytest.mark.parametrize("budget", [
-        ["--budget-nodes", "1"], ["--budget-nodes", "5"], ["--budget-seconds", "0"],
+        ["--budget-seconds", "0"], ["--budget-sets", "200"],
+        ["--budget-seconds", "0", "--budget-sets", "200"],
     ])
     def test_max_phase_closed_by_the_orbit_bound_answers_under_any_budget(
         self, capsys, n, r, budget
     ):
-        # The orbit bound is the star, which is the sorted prefix, so no
-        # engine is built and the budget is never read.
+        # The identity order's bound is the star, so the clock is never read;
+        # 5x5 at r = 2 has 200 placements, none of them listed.
         argv = ["verify", "--n", str(n), "--m", str(n), "--r", str(r), "--json"]
         assert main(argv) == 0
         full = canonical_json_without_elapsed(capsys.readouterr().out)
@@ -107,8 +112,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "n, r, bounds",
         [
-            # The max search's first node sees it, with the open bounds.
-            (5, 4, (96, 99)),
+            # The clock is read before the first union after the identity
+            # order's, with the star and that order's bound.
+            (5, 4, (96, 120)),
         ],
     )
     def test_zero_seconds_budget_exits_3_on_the_first_node(self, n, r, bounds):
@@ -119,18 +125,20 @@ class TestVerify:
         assert code == 3
         result = json.loads(out)["result"]
         assert result["status"] == "inconclusive"
+        assert result["reason"] == "the union bound exceeded 0.0 seconds"
         assert (result["lower_bound"], result["upper_bound"]) == bounds
 
     def test_zero_seconds_budget_exits_3_before_a_large_search_is_built(self):
-        # 5,400 placements, whose orbit bound exceeds the star: the clock is
-        # read once enumeration ends.
+        # 5,400 placements, whose identity order's bound (900) exceeds the
+        # star (600): the clock is read before the next union, and none of
+        # them is listed.
         code, out, _ = run_cli(
             "verify", "--n", "6", "--m", "6", "--r", "4", "--json", "--budget-seconds", "0"
         )
         assert code == 3
         result = json.loads(out)["result"]
-        assert result["reason"] == "enumerating the sets exceeded 0.0 seconds"
-        assert (result["lower_bound"], result["upper_bound"]) == (None, None)
+        assert result["reason"] == "the union bound exceeded 0.0 seconds"
+        assert (result["lower_bound"], result["upper_bound"]) == (600, 900)
 
     def test_a_star_sized_answer_lists_no_placement(self, monkeypatch, capsys):
         # 10x10 r4: 1,058,400 placements, whose orbit bound is the star, so
@@ -138,7 +146,7 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("the placements were listed")
 
-        monkeypatch.setattr(search, "enumerate_placements", refuse)
+        monkeypatch.setattr(rook, "enumerate_placements", refuse)
         argv = ["verify", "--n", "10", "--m", "10", "--r", "4", "--json"]
         assert main([*argv, "--budget-sets", "1100000"]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
@@ -150,6 +158,19 @@ class TestVerify:
         assert main(argv) == 3
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["reason"] == "1058400 placements exceed the output budget of 1000000"
+
+    def test_a_rule_that_does_not_close_exits_3_with_the_exact_bounds(self, monkeypatch, capsys):
+        # Capped at the identity order alone, 5x5 at r = 4 keeps its bound of
+        # 120 over the star of 96, and nothing is listed.
+        def refuse(*args):
+            raise AssertionError("the placements were listed")
+
+        monkeypatch.setattr(rook, "enumerate_placements", refuse)
+        monkeypatch.setattr(search, "MAX_UNION_ORDERS", 1)
+        assert main(["verify", "--n", "5", "--m", "5", "--r", "4", "--json"]) == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["reason"] == "the union bound stays above the star through 1-order unions"
+        assert (result["lower_bound"], result["upper_bound"]) == (96, 120)
 
     def test_enumeration_budgets_exit_3(self):
         code, out, _ = run_cli("orders", "--n", "8", "--m", "8", "--json")
@@ -815,7 +836,7 @@ class TestOutputContract:
         (["count", "--n", "4", "--m", "4", "--r", "2"], 0),
         (["lex", "--graph", "E5", "--k", "2", "--r", "3", "--json"], 1),
         (["verify", "--n", "4", "--m", "4", "--json"], 2),
-        (["verify", "--n", "5", "--m", "5", "--r", "4", "--budget-nodes", "1", "--json"], 3),
+        (["verify", "--n", "5", "--m", "5", "--r", "4", "--budget-seconds", "0", "--json"], 3),
     ])
     def test_python_m_exits_as_main_returns(self, capsys, argv, code):
         proc_code, proc_out, _ = run_cli(*argv)
@@ -906,8 +927,7 @@ class TestJsonWriter:
 COMMAND_RUNS = {
     "count": (["--n", "3", "--m", "3", "--r", "1"], []),
     "enumerate": (["--n", "3", "--m", "3", "--r", "1"], ["--out", "--budget-sets"]),
-    "verify": (["--n", "3", "--m", "3", "--r", "1"],
-               ["--budget-nodes", "--budget-seconds", "--budget-sets"]),
+    "verify": (["--n", "3", "--m", "3", "--r", "1"], ["--budget-seconds", "--budget-sets"]),
     "lemma1": (["--n", "3", "--m", "3"], []),
     "occurrence": (["--n", "3", "--m", "3", "--r", "1"], ["--budget-sets"]),
     "double-count": (["--n", "3", "--m", "3", "--r", "1", "--samples", "1"], ["--seed"]),
@@ -995,7 +1015,7 @@ FAMILY = {"n": 3, "m": 3, "r": 1, "sets": [[[1, 1]]]}
 BUDGET_EXITS = [
     (["count", "--n", "3", "--m", "3", "--r", "1"], [], (cli, "COUNT_SIDE_BUDGET", 1)),
     (["enumerate", "--n", "3", "--m", "3", "--r", "1"], ["--budget-sets", "1"], None),
-    (["verify", "--n", "5", "--m", "5", "--r", "4"], ["--budget-nodes", "1"], None),
+    (["verify", "--n", "5", "--m", "5", "--r", "4"], ["--budget-seconds", "0"], None),
     (["lemma1", "--n", "4", "--m", "4"], [], (cycles, "INTERVAL_WORK_BUDGET", 0)),
     (["lemma1", "--n", "4", "--m", "4", "--r", "2"], [], (cycles, "INTERVAL_WORK_BUDGET", 0)),
     (["occurrence", "--n", "4", "--m", "4", "--r", "2"], ["--budget-sets", "1"], None),
@@ -1227,7 +1247,7 @@ class TestFailsClosed:
     )
     def test_negative_budget_is_a_usage_error(self, flag, capsys):
         # Each command is one that reads the flag, so the type check refuses it.
-        if flag == "--vertex-budget":
+        if flag in ("--vertex-budget", "--budget-nodes"):
             command = ["ht", "--graph", "E4"]
         else:
             command = ["verify", "--n", "4", "--m", "4", "--r", "2"]

@@ -2,7 +2,7 @@ import copy
 import json
 import pickle
 import time
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 from random import Random
@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from ekrcheck import (
     SearchBudget,
     cycles,
+    rook,
     search,
     cartesian_product,
     complete_graph,
     cycle_graph,
+    diagonal_intervals,
     empty_graph,
     enumerate_independent,
     enumerate_placements,
@@ -28,6 +30,7 @@ from ekrcheck import (
     pairwise_intersecting,
     path_graph,
     rook_ekr_report,
+    rook_placement_count,
     rook_star_count,
     star_family,
     twin_classes,
@@ -35,10 +38,10 @@ from ekrcheck import (
     Family,
     SimpleGraph,
 )
-from ekrcheck.errors import InputError, ResourceLimitError
+from ekrcheck.errors import DEFAULT_SET_BUDGET, InputError, ResourceLimitError
 from ekrcheck.cli import main
 from helpers import (
-    brute_force_max_intersecting, first_starts, one_orbit_by_walk, rook_symmetries,
+    brute_force_max_intersecting, first_starts, one_orbit_by_walk, rook_orbit, rook_symmetries,
     twin_symmetries,
 )
 
@@ -195,19 +198,21 @@ class TestClockBeforeTheFirstNode:
     (TestMaxIntersectingFamily)."""
 
     def test_after_enumeration(self, engines):
-        # 6x6 r4: the orbit bound exceeds the star, so its 5,400 placements
-        # are listed and searched.  The one engine is k_S's, on the 36
-        # diagonal intervals, with a budget of its own.
+        # 6x6 r4: its 5,400 placements, searched with their orbit and the
+        # identity order's diagonal intervals.  The clock is read once the
+        # sets are listed, before any engine, k_S's included, is built.
+        placements = enumerate_placements(6, 6, 4)
+        diagonals = diagonal_intervals(range(1, 7), range(1, 7), 4)
         with pytest.raises(ResourceLimitError) as info:
-            rook_ekr_report(6, 6, 4, expired_budget())
+            max_intersecting_family(placements, expired_budget(), rook_orbit(6, 6, 4), diagonals)
         assert str(info.value) == "enumerating the sets exceeded 0.0 seconds"
         assert (info.value.lower_bound, info.value.upper_bound) == (None, None)
-        assert [vertices for vertices, _ in engines] == [36]
+        assert engines == []
 
     def test_in_the_symmetry_check(self):
         unique = sorted(set(enumerate_placements(6, 6, 3)))
         with pytest.raises(ResourceLimitError) as info:
-            search._fills_orbit(unique, search._rook_orbit(6, 6, 3), expired_budget())
+            search._fills_orbit(unique, rook_orbit(6, 6, 3), expired_budget())
         assert str(info.value) == "symmetry check exceeded 0.0 seconds"
         assert (info.value.lower_bound, info.value.upper_bound) == (None, None)
 
@@ -235,7 +240,7 @@ class TestClockBeforeTheFirstNode:
         assert len(spent) <= 6
 
     def test_a_live_budget_changes_nothing(self):
-        sets, orbit = enumerate_placements(6, 6, 3), search._rook_orbit(6, 6, 3)
+        sets, orbit = enumerate_placements(6, 6, 3), rook_orbit(6, 6, 3)
         assert max_intersecting_family(sets, SearchBudget(max_seconds=60), orbit) \
             == max_intersecting_family(sets, None, orbit)
 
@@ -428,7 +433,7 @@ class TestSymmetryReduction:
         for r in range(1, min(n, m) + 1):
             placements = enumerate_placements(n, m, r)
             engines.clear()
-            reduced = max_intersecting_family(placements, orbit=search._rook_orbit(n, m, r))
+            reduced = max_intersecting_family(placements, orbit=rook_orbit(n, m, r))
             assert [vertices for vertices, _ in engines] == reduced_runs(placements)
             assert reduced == max_intersecting_family(placements)
 
@@ -479,7 +484,7 @@ class TestSymmetryReduction:
     def test_the_count_check_agrees_with_the_walk_on_rook_grids(self, n, m):
         for r in range(1, min(n, m) + 1):
             placements = enumerate_placements(n, m, r)
-            orbit = search._rook_orbit(n, m, r)
+            orbit = rook_orbit(n, m, r)
             assert_the_count_check_agrees_with_the_walk(placements, orbit, rook_symmetries(n, m))
 
     @settings(max_examples=200, deadline=None)
@@ -509,14 +514,14 @@ class TestSymmetryReduction:
         # Sets the proof does not cover are refused, though their count is
         # the orbit's: two attacking pairs, and a cell off the grid.
         pairs = [((1, 1), (1, 2)), ((2, 1), (2, 2))]
-        assert not search._fills_orbit(pairs, search._rook_orbit(2, 2, 2), SearchBudget())
+        assert not search._fills_orbit(pairs, rook_orbit(2, 2, 2), SearchBudget())
         off_grid = [((1, 1),), ((1, 2),), ((2, 1),), ((2, 3),)]
-        assert not search._fills_orbit(off_grid, search._rook_orbit(2, 2, 1), SearchBudget())
-        assert search._fills_orbit(off_grid[:3] + [((2, 2),)], search._rook_orbit(2, 2, 1),
+        assert not search._fills_orbit(off_grid, rook_orbit(2, 2, 1), SearchBudget())
+        assert search._fills_orbit(off_grid[:3] + [((2, 2),)], rook_orbit(2, 2, 1),
                                    SearchBudget())
         # Nine 2-placements of the 3 x 3 grid are not its nine 1-placements.
         pairs = enumerate_placements(3, 3, 2)[:9]
-        assert not search._fills_orbit(pairs, search._rook_orbit(3, 3, 1), SearchBudget())
+        assert not search._fills_orbit(pairs, rook_orbit(3, 3, 1), SearchBudget())
         # Edges 13 and 23, and 4 alone: exchanging the twins 1 and 2 carries
         # (1, 3) onto (2, 3), but no permutation of a class carries it onto
         # (2, 4), which has the same count in the class.
@@ -543,7 +548,7 @@ class TestSymmetryReduction:
         assert [vertices for vertices, _ in engines] == [9, 5]
         engines.clear()
         placements, g = enumerate_placements(3, 3, 1), empty_graph(5)
-        assert max_intersecting_family(placements, orbit=search._rook_orbit(3, 3, 1))[0] == 1
+        assert max_intersecting_family(placements, orbit=rook_orbit(3, 3, 1))[0] == 1
         assert max_intersecting_family(enumerate_independent(g, 1),
                                        orbit=search._twin_orbit(g))[0] == 1
         assert engines == []
@@ -555,7 +560,7 @@ class TestSymmetryReduction:
         # the sorted prefix, so no engine is built on the 1,275 placements.
         assert engines == [(49, 8)]
         engines.clear()
-        max_intersecting_family(enumerate_placements(7, 7, 3), orbit=search._rook_orbit(7, 7, 3))
+        max_intersecting_family(enumerate_placements(7, 7, 3), orbit=rook_orbit(7, 7, 3))
         assert engines == [(1275, 7)]
 
     def test_full_search_node_counts(self, engines):
@@ -568,7 +573,7 @@ class TestSymmetryReduction:
         assert report.witness == star_family(9, 9, 3, (1, 1)).sets
         assert engines == [(81, 0)]
         engines.clear()
-        max_intersecting_family(enumerate_placements(9, 9, 3), orbit=search._rook_orbit(9, 9, 3))
+        max_intersecting_family(enumerate_placements(9, 9, 3), orbit=rook_orbit(9, 9, 3))
         assert engines == [(4557, 9)]
 
 
@@ -626,22 +631,24 @@ class TestOrbitBound:
             bounds.clear()
             engines.clear()
             report = rook_ekr_report(n, m, r)
+            # One bound per union the rule tries, the identity order's first;
+            # the last is the star.  The one engine of each is k_S's, on its
+            # union, unless the union meets pairwise.
+            values = [value for _, value in bounds]
+            assert values[-1] == report.best_star < min(values[:-1], default=report.best_star + 1)
+            assert [vertices for vertices, _ in engines] == [
+                len(structures) for structures, _ in bounds
+                if not pairwise_intersecting(structures)
+            ]
             if 2 * r <= min(n, m):
-                # The bound is the star, which is the sorted prefix: the one
-                # engine is k_S's, on the n*m diagonal intervals.
                 assert [vertices for vertices, _ in engines] == [n * m]
             placements = enumerate_placements(n, m, r)
             assert (report.max_intersecting, report.witness) == max_intersecting_family(
-                placements, orbit=search._rook_orbit(n, m, r)
+                placements, orbit=rook_orbit(n, m, r)
             )
-            # S is the identity order's intervals: one bound when it is the
-            # star, and the search's own again when it exceeds the star.
-            (structures, value), *again = bounds
-            assert again == ([] if value == report.best_star else [(structures, value)])
-            assert structures == sorted(first_starts(order, r))
-            assert value >= report.max_intersecting
-            if 2 * r <= min(n, m):
-                assert value == report.best_star
+            assert bounds[0][0] == sorted(first_starts(order, r))
+            assert all(set(structures) <= set(placements) for structures, _ in bounds)
+            assert all(value >= report.max_intersecting for value in values)
 
     def test_the_max_phase_stops_at_the_root(self):
         # Searched directly, E10 at r=4: the 194 sets that meet the first,
@@ -722,23 +729,96 @@ class TestStarAnswer:
     ])
     def test_reports_equal_the_unreduced_search(self, n, m, bounds, monkeypatch):
         # The search of every placement, with no orbit and no structures;
-        # the report lists them only when the orbit bound exceeds the star.
+        # the report never lists them.
         listed = []
-        original = search.enumerate_placements
+        original = rook.enumerate_placements
 
         def counted(*args):
             listed.append(args)
             return original(*args)
 
-        monkeypatch.setattr(search, "enumerate_placements", counted)
+        monkeypatch.setattr(rook, "enumerate_placements", counted)
         for r in range(1, min(n, m) + 1):
             bounds.clear()
-            listed.clear()
             report = rook_ekr_report(n, m, r)
             full = max_intersecting_family(enumerate_placements(n, m, r))
             assert (report.max_intersecting, report.witness) == full
-            assert report.best_star == rook_star_count(n, m, r)
-            assert len(listed) == (bounds[0][1] > report.best_star)
+            assert report.best_star == rook_star_count(n, m, r) == bounds[-1][1]
+        assert listed == []
+
+
+# The twelve squares whose identity order's bound exceeds the star, and
+# the union of the rule that closes each: its index among the unions of
+# search._union_orders(n, n), where the identity order alone is index 0,
+# and the orders drawn with the identity order, each (rows, cols) as its
+# labels in order.
+CLOSING_UNIONS = {
+    (3, 2): (1, [("132", "123")]),
+    (4, 3): (3, [("1324", "1432")]),
+    (5, 3): (4, [("15324", "15432")]),
+    (5, 4): (3, [("13524", "14325")]),
+    (6, 4): (10, [("163254", "156432")]),
+    (6, 5): (10, [("163254", "156432")]),
+    (7, 4): (9, [("1765432", "1542376")]),
+    (7, 5): (32, [("1725364", "1263754"), ("1526473", "1247563"), ("1743256", "1256437"),
+                  ("1345672", "1534276")]),
+    (7, 6): (44, [("1423765", "1463257"), ("1745263", "1257346"), ("1745326", "1543726"),
+                  ("1276354", "1562347"), ("1526437", "1267534")]),
+    (8, 5): (31, [("15486372", "18357426"), ("12387564", "13642785"),
+                  ("15827436", "14753682"), ("12834765", "13258467")]),
+    (8, 6): (34, [("18264375", "15372846"), ("16738425", "18543672"),
+                  ("16284357", "12367458"), ("16427835", "18475263")]),
+    (8, 7): (22, [("16287435", "14675382"), ("18273546", "12546378"),
+                  ("12376548", "12573684")]),
+}
+
+
+def closing_orders(n, r):
+    """The (rows, cols) orders of the union that closes the n x n square at
+    r: the identity order, then the drawn ones of CLOSING_UNIONS."""
+    identity = (tuple(range(1, n + 1)),) * 2
+    _, drawn = CLOSING_UNIONS[n, r]
+    return [identity, *((tuple(map(int, rows)), tuple(map(int, cols))) for rows, cols in drawn)]
+
+
+class TestUnionBound:
+    @pytest.mark.parametrize("n, r", sorted(CLOSING_UNIONS))
+    def test_the_pinned_orders_are_the_rules_and_bound_the_family_by_the_star(self, n, r):
+        index, drawn = CLOSING_UNIONS[n, r]
+        orders = closing_orders(n, r)
+        assert list(islice(search._union_orders(n, n), index + 1))[-1] == orders
+        # t orders: index 0 holds the identity alone, then ten unions per t.
+        assert (index - 1) // search.DRAWS_PER_UNION + 2 == len(orders)
+        union = {d for rows, cols in orders for d in diagonal_intervals(rows, cols, r)}
+        assert search._orbit_bound(sorted(union), rook_placement_count(n, n, r)) \
+            == rook_star_count(n, n, r)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_no_grid_within_the_set_budget_lists_placements(self, n, bounds, monkeypatch):
+        # The identity order closes every grid with n <= m <= 12 but the
+        # twelve squares, which close at their pinned union.
+        def refuse(*args):
+            raise AssertionError("the placements were listed")
+
+        monkeypatch.setattr(rook, "enumerate_placements", refuse)
+        for m in range(n, 13):
+            for r in range(1, n + 1):
+                if rook_placement_count(n, m, r) > DEFAULT_SET_BUDGET:
+                    continue
+                bounds.clear()
+                report = rook_ekr_report(n, m, r)
+                assert report.max_intersecting == report.best_star
+                index = CLOSING_UNIONS[n, r][0] if (n == m and (n, r) in CLOSING_UNIONS) else 0
+                assert len(bounds) == index + 1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_squares_up_to_five_equal_the_search_of_every_placement(self, n):
+        # 5x5 at r = 3 and 4 lie outside the n*m <= 24 cross-checks.
+        for r in range(1, n + 1):
+            report = rook_ekr_report(n, n, r)
+            placements = enumerate_placements(n, n, r)
+            found = max_intersecting_family(placements, orbit=rook_orbit(n, n, r))
+            assert (report.max_intersecting, report.witness) == found
 
 
 def bits(mask):
