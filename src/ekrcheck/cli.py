@@ -180,7 +180,7 @@ def _run_occurrence(args, parameters) -> tuple[dict, dict | None, int]:
     tally = cycles.interval_tally(args.n, args.m, args.r)
     counterexample = None
     for placement in placements:
-        value = tally[placement]
+        value = tally(placement)
         if value != expected:
             from .witness import occurrence_payload
 
@@ -571,7 +571,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
         print(f"ekrcheck: error: {detail}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # never a traceback: exit 1 reads as "refuted"
+            exc = ResourceLimitError("out of memory")
         result = {
             "status": "inconclusive",
             "reason": str(exc),

@@ -69,21 +69,31 @@ where w = (s1[i], ..., s1[i+r-1]) is s1's r-window at i and v is s2's
 r-window at j (positions taken cyclically).  Let A_i[w] count the
 canonical row orders whose window at i is w, and B_j[v] the canonical
 column orders whose window at j is v.  S is a product of rows and all
-columns, so the sum is bilinear and takes one join: tally[p] is the sum,
-over (w, v) with placement(w, v) = p, of A[w] * B[v], where A sums A_i
-over the rows of S and B sums B_j over every column.
+columns, so the sum is bilinear: tally[p] is the sum of A[w] * B[v] over
+the pairs of windows (w, v) that realize p, where A sums A_i over the rows
+of S and B sums B_j over every column.
+
+A pair (w, v) realizes p exactly when zip(w, v) lists the cells of p in
+some order.  The cells of p have distinct rows, so each ordering of them
+is zip(w, v) for exactly one pair: w its rows and v its columns.  So
+tally[p] is the sum, over the r! orderings of the cells of p, of
+A[their rows] * B[their columns], and interval_tally returns this lookup,
+one placement at a time.  A placement that no order realizes looks up 0.
 
 Work guards.  Each check counts its work before any walk, after its
 input checks, and refuses a count over its budget (ResourceLimitError):
 n*m*r cell steps to list an order's intervals, (n*m)^2 * r to build the
 interval graph's masks for one r, and r*(n*m + (r-1)*m*(2m-1)) for the
 window check, each bounded by INTERVAL_WORK_BUDGET.  The tally walks
-(n-1)! * n + (m-1)! * m = n! + m! windows and makes at most
-n!/(n-r)! * m!/(m-r)! products, in place of (n-1)! * (m-1)! * n * m
-intervals built one order at a time; require_tally_work bounds that
-count by TALLY_WORK_BUDGET.  count_orders_containing, which counts one
+(n-1)! * n + (m-1)! * m = n! + m! windows, in place of
+(n-1)! * (m-1)! * n * m intervals built one order at a time.  Looking up
+every placement, as occurrence does, makes r! terms for each of the
+n!/(n-r)! * m!/(m-r)! / r! placements; double-count looks up only the
+members of its families, fewer.  require_tally_work counts the walk and
+those n!/(n-r)! * m!/(m-r)! lookup terms, and bounds the count by
+TALLY_WORK_BUDGET.  count_orders_containing, which counts one
 placement's orders, walks the same n! + m! windows under the same
-budget, with no join.  The budget admits every grid of at most 10^6
+budget, with no lookup terms.  The budget admits every grid of at most 10^6
 orders, the bound the tally had when it listed orders: the largest such
 count is 25,411,680 (7 x 7 at r = 6 and r = 7), while 12 x 12 at r = 1
 needs 958,003,344.
@@ -281,7 +291,7 @@ def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) 
     set and each column order once for its own, and each pair of a row set
     and a column set that meet counts the product of their multiplicities:
     n! + m! window steps.  This count is written apart from
-    interval_tally's join, which it cross-checks, and takes the same work
+    interval_tally's lookup, which it cross-checks, and takes the same work
     budget.
     """
     require_grid(n, m)
@@ -335,21 +345,23 @@ def require_tally_work(n: int, m: int, r: int, joins: int = 1, task: str = "inte
     _require_work(task, work, TALLY_WORK_BUDGET, "at least {} window steps and products")
 
 
-def interval_tally(n: int, m: int, r: int) -> Counter[Placement]:
-    """For every placement, the number of canonical cyclic orders realizing
-    it as an interval; placements no order realizes are absent.
+def interval_tally(n: int, m: int, r: int) -> Callable[[Placement], int]:
+    """A lookup giving, for a placement, the number of canonical cyclic
+    orders realizing it as an interval; 0 for one that no order realizes.
 
-    Row orders and column orders are walked separately, and their window
-    counts are joined once (module docstring): every row start's with
-    every column start's, or only row 1's at r = n = m.
+    Row orders and column orders are walked separately, and a placement is
+    looked up by pairing their window counts over the orderings of its
+    cells (module docstring): every row start's with every column start's,
+    or only row 1's at r = n = m.
     """
     require_tally_work(n, m, r)
     rows = _window_tally(n, r, 1 if r == n == m else n)
     cols = _window_tally(m, r, m)
-    tally: Counter[Placement] = Counter()
-    for w, a in rows.items():
-        for v, b in cols.items():
-            tally[tuple(sorted(zip(w, v)))] += a * b
+
+    def tally(placement: Placement) -> int:
+        pairs = (zip(*cells) for cells in permutations(placement)) if len(placement) == r else ()
+        return sum(rows[w] * cols[v] for w, v in pairs)
+
     return tally
 
 
@@ -369,12 +381,12 @@ def interval_double_counts(families: Iterable[Family]) -> list[DoubleCount]:
     most r times the number of orders.
 
     lhs counts the same (member, order) incidences member by member: a
-    member lies in the restriction to exactly tally[member] orders, so
+    member lies in the restriction to exactly tally(member) orders, so
     summing the interval tally over the members equals summing the
     restriction sizes over the orders.  Families with the same (n, m, r)
-    share one tally.
+    share one tally lookup, built from the window counts once.
     """
-    tallies: dict[tuple[int, int, int], Counter[Placement]] = {}
+    tallies: dict[tuple[int, int, int], Callable[[Placement], int]] = {}
     out = []
     for family in families:
         n, m, r = family.n, family.m, family.r
@@ -382,7 +394,7 @@ def interval_double_counts(families: Iterable[Family]) -> list[DoubleCount]:
         if (n, m, r) not in tallies:
             tallies[n, m, r] = interval_tally(n, m, r)
         tally = tallies[n, m, r]
-        lhs = sum(tally[member] for member in family)
+        lhs = sum(map(tally, family))
         out.append(DoubleCount(lhs, len(family) * interval_occurrence_count(n, m, r)))
     return out
 

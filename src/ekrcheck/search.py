@@ -447,12 +447,15 @@ def _fills_orbit(unique: Sequence[tuple], orbit: Orbit, budget: SearchBudget) ->
     return True
 
 
-def _orbit_bound(structures: Sequence[tuple], size: int) -> int:
+def _orbit_bound(
+    structures: Sequence[tuple], size: int, budget: SearchBudget | None = None
+) -> int:
     """The orbit bound (module docstring) on a family of ``size`` sets that
     fills the checked orbit, with S the distinct ``structures``, each of
-    them a member of that family; there is at least one."""
-    # Its own budget, so no exit reports k_S's bounds as the family's.
-    return max_intersecting_family(structures, SearchBudget())[0] * size // len(structures)
+    them a member of that family; there is at least one.  k_S is searched
+    under ``budget``, or unclocked without one; the caller reports an exit
+    with its own bounds, never k_S's."""
+    return max_intersecting_family(structures, budget)[0] * size // len(structures)
 
 
 def max_intersecting_family(
@@ -621,8 +624,11 @@ def rook_ekr_report(
     """Exact verdict for the n-by-m rook grid at size r, by the union bound
     (module docstring) against the closed-form star, the same at every cell
     by vertex transitivity.  In-theorem-range means r <= min(n, m)/2.  The
-    clock is read before each union after the identity order's, and
-    ``max_sets`` bounds the placements, though none is listed.
+    identity order's k_S is searched unclocked; each later union reads the
+    clock before and during its k_S search under ``budget``, and an exit
+    there reports the star and the least bound so far, with the union
+    bound's reason on the clock.  ``max_sets`` bounds the placements,
+    though none is listed.
     """
     require_placement_size(n, m, r)
     started = time.monotonic()
@@ -632,11 +638,18 @@ def rook_ekr_report(
     size = require_placement_budget(n, m, r, max_sets)
     bounds: list[int] = []
     for orders in _union_orders(n, m):
-        if bounds and budget is not None:
-            budget.check_deadline("the union bound", lower_bound=star, upper_bound=min(bounds))
+        clock = budget if bounds else None
+        if clock is not None:
+            clock.check_deadline("the union bound", lower_bound=star, upper_bound=min(bounds))
         # From rook, not cycles, which verify does not load.
         union = {d for rows, cols in orders for d in diagonal_intervals(rows, cols, r)}
-        bounds.append(_orbit_bound(sorted(union), size))
+        try:
+            bounds.append(_orbit_bound(sorted(union), size, clock))
+        except ResourceLimitError as exc:
+            if clock is None:
+                raise
+            clock.check_deadline("the union bound", lower_bound=star, upper_bound=min(bounds))
+            raise ResourceLimitError(str(exc), lower_bound=star, upper_bound=min(bounds)) from exc
         if bounds[-1] < star:
             raise RuntimeError(f"internal error: the union bound {bounds[-1]} is below the star")
         if bounds[-1] == star:

@@ -8,13 +8,14 @@ import sys
 import tempfile
 import time
 from math import factorial, perm
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ekrcheck import counts, cycles, enumerate_placements, graphs, load_family, load_graph, search
-from ekrcheck import rook
+from ekrcheck import rook, witness
 from ekrcheck import cli
 from ekrcheck.cli import main
 from ekrcheck.errors import InputError, ResourceLimitError, write_json
@@ -545,18 +546,27 @@ class TestDoubleCount:
         assert result["lhs"] == result["rhs"] == 72 * 8
 
     def test_sampled_families_share_one_tally(self, monkeypatch, capsys):
-        calls = []
+        calls, lookups = [], []
         original = cycles.interval_tally
 
         def counted(*args):
             calls.append(args)
-            return original(*args)
+            tally = original(*args)
+
+            def looked_up(placement):
+                lookups.append(placement)
+                return tally(placement)
+
+            return looked_up
 
         monkeypatch.setattr(cycles, "interval_tally", counted)
         argv = ["double-count", "--n", "4", "--m", "4", "--r", "2", "--samples", "6", "--json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["families"] == 6
         assert len(calls) == 1
+        # The one lookup answers every member of every sampled family.
+        families = [rook.random_intersecting_family(4, 4, 2, Random(i)) for i in range(6)]
+        assert lookups == [member for family in families for member in family]
 
     def test_order_budget_exits_3(self):
         # The tally's work guard, not the number of orders, makes it fail closed.
@@ -683,7 +693,7 @@ class TestForcedCounterexamples:
 
         def off_by_one(*args):
             tally = original(*args)
-            return {placement: count + 1 for placement, count in tally.items()}
+            return lambda placement: tally(placement) + 1
 
         monkeypatch.setattr(cycles, "interval_tally", off_by_one)
         report = self.run(monkeypatch, capsys, ["occurrence", "--n", "4", "--m", "4", "--r", "2"])
@@ -1077,6 +1087,33 @@ class TestBudgetExitsNameTheirBounds:
         assert json.loads(capsys.readouterr().out)["result"]["reason"] == (
             "exhaustive search on 5 vertices exceeds the budget of 1"
         )
+
+
+class TestOutOfMemory:
+    """A MemoryError from a handler is an inconclusive report (exit 3),
+    never a traceback, whose exit 1 would read as "refuted"."""
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (["verify", "--n", "4", "--m", "4", "--r", "2"], search, "rook_ekr_report"),
+        (["ht", "--graph", "E5"], graphs, "min_maximal_independent_size"),
+        (["check-witness", "--report", "report.json"], witness, "check_report"),
+    ], ids=["verify", "ht", "check-witness"])
+    def test_is_inconclusive_with_null_bounds(
+        self, tmp_path, monkeypatch, capsys, argv, module, name
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "report.json").write_text(json.dumps({"counterexample": None}))
+        monkeypatch.setattr(module, name, exhausted)
+        assert main([*argv, "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"] == {
+            "status": "inconclusive", "reason": "out of memory",
+            "lower_bound": None, "upper_bound": None,
+        }
+        assert report["counterexample"] is None
 
 
 class TestParametersOnEveryExitPath:

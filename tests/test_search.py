@@ -583,8 +583,8 @@ def bounds(monkeypatch):
     taken = []
     original = search._orbit_bound
 
-    def spy(structures, size):
-        taken.append((structures, original(structures, size)))
+    def spy(structures, size, budget=None):
+        taken.append((structures, original(structures, size, budget)))
         return taken[-1][1]
 
     monkeypatch.setattr(search, "_orbit_bound", spy)
@@ -810,6 +810,32 @@ class TestUnionBound:
                 assert report.max_intersecting == report.best_star
                 index = CLOSING_UNIONS[n, r][0] if (n == m and (n, r) in CLOSING_UNIONS) else 0
                 assert len(bounds) == index + 1
+
+    def test_a_later_union_reads_the_clock_in_its_k_s_search(self, monkeypatch):
+        # One second per reading: the budget is made at 0 (deadline 2) and
+        # the report starts at 1.  3x3 at r = 2 closes at its second union;
+        # the identity order's k_S reads no clock, the check before the
+        # second union reads 2, within the budget, and its k_S search's
+        # first node reads 3.
+        readings = iter(range(10**6))
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+        budget = SearchBudget(max_seconds=2)
+        with pytest.raises(ResourceLimitError, match="^the union bound exceeded 2 seconds$") as exc:
+            rook_ekr_report(3, 3, 2, budget)
+        # The star and the identity order's bound, never k_S's own bounds.
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 6)
+        assert str(exc.value.__context__) == "clique search exceeded 2 seconds"
+
+    def test_a_later_union_exit_keeps_the_family_bounds(self):
+        # The node budget reaches k_S of the second union, not the identity's.
+        with pytest.raises(ResourceLimitError, match="^clique search exceeded 1 nodes$") as exc:
+            rook_ekr_report(3, 3, 2, SearchBudget(max_nodes=1))
+        assert (exc.value.lower_bound, exc.value.upper_bound) == (4, 6)
+
+    def test_a_live_budget_changes_nothing(self):
+        for n, r in sorted(CLOSING_UNIONS)[:4]:
+            assert rook_ekr_report(n, n, r, SearchBudget(max_seconds=60)) \
+                == rook_ekr_report(n, n, r)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_squares_up_to_five_equal_the_search_of_every_placement(self, n):
