@@ -79,6 +79,12 @@ is zip(w, v) for exactly one pair: w its rows and v its columns.  So
 tally[p] is the sum, over the r! orderings of the cells of p, of
 A[their rows] * B[their columns], and interval_tally returns this lookup,
 one placement at a time.  A placement that no order realizes looks up 0.
+At r = n = m, A is A_1 alone.  Every canonical row order holds label 1
+at position 1, and at r = n every window holds every label, so label 1
+leads the window at position 1 and no other: A[w] is w's count over
+every start when w starts with label 1, and 0 otherwise.  So the lookup
+counts row windows over every start, as it does column windows, and sums
+only the (r-1)! orderings that put the row-1 cell of p first.
 
 Work guards.  Each check counts its work before any walk, after its
 input checks, and refuses a count over its budget (ResourceLimitError):
@@ -87,25 +93,28 @@ interval graph's masks for one r, and r*(n*m + (r-1)*m*(2m-1)) for the
 window check, each bounded by INTERVAL_WORK_BUDGET.  The tally walks
 (n-1)! * n + (m-1)! * m = n! + m! windows, in place of
 (n-1)! * (m-1)! * n * m intervals built one order at a time.  Looking up
-every placement, as occurrence does, makes r! terms for each of the
-n!/(n-r)! * m!/(m-r)! / r! placements; double-count looks up only the
-members of its families, fewer.  require_tally_work counts the walk and
-those n!/(n-r)! * m!/(m-r)! lookup terms, and bounds the count by
-TALLY_WORK_BUDGET.  count_orders_containing, which counts one
-placement's orders, walks the same n! + m! windows under the same
-budget, with no lookup terms.  The budget admits every grid of at most 10^6
-orders, the bound the tally had when it listed orders: the largest such
-count is 25,411,680 (7 x 7 at r = 6 and r = 7), while 12 x 12 at r = 1
-needs 958,003,344.
+a placement makes r! terms, or (r-1)! at r = n = m.  occurrence looks up
+each of the n!/(n-r)! * m!/(m-r)! / r! placements once, so it makes at
+most n!/(n-r)! * m!/(m-r)! terms.  double-count's sampled families hold
+many members in common, each drawn from a star, so interval_double_counts
+memoizes the lookup for each grid and looks up every distinct member
+once: at most as many terms again, however many families it is given.
+require_tally_work counts the walk and those n!/(n-r)! * m!/(m-r)! lookup
+terms, and bounds the count by TALLY_WORK_BUDGET.  count_orders_containing,
+which counts one placement's orders, walks the same n! + m! windows under
+the same budget, with no lookup terms.  The budget admits every grid of at
+most 10^6 orders, the bound the tally had when it listed orders: the
+largest such count is 25,411,680 (7 x 7 at r = 6 and r = 7), while
+12 x 12 at r = 1 needs 958,003,344.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, permutations
 from math import factorial, perm
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .counts import (
@@ -322,13 +331,13 @@ def count_orders_containing(n: int, m: int, placement: Iterable[Iterable[int]]) 
     return total
 
 
-def _window_tally(size: int, r: int, starts: int) -> Counter[tuple[int, ...]]:
+def _window_tally(size: int, r: int) -> Counter[tuple[int, ...]]:
     """How many canonical cyclic orders of 1..size have each r-window, the
     labels at a position and the r-1 after it (wrapping around), summed
-    over the first ``starts`` positions."""
+    over every position."""
     tally: Counter[tuple[int, ...]] = Counter()
     for rest in permutations(range(2, size + 1)):
-        tally.update(_cyclic_windows((1,) + rest, r)[:starts])
+        tally.update(_cyclic_windows((1,) + rest, r))
     return tally
 
 
@@ -351,16 +360,19 @@ def interval_tally(n: int, m: int, r: int) -> Callable[[Placement], int]:
 
     Row orders and column orders are walked separately, and a placement is
     looked up by pairing their window counts over the orderings of its
-    cells (module docstring): every row start's with every column start's,
-    or only row 1's at r = n = m.
+    cells (module docstring), or only over those that put its row-1 cell
+    first at r = n = m.  permutations lists the orderings of the row labels
+    and of the column labels in one index order, so the k-th row window and
+    the k-th column window come from the same ordering of the cells.
     """
     require_tally_work(n, m, r)
-    rows = _window_tally(n, r, 1 if r == n == m else n)
-    cols = _window_tally(m, r, m)
+    lead = int(r == n == m)
+    rows, cols = _window_tally(n, r), _window_tally(m, r)
 
     def tally(placement: Placement) -> int:
-        pairs = (zip(*cells) for cells in permutations(placement)) if len(placement) == r else ()
-        return sum(rows[w] * cols[v] for w, v in pairs)
+        labels = zip(*sorted(placement)) if len(placement) == r else ((), ())
+        ws, vs = (map(seq[:lead].__add__, permutations(seq[lead:])) for seq in labels)
+        return sum(map(mul, map(rows.__getitem__, ws), map(cols.__getitem__, vs)))
 
     return tally
 
@@ -384,7 +396,9 @@ def interval_double_counts(families: Iterable[Family]) -> list[DoubleCount]:
     member lies in the restriction to exactly tally(member) orders, so
     summing the interval tally over the members equals summing the
     restriction sizes over the orders.  Families with the same (n, m, r)
-    share one tally lookup, built from the window counts once.
+    share one tally lookup, built from the window counts once and
+    memoized, so a placement that several families hold is looked up once
+    (module docstring, "Work guards").
     """
     tallies: dict[tuple[int, int, int], Callable[[Placement], int]] = {}
     out = []
@@ -392,7 +406,7 @@ def interval_double_counts(families: Iterable[Family]) -> list[DoubleCount]:
         n, m, r = family.n, family.m, family.r
         require_placement_size(n, m, r)
         if (n, m, r) not in tallies:
-            tallies[n, m, r] = interval_tally(n, m, r)
+            tallies[n, m, r] = cache(interval_tally(n, m, r))
         tally = tallies[n, m, r]
         lhs = sum(map(tally, family))
         out.append(DoubleCount(lhs, len(family) * interval_occurrence_count(n, m, r)))

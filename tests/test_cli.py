@@ -564,9 +564,12 @@ class TestDoubleCount:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["families"] == 6
         assert len(calls) == 1
-        # The one lookup answers every member of every sampled family.
+        # The one memoized lookup answers every member of every sampled
+        # family, and is asked for each distinct member once.
         families = [rook.random_intersecting_family(4, 4, 2, Random(i)) for i in range(6)]
-        assert lookups == [member for family in families for member in family]
+        members = [member for family in families for member in family]
+        assert len(set(members)) < len(members)
+        assert lookups == list(dict.fromkeys(members))
 
     def test_order_budget_exits_3(self):
         # The tally's work guard, not the number of orders, makes it fail closed.

@@ -541,6 +541,31 @@ class TestFactoredTally:
         for placement in placements:
             assert tally(placement) == count_orders_containing(n, m, placement)
 
+    @pytest.mark.parametrize(
+        "n, m, r, terms", [(4, 4, 4, 6), (5, 5, 5, 24), (4, 5, 4, 24), (4, 4, 3, 6), (5, 4, 2, 2)]
+    )
+    def test_a_lookup_makes_r_factorial_terms_and_fewer_at_r_equal_to_n_and_m(
+        self, monkeypatch, n, m, r, terms
+    ):
+        # At r = n = m only the orderings that put the row-1 cell first can
+        # count, so a lookup makes (r-1)! terms there and r! elsewhere.
+        from ekrcheck import cycles
+
+        reads = []
+
+        class Spy(Counter):
+            def __getitem__(self, window):
+                reads.append(window)
+                return super().__getitem__(window)
+
+        original = cycles._window_tally
+        monkeypatch.setattr(cycles, "_window_tally", lambda size, r: Spy(original(size, r)))
+        tally = interval_tally(n, m, r)
+        for placement in Random(n * 100 + m * 10 + r).sample(enumerate_placements(n, m, r), 3):
+            reads.clear()
+            assert tally(placement) == count_orders_containing(n, m, placement)
+            assert len(reads) == 2 * terms
+
     def test_r_out_of_range_is_an_input_error(self):
         with pytest.raises(InputError, match="r must be in 1..min"):
             interval_tally(4, 4, 0)
@@ -556,7 +581,7 @@ class TestFactoredTally:
         # the guard to run.
         from ekrcheck import cycles
 
-        monkeypatch.setattr(cycles, "_window_tally", lambda size, r, starts: Counter())
+        monkeypatch.setattr(cycles, "_window_tally", lambda size, r: Counter())
         grids = [(n, m) for n in range(1, 14) for m in range(1, 14)]
         for n, m in grids:
             if cyclic_order_count(n, m) <= 10**6:
