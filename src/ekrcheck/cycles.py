@@ -48,6 +48,21 @@ fails, and it comes first in (i, j) order, so first_window_failure
 checks that start alone and reports the failure a sweep of every start
 would report first.
 
+Relabelling.  A pair (sigma, tau) in S_n x S_m relabels a permutation
+pair (s1, s2) as (sigma o s1, tau o s2), and a placement p as
+(sigma x tau)(p), the cells (sigma(a), tau(b)) for (a, b) in p.  This
+commutes with the cyclic shifts of positions, so it permutes the cyclic
+orders, and it carries the interval of an order at start (i, j) onto the
+interval of the image order at the same start, which is the image of the
+interval.  So an order realizes p exactly when its image realizes
+(sigma x tau)(p), and tally[(sigma x tau)(p)] = tally[p] (see "Factored
+interval tally").  S_n x S_m is transitive on the r-placements (the rook
+bullet of the search module docstring), so every placement has the count
+of P0 = ((1, 1), ..., (r, r)), the first that rook.enumerate_placements
+lists.  If the count were wrong, a sweep of every placement in that order
+would fail first at P0, so occurrence looks up P0 alone and reports the
+mismatch that sweep would report.
+
 Factored interval tally.  interval_tally counts, for every placement p,
 the canonical orders that realize p as an interval, without listing the
 orders.  The identity order's n*m intervals are pairwise distinct except
@@ -94,18 +109,22 @@ window check, each bounded by INTERVAL_WORK_BUDGET.  The tally walks
 (n-1)! * n + (m-1)! * m = n! + m! windows, in place of
 (n-1)! * (m-1)! * n * m intervals built one order at a time.  Looking up
 a placement makes r! terms, or (r-1)! at r = n = m.  occurrence looks up
-each of the n!/(n-r)! * m!/(m-r)! / r! placements once, so it makes at
-most n!/(n-r)! * m!/(m-r)! terms.  double-count's sampled families hold
-many members in common, each drawn from a star, so interval_double_counts
-memoizes the lookup for each grid and looks up every distinct member
-once: at most as many terms again, however many families it is given.
-require_tally_work counts the walk and those n!/(n-r)! * m!/(m-r)! lookup
-terms, and bounds the count by TALLY_WORK_BUDGET.  count_orders_containing,
-which counts one placement's orders, walks the same n! + m! windows under
-the same budget, with no lookup terms.  The budget admits every grid of at
-most 10^6 orders, the bound the tally had when it listed orders: the
-largest such count is 25,411,680 (7 x 7 at r = 6 and r = 7), while
-12 x 12 at r = 1 needs 958,003,344.
+P0 alone ("Relabelling"), so it makes one lookup's terms.  The guard
+still charges it n!/(n-r)! * m!/(m-r)! terms, those of looking up each
+of the n!/(n-r)! * m!/(m-r)! / r! placements once, as when occurrence
+swept them, so that every refusal stays as it was; likewise its set
+budget still bounds the placements, though none is listed.
+double-count's sampled families hold many members in common, each drawn
+from a star, so interval_double_counts memoizes the lookup for each grid
+and looks up every distinct member once: at most those
+n!/(n-r)! * m!/(m-r)! terms, however many families it is given.
+require_tally_work counts the walk and those lookup terms, and bounds the
+count by TALLY_WORK_BUDGET.  count_orders_containing, which counts one
+placement's orders, walks the same n! + m! windows under the same budget,
+with no lookup terms.  The budget admits every grid of at most 10^6
+orders, the bound the tally had when it listed orders: the largest such
+count is 25,411,680 (7 x 7 at r = 6 and r = 7), while 12 x 12 at r = 1
+needs 958,003,344.
 """
 
 from __future__ import annotations

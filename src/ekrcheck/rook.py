@@ -236,7 +236,9 @@ def random_intersecting_family(n: int, m: int, r: int, rng: Random) -> Family:
 
     Starts from a random subset of a random star and then greedily adds
     random placements that keep the family pairwise intersecting, so the
-    output is not always a plain star.
+    output is not always a plain star.  The members already meet pairwise,
+    so a candidate is tested against them alone; every member is canonical
+    (sorted by row) as built, so none is validated again.
     """
     require_placement_size(n, m, r)
     center = (rng.randint(1, n), rng.randint(1, m))
@@ -244,9 +246,9 @@ def random_intersecting_family(n: int, m: int, r: int, rng: Random) -> Family:
     members = list(rng.sample(star, rng.randint(1, len(star))))
     for _ in range(rng.randint(0, 2 * r)):
         candidate = random_placement(n, m, r, rng)
-        if pairwise_intersecting([*members, candidate]):
+        if not any(map(set(candidate).isdisjoint, members)):
             members.append(candidate)
-    return Family.build(n, m, r, members)
+    return Family(n, m, r, tuple(sorted(set(members))))
 
 
 def family_to_json_dict(family: Family) -> dict:

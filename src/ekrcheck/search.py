@@ -451,11 +451,22 @@ def _orbit_bound(
     structures: Sequence[tuple], size: int, budget: SearchBudget | None = None
 ) -> int:
     """The orbit bound (module docstring) on a family of ``size`` sets that
-    fills the checked orbit, with S the distinct ``structures``, each of
-    them a member of that family; there is at least one.  k_S is searched
-    under ``budget``, or unclocked without one; the caller reports an exit
-    with its own bounds, never k_S's."""
-    return max_intersecting_family(structures, budget)[0] * size // len(structures)
+    fills the checked orbit, with S the sorted distinct ``structures``,
+    each of them a member of that family; there is at least one.  k_S is
+    |S| when S meets pairwise, and otherwise the max phase of a clique
+    engine on S, searched under ``budget``, or unclocked without one; the
+    caller reports an exit with its own bounds, never k_S's.
+
+    The bound needs k_S to be no smaller than the largest intersecting
+    family in S, and the max phase is exact, so no witness is built: one
+    would only show that k_S is attained, which the bound does not use.  A
+    k_S too large would only loosen the bound."""
+    k_s = len(structures)
+    if not pairwise_intersecting(structures):
+        budget = budget or SearchBudget()
+        engine = _CliqueEngine(_compatibility(structures, budget), budget)
+        k_s = engine.max_clique_size(max(largest_star(structures), 1), k_s)
+    return k_s * size // len(structures)
 
 
 def max_intersecting_family(

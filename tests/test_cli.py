@@ -247,6 +247,33 @@ class TestSweeps:
         assert result["all_match"]
         assert (result["placements"], result["orders"]) == (1568, 25401600)
 
+    @pytest.mark.parametrize("n, m, r", [(4, 4, 2), (3, 5, 3), (4, 4, 4), (8, 8, 5)])
+    def test_occurrence_lists_no_placement_and_looks_up_once(self, n, m, r, monkeypatch, capsys):
+        # Relabelling keeps every placement's count, so the first placement
+        # stands for all of them (cycles docstring, "Relabelling").
+        def refuse(*args):
+            raise AssertionError("the placements were listed")
+
+        looked_up = []
+        original = cycles.interval_tally
+
+        def counted(*args):
+            tally = original(*args)
+
+            def lookup(placement):
+                looked_up.append(placement)
+                return tally(placement)
+
+            return lookup
+
+        monkeypatch.setattr(rook, "enumerate_placements", refuse)
+        monkeypatch.setattr(cycles, "interval_tally", counted)
+        assert main(["occurrence", "--n", str(n), "--m", str(m), "--r", str(r), "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert looked_up == [tuple((k, k) for k in range(1, r + 1))]
+        assert result["all_match"] is True
+        assert result["placements"] == counts.rook_placement_count(n, m, r)
+
     def test_occurrence_beyond_the_tally_budget_exits_3(self, capsys):
         started = time.monotonic()
         assert main(["occurrence", "--n", "12", "--m", "12", "--r", "1", "--json"]) == 3

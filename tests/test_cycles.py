@@ -533,6 +533,9 @@ class TestFactoredTally:
             placements = enumerate_placements(n, m, r)
             assert [tally(p) for p in placements] == [expected[p] for p in placements]
             assert set(expected) <= set(placements)
+            # Relabelling keeps the count, so the unreduced tally takes one
+            # value on every placement (module docstring, "Relabelling").
+            assert {expected[p] for p in placements} == {interval_occurrence_count(n, m, r)}
 
     @pytest.mark.parametrize("n, m, r", [(5, 5, 2), (4, 6, 2), (5, 6, 3), (4, 5, 3), (5, 5, 4)])
     def test_matches_count_orders_containing_on_sampled_placements(self, n, m, r):

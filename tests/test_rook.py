@@ -267,6 +267,23 @@ class TestRandomFamilies:
         assert len(family) >= 1
         assert pairwise_intersecting(family)
 
+    @pytest.mark.parametrize("n, m, r", [(4, 4, 2), (5, 5, 3), (6, 6, 3), (4, 4, 4)])
+    def test_same_families_as_a_reference_that_checks_every_member(self, n, m, r):
+        # The same draws, with the whole family re-checked for each
+        # candidate and every member validated again.
+        def reference(rng):
+            center = (rng.randint(1, n), rng.randint(1, m))
+            star = star_family(n, m, r, center).sets
+            members = list(rng.sample(star, rng.randint(1, len(star))))
+            for _ in range(rng.randint(0, 2 * r)):
+                candidate = random_placement(n, m, r, rng)
+                if pairwise_intersecting([*members, candidate]):
+                    members.append(candidate)
+            return Family.build(n, m, r, members)
+
+        for seed in range(20):
+            assert random_intersecting_family(n, m, r, Random(seed)) == reference(Random(seed))
+
     def test_random_placement_is_valid(self):
         rng = Random(3)
         for _ in range(50):

@@ -846,6 +846,30 @@ class TestUnionBound:
             found = max_intersecting_family(placements, orbit=rook_orbit(n, n, r))
             assert (report.max_intersecting, report.witness) == found
 
+    def test_k_s_builds_no_witness(self, monkeypatch):
+        # The bound reads k_S from the max phase alone.
+        def refuse(self, target):
+            raise AssertionError("a witness of k_S was built")
+
+        monkeypatch.setattr(search._CliqueEngine, "lex_smallest_clique", refuse)
+        for n in range(1, 8):
+            for r in range(1, n + 1):
+                report = rook_ekr_report(n, n, r)
+                assert report.max_intersecting == report.best_star == rook_star_count(n, n, r)
+                assert report.witness == star_family(n, n, r, (1, 1)).sets
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_union_bound_equals_the_search_with_a_witness(self, n, bounds):
+        # Every union the rule tries on the square, against k_S taken from
+        # the search that also builds the witness.
+        for r in range(1, n + 1):
+            bounds.clear()
+            rook_ekr_report(n, n, r)
+            size = rook_placement_count(n, n, r)
+            assert [value for _, value in bounds] == [
+                max_intersecting_family(union)[0] * size // len(union) for union, _ in bounds
+            ]
+
 
 def bits(mask):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
